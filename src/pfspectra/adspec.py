@@ -219,7 +219,7 @@ def frequency_isomorphism(ad: AdEigenstructure, nu: float, x: Element) -> Elemen
 
 
 def subspace_of(ad: AdEigenstructure, which: str) -> Subspace:
-    """Orthonormal Subspace for 'k0', 'm0', or 'k_nu'/'m_nu' of a block index."""
+    """Orthonormal Subspace spanned by the ad-kernel piece 'k0' or 'm0'."""
     alg = ad.cd.algebra
     if which == "k0":
         vecs = [x.coords for x in ad.k0_basis]

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 from . import formats, oracle, spectra, symmetrycheck, transport
 from .adspec import paired_bases
-from .errors import FormatError, GeometryError
+from .errors import DomainError, FormatError, GeometryError
 from .liecore import build_so, cartan_decompose
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
@@ -297,7 +297,15 @@ def _cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Smallest matrix size each transport check can run at: the order check
+# needs a nonzero so(n) element, the fiber check a nonzero k in so(n-1).
+_TRANSPORT_MIN_N = {"equivariance": 1, "order": 2, "fiber": 3}
+
+
 def _cmd_transport(args) -> int:
+    min_n = _TRANSPORT_MIN_N[args.check]
+    if args.n < min_n:
+        raise DomainError(f"transport --check {args.check} needs --n >= {min_n}, got {args.n}")
     rng = np.random.default_rng(args.seed)
     nodes = args.grid + 1
     if args.check == "order":
@@ -408,11 +416,18 @@ def _cmd_so9(args) -> int:
     return PASS if result["passed"] else FAIL
 
 
+def _parse_normal(text: str) -> np.ndarray:
+    try:
+        normal = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        normal = None
+    if normal is None or not np.isfinite(normal).all():
+        raise FormatError(f"--normal needs comma-separated finite numbers, got {text!r}")
+    return normal
+
+
 def _cmd_product_sphere(args) -> int:
-    if args.normal:
-        normals = [np.array([float(v) for v in args.normal.split(",")])]
-    else:
-        normals = None
+    normals = [_parse_normal(args.normal)] if args.normal else None
     austere, details = symmetrycheck.product_sphere_austere(
         args.m, args.n, normals=normals, samples=args.samples,
         rng=np.random.default_rng(args.seed),

@@ -1,10 +1,11 @@
-"""Matrix Lie algebras with trace inner products and Cartan decompositions.
+"""The Lie algebra so(n) with a trace inner product, and its Cartan decompositions.
 
-Algebra elements are stored as coefficient vectors over a declared basis of
-skew-symmetric matrices.  The inner product is ``<X, Y> = -ip_scale * tr(XY)``,
-which is positive definite on any algebra of skew-symmetric real matrices.
-Brackets are evaluated through a cached structure-constant tensor so that
-repeated bracket work stays in coefficient space.
+Every algebra here is so(n), the real skew-symmetric n x n matrices.  An
+element is stored as its coordinate vector: the strict upper-triangle
+entries X[i, j], i < j, in row-major order (see ``so_pair_index``), so the
+coordinate basis is E_ij = e_i e_j^T - e_j e_i^T.  The inner product is
+``<X, Y> = -ip_scale * tr(XY)``; in these coordinates its Gram matrix is
+``2 * ip_scale * I``.  Brackets are matrix commutators, O(n^3) each.
 """
 
 from __future__ import annotations
@@ -16,98 +17,67 @@ import numpy as np
 from .errors import DimensionError, DomainError, StructureError
 
 # Tolerances used by construction-time validation.
-SKEW_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 JACOBI_TOL = 1e-9
-ORTHO_TOL = 1e-12
 SUBSPACE_GRAM_TOL = 1e-10
-
-
-def _as_matrix_array(basis) -> np.ndarray:
-    arr = np.array(basis, dtype=float)  # private copy; callers keep their arrays
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionError(f"basis must be a stack of square matrices, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise DimensionError("basis must contain at least one matrix")
-    return arr
+PROBES = 3  # randomised Jacobi/ad-invariance probes per algebra
 
 
 class MatrixLieAlgebra:
-    """A compact matrix Lie algebra presented by a basis of skew matrices."""
+    """so(n) in strict-upper-triangle coordinates."""
 
-    def __init__(self, basis, ip_scale: float, validate: bool = True):
-        self._basis = _as_matrix_array(basis)
-        self._basis.setflags(write=False)
+    def __init__(self, n: int, ip_scale: float):
+        if n < 2:
+            raise DimensionError(f"so(n) needs n >= 2, got {n}")
         if ip_scale <= 0:
             raise DomainError(f"ip_scale must be positive, got {ip_scale}")
+        self.n = int(n)
+        self.dim = self.n * (self.n - 1) // 2
         self.ip_scale = float(ip_scale)
-        self.n = self._basis.shape[1]
-        self.dim = self._basis.shape[0]
+        self._w = 2.0 * self.ip_scale  # <e_a, e_b> = _w * delta_ab
+        self._rows, self._cols = np.triu_indices(self.n, 1)
+        self._gram = self._w * np.eye(self.dim)
+        self._gram.setflags(write=False)
+        self._basis = None
+        self._probe()
 
-        # Gram matrix of the basis under <X,Y> = -ip_scale*tr(XY).
-        prods = np.einsum("iab,jba->ij", self._basis, self._basis)
-        self._gram = -self.ip_scale * prods
-        try:
-            self._gram_chol = np.linalg.cholesky(self._gram)
-        except np.linalg.LinAlgError:
-            raise StructureError("basis is linearly dependent (Gram matrix not positive definite)")
+    def _probe(self) -> None:
+        """Randomised Jacobi and ad-invariance probes, O(n^3) each, in one batch."""
+        x, y, z = np.random.default_rng(0).standard_normal((3, PROBES, self.dim))
+        br = self.bracket_coords
+        tol = JACOBI_TOL * max(1.0, np.prod(np.linalg.norm([x, y, z], axis=2), axis=0).max())
+        jac = np.abs(br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))).max()
+        if jac > tol:
+            raise StructureError(f"Jacobi identity violated (residual {jac:.3e})")
+        adinv = self._w * np.abs(np.sum(br(x, y) * z + y * br(x, z), axis=1)).max()
+        if adinv > tol:
+            raise StructureError(f"inner product is not ad-invariant (residual {adinv:.3e})")
 
-        # Structure tensor: [B_i, B_j] = sum_k struct[i, j, k] B_k.
-        raw = np.einsum("iab,jbc->ijac", self._basis, self._basis)
-        brackets = raw - np.transpose(raw, (1, 0, 2, 3))
-        self._struct = self._coords_of_stack(brackets.reshape(-1, self.n, self.n))
-        self._struct = self._struct.reshape(self.dim, self.dim, self.dim)
+    # -- coordinate/matrix conversions ----------------------------------------------
 
-        if validate:
-            self._validate(brackets)
+    def to_matrices(self, coords) -> np.ndarray:
+        """Matrices of a (..., dim) stack of coordinate vectors."""
+        coords = np.asarray(coords, dtype=float)
+        mats = np.zeros(coords.shape[:-1] + (self.n, self.n))
+        mats[..., self._rows, self._cols] = coords
+        mats[..., self._cols, self._rows] = -coords
+        return mats
 
-    # -- construction-time checks -------------------------------------------------
-
-    def _validate(self, brackets: np.ndarray) -> None:
-        skew = np.abs(self._basis + np.transpose(self._basis, (0, 2, 1))).max()
-        if skew > SKEW_TOL:
-            raise StructureError(f"basis matrices not skew-symmetric (deviation {skew:.3e})")
-
-        recon = np.einsum("ijk,kab->ijab", self._struct, self._basis)
-        closure = np.abs(brackets - recon).max()
-        if closure > CLOSURE_TOL:
-            raise StructureError(f"basis does not close under brackets (residual {closure:.3e})")
-
-        # Jacobi identity, contracted in coefficient space.
-        c = self._struct
-        jac = (
-            np.einsum("ija,akb->ijkb", c, c)
-            + np.einsum("jka,aib->ijkb", c, c)
-            + np.einsum("kia,ajb->ijkb", c, c)
-        )
-        if np.abs(jac).max() > JACOBI_TOL:
-            raise StructureError(f"Jacobi identity violated (residual {np.abs(jac).max():.3e})")
-
-        # Ad-invariance of the inner product: <[x,y],z> + <y,[x,z]> = 0.
-        g = self._gram
-        adinv = np.einsum("ija,ak->ijk", c, g) + np.einsum("ja,ika->ijk", g, c)
-        if np.abs(adinv).max() > JACOBI_TOL:
-            raise StructureError("inner product is not ad-invariant on this basis")
-
-    # -- coefficient/matrix conversions -------------------------------------------
-
-    def _coords_of_stack(self, mats: np.ndarray) -> np.ndarray:
-        """Coefficients of a stack of matrices, via the Gram system."""
-        rhs = -self.ip_scale * np.einsum("iab,mba->im", self._basis, mats)
-        y = np.linalg.solve(self._gram_chol, rhs)
-        return np.linalg.solve(self._gram_chol.T, y).T
+    def _coords(self, mats: np.ndarray) -> np.ndarray:
+        """Coordinates of the skew part of a (..., n, n) stack."""
+        return 0.5 * (mats[..., self._rows, self._cols] - mats[..., self._cols, self._rows])
 
     @property
     def basis(self) -> np.ndarray:
+        """The (dim, n, n) stack of coordinate basis matrices E_ij."""
+        if self._basis is None:
+            self._basis = self.to_matrices(np.eye(self.dim))
+            self._basis.setflags(write=False)
         return self._basis
 
     @property
     def gram(self) -> np.ndarray:
         return self._gram
-
-    @property
-    def structure_tensor(self) -> np.ndarray:
-        return self._struct
 
     def element(self, coords) -> "Element":
         coords = np.asarray(coords, dtype=float)
@@ -124,33 +94,30 @@ class MatrixLieAlgebra:
         return Element(self, coords)
 
     def from_matrix(self, mat, tol: float = CLOSURE_TOL) -> "Element":
-        """Element with the given matrix; the matrix must lie in the span."""
+        """Element with the given matrix; the matrix must be skew-symmetric."""
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (self.n, self.n):
             raise DimensionError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
-        coords = self._coords_of_stack(mat[None, :, :])[0]
-        recon = np.tensordot(coords, self._basis, axes=(0, 0))
-        resid = np.abs(recon - mat).max()
-        scale = max(1.0, np.abs(mat).max())
-        if resid > tol * scale:
+        resid = 0.5 * np.abs(mat + mat.T).max()  # distance to the skew part
+        if resid > tol * max(1.0, np.abs(mat).max()):
             raise DomainError(f"matrix is not in the algebra span (residual {resid:.3e})")
-        return Element(self, coords)
-
-    def to_matrix(self, x: "Element") -> np.ndarray:
-        return np.tensordot(x.coords, self._basis, axes=(0, 0))
+        return Element(self, self._coords(mat))
 
     # -- algebra operations --------------------------------------------------------
 
     def ad_matrix(self, x: "Element") -> np.ndarray:
-        """Matrix of ad(x) = [x, .] acting on coefficient vectors."""
+        """Matrix of ad(x) = [x, .] acting on coordinate vectors."""
         self._check_owns(x)
-        return np.einsum("i,ijk->kj", x.coords, self._struct)
+        xm, basis = x.matrix, self.basis
+        return self._coords(xm @ basis - basis @ xm).T
 
     def bracket_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self._struct)
+        """Coordinates of [a, b]; a and b may be broadcastable stacks."""
+        x, y = self.to_matrices(a), self.to_matrices(b)
+        return self._coords(x @ y - y @ x)
 
     def inner_coords(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(a @ self._gram @ b)
+        return self._w * float(a @ b)
 
     def _check_owns(self, x: "Element") -> None:
         if x.algebra is not self:
@@ -170,7 +137,7 @@ class Element:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.algebra.to_matrix(self)
+        return self.algebra.to_matrices(self.coords)
 
     def norm(self) -> float:
         return float(np.sqrt(max(self.algebra.inner_coords(self.coords, self.coords), 0.0)))
@@ -193,7 +160,7 @@ class Element:
 
 
 def bracket(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y], evaluated through the structure tensor."""
+    """Lie bracket [x, y], the matrix commutator."""
     if x.algebra is not y.algebra:
         raise DomainError("bracket requires elements of the same algebra")
     return Element(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
@@ -211,16 +178,7 @@ def build_so(n: int, ip_scale: float = 0.5) -> MatrixLieAlgebra:
 
     With the default scale 1/2 this basis is orthonormal.
     """
-    if n < 2:
-        raise DimensionError(f"so(n) needs n >= 2, got {n}")
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            basis.append(m)
-    return MatrixLieAlgebra(np.array(basis), ip_scale)
+    return MatrixLieAlgebra(n, ip_scale)
 
 
 def so_pair_index(n: int, i: int, j: int) -> int:
@@ -231,26 +189,25 @@ def so_pair_index(n: int, i: int, j: int) -> int:
 
 
 def gram_schmidt(algebra: MatrixLieAlgebra, vectors, drop_tol: float = 1e-12):
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Gram-Schmidt with one re-orthogonalization pass.
 
-    Returns coefficient vectors orthonormal under the algebra inner product;
-    input vectors whose residual falls below drop_tol (relative to their
-    original norm) are dropped.
+    Returns coefficient vectors orthonormal under the algebra inner product.
+    A vector whose residual falls below drop_tol times the largest input
+    norm is dropped, so a roundoff-only input never becomes a basis vector.
     """
-    g = algebra.gram
-    out = []
-    for v in vectors:
-        v = np.array(v, dtype=float)
-        orig = np.sqrt(max(v @ g @ v, 0.0))
-        if orig == 0.0:
-            continue
+    vecs = np.array(vectors, dtype=float).reshape(-1, algebra.dim)
+    w = algebra._w
+    cut = drop_tol * np.sqrt(w * np.einsum("ij,ij->i", vecs, vecs).max(initial=0.0))
+    out = np.empty_like(vecs)
+    k = 0
+    for v in vecs:
         for _ in range(2):  # second pass controls cancellation
-            for u in out:
-                v = v - (u @ g @ v) * u
-        nrm = np.sqrt(max(v @ g @ v, 0.0))
-        if nrm > drop_tol * orig:
-            out.append(v / nrm)
-    return out
+            v = v - w * ((out[:k] @ v) @ out[:k])
+        nrm = np.sqrt(w * (v @ v))
+        if nrm > cut:
+            out[k] = v / nrm
+            k += 1
+    return list(out[:k])
 
 
 @dataclass(frozen=True)
@@ -266,7 +223,7 @@ class Subspace:
             raise DimensionError(
                 f"subspace basis must have shape (k, {self.algebra.dim}), got {arr.shape}"
             )
-        gram = arr @ self.algebra.gram @ arr.T
+        gram = self.algebra._w * (arr @ arr.T)
         if arr.shape[0] and np.abs(gram - np.eye(arr.shape[0])).max() > SUBSPACE_GRAM_TOL:
             raise StructureError("subspace basis is not orthonormal")
         object.__setattr__(self, "basis", arr)
@@ -284,14 +241,12 @@ class Subspace:
         return self.basis.shape[0]
 
     def project_coords(self, coords: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(self.algebra.dim)
-        weights = self.basis @ (self.algebra.gram @ coords)
-        return weights @ self.basis
+        """Projection of a vector, or of a stack of row vectors."""
+        return self.coefficients(coords) @ self.basis
 
     def coefficients(self, coords: np.ndarray) -> np.ndarray:
-        """Components of a vector along the orthonormal basis."""
-        return self.basis @ (self.algebra.gram @ coords)
+        """Components of a vector (or row stack) along the orthonormal basis."""
+        return self.algebra._w * (coords @ self.basis.T)
 
     def contains(self, x: Element, tol: float = 1e-10) -> bool:
         resid = x.coords - self.project_coords(x.coords)
@@ -331,28 +286,22 @@ class CartanDecomposition:
         object.__setattr__(self, "p_matrix", p)
         p.setflags(write=False)
 
-        # Matrix of the differential X -> P X P on coefficient vectors.
-        conj = np.einsum("ab,ibc,cd->iad", p, alg.basis, p)
-        try:
-            t = alg._coords_of_stack(conj).T
-        except Exception as exc:  # pragma: no cover - defensive
-            raise StructureError(f"involution does not preserve the algebra: {exc}")
-        recon = np.einsum("ki,kab->iab", t, alg.basis)
-        if np.abs(recon - conj).max() > 1e-9:
+        # Matrix of the differential X -> P X P on coordinate vectors.
+        conj = p @ alg.basis @ p
+        t = alg._coords(conj).T
+        if np.abs(alg.to_matrices(t.T) - conj).max() > 1e-9:
             raise StructureError("conjugation by P does not preserve the algebra span")
         if np.abs(t @ t - np.eye(alg.dim)).max() > 1e-9:
             raise StructureError("differential of the involution does not square to identity")
 
-        plus = gram_schmidt(alg, list((np.eye(alg.dim) + t).T / 2.0))
-        minus = gram_schmidt(alg, list((np.eye(alg.dim) - t).T / 2.0))
-        k = Subspace(alg, np.array(plus).reshape(len(plus), alg.dim))
-        m = Subspace(alg, np.array(minus).reshape(len(minus), alg.dim))
+        k = Subspace.span(alg, (np.eye(alg.dim) + t).T / 2.0)
+        m = Subspace.span(alg, (np.eye(alg.dim) - t).T / 2.0)
         if k.dim + m.dim != alg.dim:
             raise StructureError(
                 f"eigenspace dimensions {k.dim}+{m.dim} do not fill the algebra ({alg.dim})"
             )
-        cross = k.basis @ alg.gram @ m.basis.T if k.dim and m.dim else np.zeros((0, 0))
-        if cross.size and np.abs(cross).max() > 1e-10:
+        cross = alg._w * (k.basis @ m.basis.T)
+        if np.abs(cross).max(initial=0.0) > 1e-10:
             raise StructureError("k and m are not orthogonal; involution is not an isometry")
         self._check_relations(k, m)
         object.__setattr__(self, "k", k)
@@ -362,13 +311,17 @@ class CartanDecomposition:
         alg = self.algebra
 
         def max_leak(a: Subspace, b: Subspace, target: Subspace) -> float:
+            # Every bracket [a_i, b_j] in batched commutators, in row chunks
+            # of a that keep each temporary near 2**20 entries.
+            step = max(1, (1 << 20) // max(1, b.dim * alg.n ** 2))
+            y = alg.to_matrices(b.basis)[None]
             worst = 0.0
-            for u in a.basis:
-                for v in b.basis:
-                    w = alg.bracket_coords(u, v)
-                    resid = w - target.project_coords(w)
-                    worst = max(worst, np.sqrt(max(alg.inner_coords(resid, resid), 0.0)))
-            return worst
+            for s in range(0, a.dim, step):
+                x = alg.to_matrices(a.basis[s:s + step])[:, None]
+                w = alg._coords(x @ y - y @ x).reshape(-1, alg.dim)
+                resid = w - target.project_coords(w)
+                worst = max(worst, np.einsum("ij,ij->i", resid, resid).max(initial=0.0))
+            return float(np.sqrt(alg._w * worst))
 
         checks = [max_leak(k, k, k), max_leak(k, m, m), max_leak(m, m, k)]
         if max(checks) > CLOSURE_TOL:

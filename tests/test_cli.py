@@ -155,6 +155,15 @@ def test_decompose_accepts_explicit_input(tmp_path, capsys):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_decompose_input_at_unit_scale(tmp_path, capsys, n):
+    p = [[(1.0 if i < 2 else -1.0) if i == j else 0.0 for j in range(n)] for i in range(n)]
+    path = write_json(tmp_path, "dec.json", {"n": n, "ip_scale": 1.0, "p": p})
+    code, out, err = run_cli(capsys, "decompose", "--input", path, "--seed", "4")
+    assert code == 0, err
+    assert json.loads(out)["frequencies"]
+
+
 def test_oracle_mu_mode_quick(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -241,6 +250,22 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
     code, out, err = run_cli(capsys, "spectrum", "--data", bad)
     assert code == 2
     assert "freq_mult" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("transport", "--check", "fiber", "--n", "2"), "needs --n >= 3"),
+        (("transport", "--check", "order", "--n", "1"), "needs --n >= 2"),
+        (("product-sphere", "--normal", "1,x"), "comma-separated finite numbers"),
+    ],
+)
+def test_degenerate_inputs_are_input_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

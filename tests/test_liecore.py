@@ -21,12 +21,19 @@ from pfspectra import (
 
 ORTHO_TOL = 1e-12
 BRACKET_TOL = 1e-12
+# The runtime checks are a few random probes; the identities are tested
+# exhaustively here, on every size in this list.
+SO_SIZES = (3, 5, 8)
 
-coords3 = st.lists(
-    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-    min_size=3,
-    max_size=3,
-)
+
+def draw_elements(data, alg, count):
+    """Draw `count` elements of alg with bounded coordinates."""
+    coords = st.lists(
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        min_size=alg.dim,
+        max_size=alg.dim,
+    )
+    return [alg.element(data.draw(coords)) for _ in range(count)]
 
 
 def test_build_so_dimensions():
@@ -92,58 +99,83 @@ def test_element_rejects_wrong_length():
         alg.element([1.0, 2.0])
 
 
-@given(coords3, coords3)
+@given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_bracket_antisymmetry(a, b):
-    alg = build_so(3)
-    x, y = alg.element(a), alg.element(b)
-    lhs = bracket(x, y).coords
-    rhs = -bracket(y, x).coords
-    np.testing.assert_allclose(lhs, rhs, atol=BRACKET_TOL * 100)
+def test_bracket_antisymmetry(data):
+    for n in SO_SIZES:
+        x, y = draw_elements(data, build_so(n), 2)
+        lhs = bracket(x, y).coords
+        rhs = -bracket(y, x).coords
+        np.testing.assert_allclose(lhs, rhs, atol=BRACKET_TOL * 100)
 
 
-@given(coords3, coords3, coords3)
+@given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_jacobi_identity(a, b, c):
-    alg = build_so(3)
-    x, y, z = alg.element(a), alg.element(b), alg.element(c)
-    total = (
-        bracket(x, bracket(y, z))
-        + bracket(y, bracket(z, x))
-        + bracket(z, bracket(x, y))
-    )
-    scale = max(1.0, x.norm() * y.norm() * z.norm())
-    assert total.norm() <= 1e-10 * scale
+def test_jacobi_identity(data):
+    for n in SO_SIZES:
+        x, y, z = draw_elements(data, build_so(n), 3)
+        total = (
+            bracket(x, bracket(y, z))
+            + bracket(y, bracket(z, x))
+            + bracket(z, bracket(x, y))
+        )
+        scale = max(1.0, x.norm() * y.norm() * z.norm())
+        assert total.norm() <= 1e-10 * scale
 
 
-@given(coords3, coords3, coords3)
+@given(st.data())
 @settings(max_examples=50, deadline=None)
-def test_inner_product_is_ad_invariant(a, b, c):
-    alg = build_so(3)
-    x, y, z = alg.element(a), alg.element(b), alg.element(c)
-    lhs = inner(bracket(x, y), z)
-    rhs = -inner(y, bracket(x, z))
-    scale = max(1.0, x.norm() * y.norm() * z.norm())
-    assert abs(lhs - rhs) <= 1e-10 * scale
+def test_inner_product_is_ad_invariant(data):
+    for n in SO_SIZES:
+        x, y, z = draw_elements(data, build_so(n), 3)
+        lhs = inner(bracket(x, y), z)
+        rhs = -inner(y, bracket(x, z))
+        scale = max(1.0, x.norm() * y.norm() * z.norm())
+        assert abs(lhs - rhs) <= 1e-10 * scale
 
 
 def test_bracket_matches_matrix_commutator():
-    alg = build_so(5)
     rng = np.random.default_rng(1)
-    x = alg.element(rng.standard_normal(alg.dim))
-    y = alg.element(rng.standard_normal(alg.dim))
-    comm = x.matrix @ y.matrix - y.matrix @ x.matrix
-    np.testing.assert_allclose(bracket(x, y).matrix, comm, atol=1e-12)
+    for n in SO_SIZES:
+        alg = build_so(n)
+        x = alg.element(rng.standard_normal(alg.dim))
+        y = alg.element(rng.standard_normal(alg.dim))
+        comm = x.matrix @ y.matrix - y.matrix @ x.matrix
+        np.testing.assert_allclose(bracket(x, y).matrix, comm, atol=1e-12)
 
 
 def test_ad_matrix_reproduces_bracket():
-    alg = build_so(4)
     rng = np.random.default_rng(2)
+    for n in SO_SIZES:
+        alg = build_so(n)
+        x = alg.element(rng.standard_normal(alg.dim))
+        y = alg.element(rng.standard_normal(alg.dim))
+        np.testing.assert_allclose(
+            alg.ad_matrix(x) @ y.coords, bracket(x, y).coords, atol=1e-12
+        )
+
+
+def test_large_algebra_brackets_match_commutators():
+    # so(20) has dim 190; a dense structure tensor would not fit in memory.
+    alg = build_so(20)
+    assert alg.dim == 190
+    rng = np.random.default_rng(7)
     x = alg.element(rng.standard_normal(alg.dim))
     y = alg.element(rng.standard_normal(alg.dim))
-    np.testing.assert_allclose(
-        alg.ad_matrix(x) @ y.coords, bracket(x, y).coords, atol=1e-12
-    )
+    comm = x.matrix @ y.matrix - y.matrix @ x.matrix
+    np.testing.assert_allclose(bracket(x, y).matrix, comm, atol=1e-11)
+    np.testing.assert_allclose(alg.from_matrix(comm).coords, bracket(x, y).coords, atol=1e-11)
+
+
+def test_coordinates_are_upper_triangle_entries():
+    alg = build_so(4, ip_scale=1.5)
+    rng = np.random.default_rng(8)
+    x = alg.element(rng.standard_normal(alg.dim))
+    rows, cols = np.triu_indices(4, 1)
+    np.testing.assert_array_equal(x.matrix[rows, cols], x.coords)
+    np.testing.assert_array_equal(x.matrix, -x.matrix.T)
+    np.testing.assert_allclose(alg.gram, 3.0 * np.eye(alg.dim))
+    assert inner(x, x) == pytest.approx(-1.5 * np.trace(x.matrix @ x.matrix))
 
 
 def test_bracket_rejects_mixed_algebras():
@@ -162,6 +194,18 @@ def test_gram_schmidt_orthonormalizes_and_drops():
     assert len(basis) == 2 and all(row.shape == (alg.dim,) for row in basis)
     stacked = np.stack(basis)
     np.testing.assert_allclose(stacked @ stacked.T, np.eye(2), atol=1e-10)
+
+
+def test_gram_schmidt_drops_roundoff_relative_to_the_batch():
+    # A roundoff-sized vector is dropped even though, measured against its
+    # own norm, it is far from zero.
+    alg = build_so(4)
+    v = np.zeros(alg.dim)
+    v[0] = 1.0
+    tiny = np.zeros(alg.dim)
+    tiny[1] = 1e-17
+    assert len(gram_schmidt(alg, [v, tiny])) == 1
+    assert gram_schmidt(alg, [np.zeros(alg.dim)]) == []
 
 
 def test_subspace_projection_is_idempotent():
@@ -230,3 +274,15 @@ def test_cartan_rejects_non_isometric_involution():
     p = np.array([[1.0, 1.0], [0.0, -1.0]])
     with pytest.raises(StructureError):
         cartan_decompose(alg, p)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [6, 8])
+def test_split_involution_fills_the_algebra_at_every_scale(n, scale):
+    alg = build_so(n, ip_scale=scale)
+    for p in range(1, n):
+        cd = cartan_decompose(alg, np.diag([1.0] * p + [-1.0] * (n - p)))
+        q = n - p
+        assert cd.k.dim == p * (p - 1) // 2 + q * (q - 1) // 2
+        assert cd.m.dim == p * q
+        assert cd.k.dim + cd.m.dim == alg.dim
