@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .liecore import CartanDecomposition, Element, Subspace
+from .spectra import cluster_indices
 
 CLUSTER_REL_TOL = 1e-6
 KERNEL_REL_TOL = 1e-8
@@ -50,17 +51,8 @@ def _ad_block(cd: CartanDecomposition, xi: Element) -> np.ndarray:
 
 
 def _cluster(sigma: np.ndarray, xi_norm: float):
-    """Group singular values into frequency clusters; fold tiny ones into 0."""
+    """Group singular values into frequency clusters, nu descending; fold tiny ones into 0."""
     kernel_cut = KERNEL_REL_TOL * xi_norm
-    groups = []  # (nu, [indices])
-    for idx in np.argsort(sigma)[::-1]:
-        s = sigma[idx]
-        if s <= kernel_cut:
-            continue
-        if groups and abs(groups[-1][0] - s) <= CLUSTER_REL_TOL * max(1.0, groups[-1][0]):
-            groups[-1][1].append(idx)
-        else:
-            groups.append((s, [idx]))
     near = [s for s in sigma if kernel_cut < s <= 10 * kernel_cut]
     if near:
         warnings.warn(
@@ -68,7 +60,12 @@ def _cluster(sigma: np.ndarray, xi_norm: float):
             "frequency multiplicities may be unstable",
             stacklevel=3,
         )
-    return [(float(np.mean(sigma[ix])), ix) for _, ix in groups]
+    # Scanned in descending order; the order of equal values fixes the
+    # order of each block's basis vectors.
+    order = np.argsort(sigma)[::-1]
+    order = order[sigma[order] > kernel_cut]
+    groups = cluster_indices(-sigma[order], CLUSTER_REL_TOL)
+    return [(float(np.mean(sigma[order[g]])), order[g]) for g in groups]
 
 
 @dataclass(frozen=True)

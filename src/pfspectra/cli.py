@@ -306,6 +306,9 @@ def _cmd_transport(args) -> int:
     min_n = _TRANSPORT_MIN_N[args.check]
     if args.n < min_n:
         raise DomainError(f"transport --check {args.check} needs --n >= {min_n}, got {args.n}")
+    min_grid = transport.MIN_TRANSPORT_NODES - 1
+    if args.grid < min_grid:
+        raise DomainError(f"transport needs --grid >= {min_grid}, got {args.grid}")
     rng = np.random.default_rng(args.seed)
     nodes = args.grid + 1
     if args.check == "order":
@@ -550,6 +553,8 @@ def main(argv=None) -> int:
         # route carries quadrature error and gets a looser default
         args.tol_abs = {"mu": 1e-12, "group": 1e-8, "forms": 1e-6}[args.mode]
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise DomainError(f"--samples must be at least 1, got {args.samples}")
         return args.fn(args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import csv
+import math
 
 import jsonschema
 
@@ -128,15 +129,27 @@ def validate_document(kind: str, document) -> None:
         raise FormatError(f"{kind}: {first.json_path}: {first.message}")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def load_document(path: str, kind: str):
-    """Read a JSON file and validate it against a named schema."""
+    """Read a JSON file and validate it against a named schema.
+
+    NaN, Infinity and literals that overflow to infinity are rejected.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            document = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     validate_document(kind, document)
     return document
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -155,13 +156,9 @@ def mu_block_residual(nu: float, lam: float, m: int, cutoff: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _orthonormal_check(alg, elements, what: str) -> None:
-    if not elements:
-        return
-    mat = np.array([e.coords for e in elements])
-    gram = mat @ alg.gram @ mat.T
-    if np.abs(gram - np.eye(len(elements))).max() > 1e-9:
-        raise StructureError(f"{what} vectors are not orthonormal")
+def _rows(alg, elements) -> np.ndarray:
+    """Coefficient vectors of a list of elements as a (len, dim) array."""
+    return np.array([e.coords for e in elements]).reshape(len(elements), alg.dim)
 
 
 class CurvatureAdaptedData:
@@ -184,11 +181,9 @@ class CurvatureAdaptedData:
 
         all_tangent = [y for _, ys in self.tangent0 for y in ys]
         all_tangent += [y for _, _, ys in self.tangent for y in ys]
-        _orthonormal_check(alg, all_tangent, "tangent")
+        Subspace(alg, _rows(alg, all_tangent))  # raises unless orthonormal
 
-        m0_span = Subspace(
-            alg, np.array([y.coords for y in ad.m0_basis]).reshape(ad.dim_m0, alg.dim)
-        )
+        m0_span = Subspace(alg, _rows(alg, ad.m0_basis))
         for lam, ys in self.tangent0:
             for y in ys:
                 if not m0_span.contains(y, BLOCK_MEMBERSHIP_TOL):
@@ -200,9 +195,7 @@ class CurvatureAdaptedData:
 
         self._block_spans = {}
         for b in ad.blocks:
-            self._block_spans[b.nu] = Subspace(
-                alg, np.array([y.coords for y in b.y_basis]).reshape(b.mult, alg.dim)
-            )
+            self._block_spans[b.nu] = Subspace(alg, _rows(alg, b.y_basis))
         for nu, lam, ys in self.tangent:
             span = self._block_spans.get(nu)
             if span is None:
@@ -215,29 +208,19 @@ class CurvatureAdaptedData:
                     )
 
         # Per-block normal complements (within m_0 and within each m_nu).
-        def complement(span_vectors, used):
-            kept = list(used)
-            out = []
-            for v in span_vectors:
-                w = np.array(v, dtype=float)
-                for u in kept:
-                    w = w - (u @ alg.gram @ w) * u
-                nrm = np.sqrt(max(w @ alg.gram @ w, 0.0))
-                if nrm > 1e-8:
-                    w /= nrm
-                    kept.append(w)
-                    out.append(w)
-            return out
+        # The unit tangent vectors go first, so gram_schmidt's drop tolerance
+        # (relative to the largest input) discards the roundoff left in a
+        # block they fill.
+        def complement(block_ys, tangent_ys):
+            vecs = gram_schmidt(alg, _rows(alg, [*tangent_ys, *block_ys]))
+            return [alg.element(v) for v in vecs[len(tangent_ys):]]
 
-        used0 = [y.coords for _, ys in self.tangent0 for y in ys]
-        self.perp0 = [alg.element(v) for v in complement([y.coords for y in ad.m0_basis], used0)]
-        self.perp = []
-        for b in ad.blocks:
-            used = [
-                y.coords for nu, _, ys in self.tangent for y in ys if nu == b.nu
-            ]
-            vecs = complement([y.coords for y in b.y_basis], used)
-            self.perp.append((b.nu, [alg.element(v) for v in vecs]))
+        self.perp0 = complement(ad.m0_basis, [y for _, ys in self.tangent0 for y in ys])
+        self.perp = [
+            (b.nu, complement(b.y_basis, [y for nu, _, ys in self.tangent for y in ys
+                                          if nu == b.nu]))
+            for b in ad.blocks
+        ]
 
         self._xi = xi
         self._tangent_space = Subspace.span(alg, [y.coords for y in all_tangent])
@@ -560,29 +543,39 @@ def group_shape_matrix(data: CurvatureAdaptedData) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _nearest_unused(computed: np.ndarray, targets):
+    """Greedy matching: each target in turn takes the nearest computed value
+    not taken yet (ties go to the lower index).
+
+    Returns one index into ``computed`` per target, None once every value is
+    taken, and the mask of taken values.
+    """
+    used = np.zeros(len(computed), dtype=bool)
+    picks = []
+    for value in targets:
+        cand = np.flatnonzero(~used)
+        best = cand[np.argmin(np.abs(computed[cand] - value))] if cand.size else None
+        if best is not None:
+            used[best] = True
+        picks.append(best)
+    return picks, used
+
+
 def match_multisets(computed: np.ndarray, expected, tol: float) -> OracleReport:
     """Greedily match computed eigenvalues against (value, mult) predictions."""
-    order = np.argsort(computed)
-    comp = computed[order]
-    used = np.zeros(len(comp), dtype=bool)
+    comp = np.sort(computed)
+    expected = sorted(expected, key=lambda vm: (-abs(vm[0]), vm[0]))
+    picks, used = _nearest_unused(comp, [v for v, mult in expected for _ in range(mult)])
     matches = []
     ok_all = True
-    for value, mult in sorted(expected, key=lambda vm: (-abs(vm[0]), vm[0])):
-        taken = []
-        worst = 0.0
-        for _ in range(mult):
-            cand = np.where(~used)[0]
-            if cand.size == 0:
-                ok_all = False
-                worst = math.inf
-                break
-            best = cand[np.argmin(np.abs(comp[cand] - value))]
-            used[best] = True
-            taken.append(float(comp[best]))
-            worst = max(worst, float(abs(comp[best] - value)))
+    rest = iter(picks)
+    for value, mult in expected:
+        mine = list(islice(rest, mult))
+        taken = tuple(float(comp[i]) for i in mine if i is not None)
+        worst = math.inf if None in mine else max((abs(t - value) for t in taken), default=0.0)
         ok = bool(worst <= tol)
         ok_all &= ok
-        matches.append(MultisetMatch(value, mult, tuple(taken), worst, ok))
+        matches.append(MultisetMatch(value, mult, taken, worst, ok))
     if used.size and not used.all():
         ok_all = False
         detail = f"{int((~used).sum())} computed eigenvalue(s) unaccounted for"
@@ -686,17 +679,15 @@ def compare_spectra(
             predicted.append((f"mu m={m}", fams[0].value(m), False))
         block = f"mu nu={first.nu:.6g} lambda={first.lam:.6g}"
 
-    used = np.zeros(len(computed), dtype=bool)
+    predicted.sort(key=lambda p: -abs(p[1]))
+    picks, _ = _nearest_unused(computed, [value for _, value, _ in predicted])
     entries = []
     ok_all = True
-    for desc, value, exact in sorted(predicted, key=lambda p: -abs(p[1])):
-        cand = np.where(~used)[0]
-        if cand.size == 0:
+    for (desc, value, exact), best in zip(predicted, picks):
+        if best is None:
             entries.append(MatchEntry(desc, value, math.nan, math.inf, math.inf, False))
             ok_all = False
             continue
-        best = cand[np.argmin(np.abs(computed[cand] - value))]
-        used[best] = True
         got = float(computed[best])
         abs_err = abs(got - value)
         rel_err = abs_err / max(abs(value), 1e-300)

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError, PoleError, StructureError
 
@@ -42,7 +43,7 @@ def mu(nu: float, lam: float, m: int) -> float:
     """
     if nu <= 0:
         raise DomainError(f"frequency nu must be positive, got {nu}")
-    theta = math.pi / 2 if lam == 0 else math.atan2(nu, lam)
+    theta = _mu_theta(nu, lam)
     if lam < 0:
         theta -= math.pi  # principal branch of arctan(nu/lam) for lam < 0
     return nu / (theta + m * math.pi)
@@ -64,15 +65,30 @@ def kappa(nu: float, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def _merge_keyed(pairs, key_tol=1e-12):
-    """Merge (key, mult) pairs whose keys agree within key_tol."""
-    out = []
-    for key, mult in sorted(pairs):
-        if out and abs(out[-1][0] - key) <= key_tol * max(1.0, abs(out[-1][0])):
-            out[-1][1] += mult
+def cluster_indices(values, tol: float):
+    """Index groups of nearly equal values, in ascending value order.
+
+    The values are sorted, and each one joins the current group while
+    |v - head| <= tol * max(1, |head|), where head is the group's first
+    (smallest) value; otherwise it starts a new group.  Callers pick each
+    group's representative themselves.
+    """
+    vals = np.asarray(values, dtype=float)
+    groups = []
+    for i in np.argsort(vals, kind="stable"):
+        if groups and abs(vals[i] - head) <= tol * max(1.0, abs(head)):
+            groups[-1].append(i)
         else:
-            out.append([key, mult])
-    return [(k, m) for k, m in out]
+            head = vals[i]
+            groups.append([i])
+    return groups
+
+
+def _merge_keyed(pairs, key_tol=1e-12):
+    """Merge (key, mult) pairs whose keys agree within key_tol; keep the first key."""
+    pairs = list(pairs)
+    groups = cluster_indices([k for k, _ in pairs], key_tol)
+    return [(pairs[g[0]][0], sum(pairs[i][1] for i in g)) for g in groups]
 
 
 @dataclass(frozen=True)
@@ -357,40 +373,13 @@ def cot_series(a: float, n_terms: int):
     return partial, closed
 
 
-_BERNOULLI_2J = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
-
-_EM_SHIFT = 10  # directly summed terms before the Euler-Maclaurin tail
-
-
 def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{k>=0} (k+a)^(-s) for s > 1, a > 0.
-
-    Euler-Maclaurin with ten directly summed terms and eight Bernoulli
-    corrections; accurate to roughly 1e-14 for s in (1, 4], a in (0, 2].
-    """
+    """Hurwitz zeta sum_{k>=0} (k+a)^(-s) for s > 1, a > 0 (scipy.special.zeta)."""
     if s <= 1:
         raise DomainError(f"hurwitz_zeta needs s > 1, got {s}")
     if a <= 0:
         raise DomainError(f"hurwitz_zeta needs a > 0, got {a}")
-    direct = sum((a + k) ** (-s) for k in range(_EM_SHIFT))
-    base = a + _EM_SHIFT
-    total = direct + base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
-    poch = s  # rising factorial s(s+1)...(s+2j-2)
-    fact = 1.0
-    for j, b2j in enumerate(_BERNOULLI_2J, start=1):
-        fact *= (2 * j - 1) * (2 * j) if j > 1 else 2
-        total += b2j / fact * poch * base ** (-s - 2 * j + 1)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    return total
+    return float(scipy.special.zeta(s, a))
 
 
 def _mu_theta(nu: float, lam: float) -> float:
@@ -409,7 +398,8 @@ def r_trace(spectrum: PrincipalSpectrum, m_cut: int):
     exactly plus each mu family over |m| <= m_cut; harmonic families cancel
     exactly.  ``limit_estimate`` replaces every mu partial sum with its
     analytic limit lambda (cotangent identity), so it equals the trace of
-    the base shape operator.
+    the base shape operator.  The mu sums use theta in (0, pi) (``_mu_theta``),
+    so their index m is ``mu()``'s m - 1 when lambda < 0.
     """
     if m_cut < 0:
         raise DomainError("m_cut must be nonnegative")
@@ -433,7 +423,8 @@ def zeta_trace(spectrum: PrincipalSpectrum, s_probes):
     Harmonic families cancel exactly.  Each mu family reduces to
     (nu/pi)^s * [zeta_H(s, theta/pi) - zeta_H(s, 1 - theta/pi)] with
     theta = arctan(nu/lambda) normalized into (0, pi); as s -> 1 this tends
-    to nu*cot(theta) = lambda by the digamma reflection formula.
+    to nu*cot(theta) = lambda by the digamma reflection formula.  With that
+    theta the index m is ``mu()``'s m - 1 when lambda < 0.
     """
     values = []
     for s in s_probes:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, StructureError
-from .spectra import PrincipalSpectrum, enumerate_by_floor
+from .spectra import PrincipalSpectrum, cluster_indices, enumerate_by_floor
 
 CLUSTER_TOL = 1e-9
 
@@ -43,19 +43,12 @@ class EigenMultiset:
     def from_values(cls, values, tol: float = CLUSTER_TOL) -> "EigenMultiset":
         """Cluster raw eigenvalues into (value, mult) entries.
 
-        Values within tol of each other collapse to their mean.
+        Values within tol * max(1, |v|) of their cluster's smallest value
+        collapse to the cluster mean (see ``spectra.cluster_indices``).
         """
-        vals = np.sort(np.asarray(values, dtype=float))
-        entries = []
-        bucket = []
-        for v in vals:
-            if bucket and v - bucket[0] > tol:
-                entries.append((float(np.mean(bucket)), len(bucket)))
-                bucket = []
-            bucket.append(v)
-        if bucket:
-            entries.append((float(np.mean(bucket)), len(bucket)))
-        return cls(tuple(entries))
+        vals = np.asarray(values, dtype=float)
+        groups = cluster_indices(vals, tol)
+        return cls(tuple((float(np.mean(vals[g])), len(g)) for g in groups))
 
     @classmethod
     def from_pairs(cls, pairs, tol: float = CLUSTER_TOL) -> "EigenMultiset":
@@ -78,15 +71,17 @@ class EigenMultiset:
 
 
 def austere_check_finite(ms: EigenMultiset, tol: float = CLUSTER_TOL) -> bool:
-    """True when the multiset is invariant under negation."""
-    entries = list(ms.entries)
-    for v, m in entries:
-        if abs(v) <= tol:
-            continue  # zero pairs with itself
-        partner = [pm for pv, pm in entries if abs(pv + v) <= tol]
-        if not partner or partner[0] != m:
-            return False
-    return True
+    """True when the multiset is invariant under negation.
+
+    Entries within tol of zero pair with themselves; the i-th most negative
+    entry must mirror the i-th most positive one, multiplicity included.
+    """
+    entries = sorted(ms.entries)
+    neg = [(v, m) for v, m in entries if v < -tol]
+    pos = [(v, m) for v, m in reversed(entries) if v > tol]
+    return len(neg) == len(pos) and all(
+        abs(nv + pv) <= tol and nm == pm for (nv, nm), (pv, pm) in zip(neg, pos)
+    )
 
 
 def austere_check_pf(spectrum: PrincipalSpectrum, tol: float = CLUSTER_TOL) -> bool:
@@ -100,20 +95,10 @@ def austere_check_pf(spectrum: PrincipalSpectrum, tol: float = CLUSTER_TOL) -> b
     lam_pairs = [(f.lam, f.mult) for f in spectrum.by_kind("lambda")]
     if not austere_check_finite(EigenMultiset.from_pairs(lam_pairs), tol):
         return False
-    by_nu = {}
-    for f in spectrum.by_kind("mu"):
-        key = next((k for k in by_nu if abs(k - f.nu) <= tol * max(1.0, abs(k))), f.nu)
-        by_nu.setdefault(key, []).append((f.lam, f.mult))
-    for fams in by_nu.values():
-        merged = {}
-        for lam, m in fams:
-            key = next(
-                (k for k in merged if abs(k - lam) <= tol * max(1.0, abs(k))), lam
-            )
-            merged[key] = merged.get(key, 0) + m
-        if not austere_check_finite(
-            EigenMultiset.from_pairs(list(merged.items())), tol
-        ):
+    mus = spectrum.by_kind("mu")
+    for same_nu in cluster_indices([f.nu for f in mus], tol):
+        pairs = [(mus[i].lam, mus[i].mult) for i in same_nu]
+        if not austere_check_finite(EigenMultiset.from_pairs(pairs, tol), tol):
             return False
     return True
 
@@ -133,6 +118,11 @@ def austere_check_enumerated(
 # ---------------------------------------------------------------------------
 # Products of round spheres in a larger sphere
 # ---------------------------------------------------------------------------
+
+
+def _check_product_dims(m: int, n: int) -> None:
+    if m < 2 or n < 2:
+        raise DimensionError(f"need m >= 2 factors of dimension n - 1 >= 1, got ({m}, {n})")
 
 
 def _factor_curve(p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -155,8 +145,7 @@ def product_sphere_shape(
     great-circle curve c_V, differentiated by Richardson-extrapolated
     central second differences.  No closed-form eigenvalue data enters.
     """
-    if m < 2 or n < 2:
-        raise DimensionError(f"need m >= 2 factors of dimension n - 1 >= 1, got ({m}, {n})")
+    _check_product_dims(m, n)
     a = np.asarray(normal_coeffs, dtype=float)
     if a.shape != (m,):
         raise DimensionError(f"normal needs {m} coefficients, got shape {a.shape}")
@@ -214,6 +203,8 @@ def product_sphere_shape(
 
 def sample_product_normals(m: int, count: int, rng: np.random.Generator):
     """Unit normal coefficient vectors on {sum a = 0, sum a^2 = 1}."""
+    if m < 2:
+        raise DimensionError(f"centred normals need m >= 2 coefficients, got {m}")
     out = []
     while len(out) < count:
         a = rng.standard_normal(m)
@@ -239,6 +230,7 @@ def product_sphere_austere(
     coarser than the default because eigenvalues carry finite-difference
     noise of order 1e-7.
     """
+    _check_product_dims(m, n)
     if normals is None:
         rng = rng or np.random.default_rng(0)
         normals = sample_product_normals(m, samples, rng)
@@ -380,14 +372,18 @@ def so9_swap_matrix(i: int, j: int) -> np.ndarray:
 class SO9Example:
     """Ingredients of the codimension-two orbit in SO(9).
 
-    ``h_basis`` spans the tangent space of the orbit at the identity (the
-    sum of the two subalgebras); ``normal_basis`` is its two-dimensional
-    orthogonal complement, matching the printed normal family; ``swaps``
-    are the three block-swap conjugations used as candidate isometries.
+    ``algebra`` is so(9); ``h_basis`` spans the tangent space of the orbit
+    at the identity (the sum of the two subalgebras), and ``kk_basis`` the
+    second, conjugated subalgebra alone; ``normal_basis`` is the
+    two-dimensional orthogonal complement of ``h_basis``, matching the
+    printed normal family; ``swaps`` are the three block-swap conjugations
+    used as candidate isometries.
     """
 
+    algebra: object  # MatrixLieAlgebra so(9)
     q_matrix: np.ndarray
     h_basis: np.ndarray  # (34, 36) orthonormal coefficient rows
+    kk_basis: np.ndarray  # (28, 36) orthonormal coefficient rows
     normal_basis: np.ndarray  # (2, 36)
     swaps: tuple  # three 9x9 orthogonal matrices
 
@@ -419,38 +415,28 @@ def so9_build() -> SO9Example:
             mat[j, i] = -1.0
             kk.append(alg.from_matrix(q @ mat @ q.T).coords)
 
-    h_vecs = gram_schmidt(alg, kp + kk)
-    h_basis = np.array(h_vecs)
+    h_basis = np.array(gram_schmidt(alg, kp + kk))
     if h_basis.shape[0] != 34:
         raise StructureError(f"orbit tangent space has dim {h_basis.shape[0]}, expected 34")
+    kk_basis = np.array(gram_schmidt(alg, kk))
 
-    # Orthogonal complement inside so(9).
-    full = np.eye(alg.dim)
-    comp = []
-    for v in full:
-        w = v.copy()
-        for u in h_basis:
-            w -= (u @ alg.gram @ w) * u
-        for u in comp:
-            w -= (u @ alg.gram @ w) * u
-        nrm = math.sqrt(max(w @ alg.gram @ w, 0.0))
-        if nrm > 1e-6:
-            comp.append(w / nrm)
-    normal_basis = np.array(comp)
+    # Orthogonal complement inside so(9): the coordinate vectors
+    # orthonormalised after h_basis.
+    normal_basis = np.array(gram_schmidt(alg, [*h_basis, *np.eye(alg.dim)])[len(h_basis):])
     if normal_basis.shape[0] != 2:
         raise StructureError(
             f"normal space has dim {normal_basis.shape[0]}, expected 2"
         )
 
     swaps = tuple(so9_swap_matrix(i, j) for i, j in ((1, 2), (1, 3), (2, 3)))
-    return SO9Example(q, h_basis, normal_basis, swaps)
+    return SO9Example(alg, q, h_basis, kk_basis, normal_basis, swaps)
 
 
 def subspace_preserved(alg, basis_rows: np.ndarray, conj: np.ndarray, tol: float) -> float:
     """Max residual of conjugated basis vectors against the subspace span."""
     worst = 0.0
     for row in basis_rows:
-        mat = conj @ np.tensordot(row, alg.basis, axes=(0, 0)) @ conj.T
+        mat = conj @ alg.to_matrices(row) @ conj.T
         coords = alg.from_matrix(mat).coords
         resid = coords - (basis_rows.T @ (basis_rows @ (alg.gram @ coords)))
         worst = max(worst, math.sqrt(max(resid @ alg.gram @ resid, 0.0)))
@@ -467,7 +453,7 @@ def arid_orbit_candidate_check(
     aridity certificate: a fixed-point isometry of the ambient group that
     maps the orbit to itself while displacing the chosen normal direction.
     """
-    xi_mat = np.tensordot(xi_coords, alg.basis, axes=(0, 0))
+    xi_mat = alg.to_matrices(xi_coords)
     for idx, conj in enumerate(conjugations):
         moved = conj @ xi_mat @ conj.T
         if np.abs(moved - xi_mat).max() <= move_tol:
@@ -485,30 +471,16 @@ def so9_arid_verify(grid_size: int = 64):
     the swap found, and globally whether the swaps also preserve the two
     subalgebras separately.
     """
-    from .liecore import build_so
-
     if grid_size < 4:
         raise DomainError("need at least 4 samples on the normal circle")
-    alg = build_so(9)
     ex = so9_build()
+    alg = ex.algebra
     swap_names = ["(1,2)", "(1,3)", "(2,3)"]
 
     h_pres = [subspace_preserved(alg, ex.h_basis, s, 1e-9) for s in ex.swaps]
-
     # Does each swap preserve the second subalgebra alone?  Recorded for
     # reference alongside the full tangent-space check.
-    kk_rows = []
-    q = ex.q_matrix
-    for i in range(1, 9):
-        for j in range(i + 1, 9):
-            mat = np.zeros((9, 9))
-            mat[i, j] = 1.0
-            mat[j, i] = -1.0
-            kk_rows.append(alg.from_matrix(q @ mat @ q.T).coords)
-    from .liecore import gram_schmidt
-
-    kk_basis = np.array(gram_schmidt(alg, kk_rows))
-    k_pres = [subspace_preserved(alg, kk_basis, s, 1e-9) for s in ex.swaps]
+    k_pres = [subspace_preserved(alg, ex.kk_basis, s, 1e-9) for s in ex.swaps]
 
     samples = []
     all_ok = True

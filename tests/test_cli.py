@@ -258,6 +258,13 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("transport", "--check", "fiber", "--n", "2"), "needs --n >= 3"),
         (("transport", "--check", "order", "--n", "1"), "needs --n >= 2"),
         (("product-sphere", "--normal", "1,x"), "comma-separated finite numbers"),
+        (("product-sphere", "--m", "0"), "need m >= 2"),
+        (("product-sphere", "--m", "1"), "need m >= 2"),
+        (("product-sphere", "--samples", "0"), "--samples must be at least 1"),
+        (("oracle", "--mode", "group", "--samples", "0"), "--samples must be at least 1"),
+        (("transport", "--check", "equivariance", "--samples", "0"),
+         "--samples must be at least 1"),
+        (("transport", "--check", "order", "--grid", "0"), "needs --grid >= 15"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(capsys, argv, message):
@@ -265,6 +272,17 @@ def test_degenerate_inputs_are_input_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, token):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(sphere_doc(1.0, [(0.5, 1)], 2, 0)).replace("0.5", token, 1))
+    code, out, err = run_cli(capsys, "austere", "--data", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and f"non-finite number {token}" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfspectra import (
     BUILTIN_ROOT_SYSTEMS,
@@ -28,6 +30,7 @@ from pfspectra import (
     subspace_preserved,
     weyl_strata,
 )
+from pfspectra.symmetrycheck import CLUSTER_TOL
 
 FD_EIGEN_TOL = 1e-5
 PRESERVE_TOL = 1e-9
@@ -50,6 +53,16 @@ def test_multiset_clusters_nearby_values():
     assert len(ms.entries) == 3
     counts = dict(ms.entries)
     assert counts[next(v for v in counts if abs(v - 1.0) < 1e-9)] == 2
+    # A value joins its cluster while within tol * max(1, |head|) of the
+    # cluster's smallest value: absolute below 1, relative above.
+    tol = CLUSTER_TOL
+    for head in (0.5, -0.5, 1000.0, -1000.0 - 0.9e-6):
+        step = tol * max(1.0, abs(head))
+        assert len(EigenMultiset.from_values([head, head + 0.9 * step]).entries) == 1
+        assert len(EigenMultiset.from_values([head, head + 1.1 * step]).entries) == 2
+    # The head stays fixed: a chain of small steps still splits.
+    chain = EigenMultiset.from_values([0.0, 0.6 * tol, 1.2 * tol])
+    assert [m for _, m in chain.entries] == [2, 1]
 
 
 def test_multiset_json_round_trip():
@@ -60,6 +73,30 @@ def test_multiset_json_round_trip():
 def test_multiset_rejects_bad_multiplicity():
     with pytest.raises(DomainError):
         EigenMultiset.from_pairs([(1.0, 0)])
+
+
+def mirror_reference(ms, tol):
+    """Brute force: the sorted expanded values against the sorted negated values."""
+    values = np.sort(np.repeat([v for v, _ in ms.entries], [m for _, m in ms.entries]))
+    return bool(np.all(np.abs(values - np.sort(-values)) <= tol))
+
+
+# (lattice index, multiplicity, perturbation in units of tol): lattice points
+# 1/4 apart keep distinct entries far outside the tolerance.
+LATTICE_PAIRS = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(1, 3), st.floats(-0.25, 0.25)), max_size=8
+)
+
+
+@given(LATTICE_PAIRS, st.booleans(), LATTICE_PAIRS.map(lambda p: p[:2]))
+@settings(max_examples=300, deadline=None)
+def test_mirror_check_matches_brute_force(half, mirrored, extra):
+    tol = CLUSTER_TOL
+    pairs = [(k / 4 + e * tol, m) for k, m, e in half + extra]
+    if mirrored:
+        pairs += [(-k / 4 + e * tol, m) for k, m, e in half]
+    ms = EigenMultiset.from_pairs(pairs)
+    assert austere_check_finite(ms) == mirror_reference(ms, tol)
 
 
 def test_finite_negation_invariance():
