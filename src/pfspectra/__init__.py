@@ -26,15 +26,11 @@ from .errors import (
 )
 from .liecore import (
     CartanDecomposition,
-    Element,
     MatrixLieAlgebra,
     Subspace,
-    bracket,
     build_so,
     cartan_decompose,
     gram_schmidt,
-    inner,
-    project,
     so_pair_index,
 )
 from .oracle import (
@@ -106,7 +102,6 @@ from .symmetrycheck import (
     subspace_preserved,
     weyl_strata,
 )
-from .adspec import subspace_of
 from .transport import (
     CosetPoint,
     PathGrid,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .liecore import CartanDecomposition, Element, Subspace
+from .liecore import CartanDecomposition
 from .spectra import cluster_indices
 
 CLUSTER_REL_TOL = 1e-6
@@ -30,24 +30,21 @@ XI_MEMBERSHIP_TOL = 1e-10
 PAIRING_TOL = 1e-6
 
 
-def _check_xi(cd: CartanDecomposition, xi: Element) -> None:
-    if xi.algebra is not cd.algebra:
-        raise DomainError("xi belongs to a different algebra")
-    nrm = xi.norm()
+def _check_xi(cd: CartanDecomposition, xi: np.ndarray) -> None:
+    alg = cd.algebra
+    nrm = alg.norm(xi)
     if nrm == 0.0:
         raise DomainError("xi must be nonzero")
-    resid = xi.coords - cd.m.project_coords(xi.coords)
-    leak = np.sqrt(max(cd.algebra.inner_coords(resid, resid), 0.0))
+    leak = alg.norm(xi - cd.m.project_coords(xi))
     if leak > XI_MEMBERSHIP_TOL * nrm:
         raise DomainError(f"xi is not in m (relative residual {leak / nrm:.3e})")
 
 
-def _ad_block(cd: CartanDecomposition, xi: Element) -> np.ndarray:
+def _ad_block(cd: CartanDecomposition, xi: np.ndarray) -> np.ndarray:
     """Matrix of ad(xi): k -> m in the orthonormal bases of cd."""
     alg = cd.algebra
-    admat = alg.ad_matrix(xi)
-    images = admat @ cd.k.basis.T  # columns: [xi, k_b] in algebra coords
-    return cd.m.basis @ alg.gram @ images
+    images = alg.ad_matrix(xi) @ cd.k.basis.T  # columns: [xi, k_b] in algebra coords
+    return alg.inner(cd.m.basis, images.T)
 
 
 def _cluster(sigma: np.ndarray, xi_norm: float):
@@ -73,8 +70,8 @@ class FrequencyBlock:
     """One frequency nu with matched orthonormal bases of k_nu and m_nu."""
 
     nu: float
-    x_basis: tuple  # Elements of k_nu
-    y_basis: tuple  # Elements of m_nu, y_i = -(1/nu)[xi, x_i]
+    x_basis: np.ndarray  # (mult, dim) rows spanning k_nu
+    y_basis: np.ndarray  # (mult, dim) rows spanning m_nu, y_i = -(1/nu)[xi, x_i]
 
     @property
     def mult(self) -> int:
@@ -86,10 +83,10 @@ class AdEigenstructure:
     """Full frequency data of ad(xi) for a Cartan pair."""
 
     cd: CartanDecomposition
-    xi: Element
+    xi: np.ndarray  # (dim,) coordinates
     blocks: tuple  # FrequencyBlock, nu descending
-    k0_basis: tuple  # Elements spanning ker ad(xi) in k
-    m0_basis: tuple  # Elements spanning ker ad(xi) in m
+    k0_basis: np.ndarray  # (dim_k0, dim) rows spanning ker ad(xi) in k
+    m0_basis: np.ndarray  # (dim_m0, dim) rows spanning ker ad(xi) in m
 
     @property
     def frequencies(self):
@@ -112,51 +109,18 @@ class AdEigenstructure:
     def frequency_multiplicities(self):
         return [(b.nu, b.mult) for b in self.blocks]
 
-    def to_json(self) -> dict:
-        return {
-            "xi": list(self.xi.coords),
-            "blocks": [
-                {
-                    "nu": b.nu,
-                    "x_basis": [list(x.coords) for x in b.x_basis],
-                    "y_basis": [list(y.coords) for y in b.y_basis],
-                }
-                for b in self.blocks
-            ],
-            "k0_basis": [list(x.coords) for x in self.k0_basis],
-            "m0_basis": [list(y.coords) for y in self.m0_basis],
-        }
 
-    @classmethod
-    def from_json(cls, cd: CartanDecomposition, data: dict) -> "AdEigenstructure":
-        alg = cd.algebra
-        blocks = tuple(
-            FrequencyBlock(
-                float(b["nu"]),
-                tuple(alg.element(v) for v in b["x_basis"]),
-                tuple(alg.element(v) for v in b["y_basis"]),
-            )
-            for b in data["blocks"]
-        )
-        return cls(
-            cd,
-            alg.element(data["xi"]),
-            blocks,
-            tuple(alg.element(v) for v in data["k0_basis"]),
-            tuple(alg.element(v) for v in data["m0_basis"]),
-        )
-
-
-def frequency_spectrum(cd: CartanDecomposition, xi: Element):
+def frequency_spectrum(cd: CartanDecomposition, xi: np.ndarray):
     """Distinct frequencies nu > 0 of ad(xi) with multiplicities, nu descending."""
     _check_xi(cd, xi)
     c = _ad_block(cd, xi)
     sigma = np.linalg.svd(c, compute_uv=False) if min(c.shape) else np.zeros(0)
-    return [(nu, len(ix)) for nu, ix in _cluster(sigma, xi.norm())]
+    return [(nu, len(ix)) for nu, ix in _cluster(sigma, cd.algebra.norm(xi))]
 
 
-def paired_bases(cd: CartanDecomposition, xi: Element) -> AdEigenstructure:
+def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
     """Orthonormal paired bases for every frequency block of ad(xi)."""
+    xi = np.asarray(xi, dtype=float)
     _check_xi(cd, xi)
     alg = cd.algebra
     c = _ad_block(cd, xi)
@@ -165,36 +129,30 @@ def paired_bases(cd: CartanDecomposition, xi: Element) -> AdEigenstructure:
         u, sigma, vt = np.eye(dim_m), np.zeros(0), np.eye(dim_k)
     else:
         u, sigma, vt = np.linalg.svd(c, full_matrices=True)
-    xi_norm = xi.norm()
-    clusters = _cluster(sigma, xi_norm)
+    clusters = _cluster(sigma, alg.norm(xi))
 
     blocks = []
-    used = set()
     for nu, idxs in clusters:
-        xs, ys = [], []
-        for j in idxs:
-            used.add(j)
-            x_coords = vt[j] @ cd.k.basis
-            x = alg.element(x_coords)
-            img = Element(alg, alg.bracket_coords(xi.coords, x_coords))
-            scale = img.norm() / nu
-            if abs(scale - 1.0) > PAIRING_TOL:
-                raise StructureError(
-                    f"pairing failed at nu={nu:.6g}: |[xi,x]|/nu = {scale:.8f} "
-                    "(cluster tolerance may have merged distinct frequencies)"
-                )
-            ys.append(Element(alg, -img.coords / img.norm()))
-            xs.append(x)
+        xs = vt[idxs] @ cd.k.basis
+        imgs = alg.bracket(xi, xs)
+        norms = alg.norm(imgs)
+        scale = norms / nu
+        worst = np.argmax(np.abs(scale - 1.0))
+        if abs(scale[worst] - 1.0) > PAIRING_TOL:
+            raise StructureError(
+                f"pairing failed at nu={nu:.6g}: |[xi,x]|/nu = {scale[worst]:.8f} "
+                "(cluster tolerance may have merged distinct frequencies)"
+            )
+        ys = -imgs / norms[:, None]
         # The y's must come out orthonormal; anything else means the block
         # does not behave like a symmetric-pair eigenspace.
-        ymat = np.array([y.coords for y in ys])
-        gram = ymat @ alg.gram @ ymat.T
-        if np.abs(gram - np.eye(len(ys))).max() > 1e-8:
+        if np.abs(alg.inner(ys, ys) - np.eye(len(ys))).max() > 1e-8:
             raise StructureError(f"paired basis at nu={nu:.6g} is not orthonormal")
-        blocks.append(FrequencyBlock(nu, tuple(xs), tuple(ys)))
+        blocks.append(FrequencyBlock(nu, xs, ys))
 
-    k0 = [alg.element(vt[j] @ cd.k.basis) for j in range(dim_k) if j not in used]
-    m0 = [alg.element(u[:, j] @ cd.m.basis) for j in range(dim_m) if j not in used]
+    used = {j for _, idxs in clusters for j in idxs}
+    k0 = vt[[j for j in range(dim_k) if j not in used]] @ cd.k.basis
+    m0 = u[:, [j for j in range(dim_m) if j not in used]].T @ cd.m.basis
 
     # Completeness: blocks plus kernels must exhaust k and m.
     total_k = sum(b.mult for b in blocks) + len(k0)
@@ -204,24 +162,11 @@ def paired_bases(cd: CartanDecomposition, xi: Element) -> AdEigenstructure:
             f"frequency blocks do not exhaust the pair: k {total_k}/{cd.k.dim}, "
             f"m {total_m}/{cd.m.dim}"
         )
-    return AdEigenstructure(cd, xi, tuple(blocks), tuple(k0), tuple(m0))
+    return AdEigenstructure(cd, xi, tuple(blocks), k0, m0)
 
 
-def frequency_isomorphism(ad: AdEigenstructure, nu: float, x: Element) -> Element:
+def frequency_isomorphism(ad: AdEigenstructure, nu: float, x: np.ndarray) -> np.ndarray:
     """Apply x -> -(1/nu)[xi, x]; on k_nu this is the isometry onto m_nu."""
     if nu <= 0:
         raise DomainError(f"frequency must be positive, got {nu}")
-    alg = ad.cd.algebra
-    return Element(alg, -alg.bracket_coords(ad.xi.coords, x.coords) / nu)
-
-
-def subspace_of(ad: AdEigenstructure, which: str) -> Subspace:
-    """Orthonormal Subspace spanned by the ad-kernel piece 'k0' or 'm0'."""
-    alg = ad.cd.algebra
-    if which == "k0":
-        vecs = [x.coords for x in ad.k0_basis]
-    elif which == "m0":
-        vecs = [y.coords for y in ad.m0_basis]
-    else:
-        raise DomainError(f"unknown subspace selector {which!r}")
-    return Subspace(alg, np.array(vecs).reshape(len(vecs), alg.dim))
+    return -ad.cd.algebra.bracket(ad.xi, x) / nu

@@ -66,7 +66,7 @@ def _cmd_decompose(args) -> int:
     ad = paired_bases(cd, xi)
     report = {
         "n": n,
-        "xi_norm": xi.norm(),
+        "xi_norm": float(cd.algebra.norm(xi)),
         "frequencies": [[nu, m] for nu, m in ad.frequency_multiplicities()],
         "dim_k0": ad.dim_k0,
         "dim_m0": ad.dim_m0,
@@ -78,10 +78,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _random_m_direction(cd, rng):
-    alg = cd.algebra
     raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    xi = alg.element(raw)
-    return (1.0 / xi.norm()) * xi
+    return (1.0 / cd.algebra.norm(raw)) * raw
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +347,18 @@ def _cmd_transport(args) -> int:
         cd = oracle.sphere_pair(args.n - 1)
         alg = cd.algebra
         raw = rng.standard_normal(cd.k.dim) @ cd.k.basis
-        xk = alg.element(raw)
-        xk = (1.0 / xk.norm()) * xk
+        xk = alg.to_matrices((1.0 / alg.norm(raw)) * raw)
 
         def z_path(t):
-            return math.sin(math.pi * t) * xk.matrix
+            return math.sin(math.pi * t) * xk
 
         z = transport.PathGrid.sample(z_path, nodes, "algebra")
         positive = transport.fiber_tangent_residual(z, cd)
 
-        xm = _random_m_direction(cd, rng)
+        xm = alg.to_matrices(_random_m_direction(cd, rng))
 
         def bad_path(t):
-            return t * xm.matrix
+            return t * xm
 
         bad = transport.PathGrid.sample(bad_path, nodes, "algebra")
         negative = transport.fiber_tangent_residual(bad, cd, enforce_boundary=False)

@@ -93,25 +93,10 @@ WEYL_ROOTS_SCHEMA = {
     "properties": {"roots": _MATRIX},
 }
 
-PATH_GRID_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": "pfspectra/path_grid",
-    "title": "Sampled matrix path",
-    "description": "Uniform samples of a matrix path on [0, 1].",
-    "type": "object",
-    "required": ["kind", "values"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["algebra", "group"]},
-        "values": {"type": "array", "minItems": 2, "items": _MATRIX},
-    },
-}
-
 SCHEMAS = {
     "spectral_data": SPECTRAL_DATA_SCHEMA,
     "decompose_input": DECOMPOSE_INPUT_SCHEMA,
     "weyl_roots": WEYL_ROOTS_SCHEMA,
-    "path_grid": PATH_GRID_SCHEMA,
 }
 
 
@@ -136,14 +121,25 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"integer of {len(text)} digits is too large for a float") from None
+    return value
+
+
 def load_document(path: str, kind: str):
     """Read a JSON file and validate it against a named schema.
 
-    NaN, Infinity and literals that overflow to infinity are rejected.
+    NaN, Infinity, float literals that overflow to infinity and integers
+    too large for a float are rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+            document = json.load(fh, parse_float=_finite_float, parse_int=_float_sized_int,
+                                 parse_constant=_finite_float)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -1,11 +1,12 @@
 """The Lie algebra so(n) with a trace inner product, and its Cartan decompositions.
 
 Every algebra here is so(n), the real skew-symmetric n x n matrices.  An
-element is stored as its coordinate vector: the strict upper-triangle
+element is a plain float array of its coordinates: the strict upper-triangle
 entries X[i, j], i < j, in row-major order (see ``so_pair_index``), so the
-coordinate basis is E_ij = e_i e_j^T - e_j e_i^T.  The inner product is
-``<X, Y> = -ip_scale * tr(XY)``; in these coordinates its Gram matrix is
-``2 * ip_scale * I``.  Brackets are matrix commutators, O(n^3) each.
+coordinate basis is E_ij = e_i e_j^T - e_j e_i^T.  A (k, dim) array is a
+stack of k elements.  The inner product is ``<X, Y> = -ip_scale * tr(XY)``;
+in these coordinates its Gram matrix is ``2 * ip_scale * I``.  Brackets are
+matrix commutators, O(n^3) each.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ class MatrixLieAlgebra:
         self.ip_scale = float(ip_scale)
         self._w = 2.0 * self.ip_scale  # <e_a, e_b> = _w * delta_ab
         self._rows, self._cols = np.triu_indices(self.n, 1)
-        self._gram = self._w * np.eye(self.dim)
-        self._gram.setflags(write=False)
         self._basis = None
         self._probe()
 
     def _probe(self) -> None:
         """Randomised Jacobi and ad-invariance probes, O(n^3) each, in one batch."""
         x, y, z = np.random.default_rng(0).standard_normal((3, PROBES, self.dim))
-        br = self.bracket_coords
+        br = self.bracket
         tol = JACOBI_TOL * max(1.0, np.prod(np.linalg.norm([x, y, z], axis=2), axis=0).max())
         jac = np.abs(br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))).max()
         if jac > tol:
@@ -53,11 +52,17 @@ class MatrixLieAlgebra:
         if adinv > tol:
             raise StructureError(f"inner product is not ad-invariant (residual {adinv:.3e})")
 
+    def _checked(self, coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape[-1:] != (self.dim,):
+            raise DimensionError(f"expected {self.dim} coefficients, got shape {coords.shape}")
+        return coords
+
     # -- coordinate/matrix conversions ----------------------------------------------
 
     def to_matrices(self, coords) -> np.ndarray:
         """Matrices of a (..., dim) stack of coordinate vectors."""
-        coords = np.asarray(coords, dtype=float)
+        coords = self._checked(coords)
         mats = np.zeros(coords.shape[:-1] + (self.n, self.n))
         mats[..., self._rows, self._cols] = coords
         mats[..., self._cols, self._rows] = -coords
@@ -75,102 +80,37 @@ class MatrixLieAlgebra:
             self._basis.setflags(write=False)
         return self._basis
 
-    @property
-    def gram(self) -> np.ndarray:
-        return self._gram
-
-    def element(self, coords) -> "Element":
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.dim,):
-            raise DimensionError(f"expected {self.dim} coefficients, got shape {coords.shape}")
-        return Element(self, coords)
-
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim))
-
-    def basis_element(self, i: int) -> "Element":
-        coords = np.zeros(self.dim)
-        coords[i] = 1.0
-        return Element(self, coords)
-
-    def from_matrix(self, mat, tol: float = CLOSURE_TOL) -> "Element":
-        """Element with the given matrix; the matrix must be skew-symmetric."""
+    def from_matrix(self, mat, tol: float = CLOSURE_TOL) -> np.ndarray:
+        """Coordinates of a matrix, which must be skew-symmetric."""
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (self.n, self.n):
             raise DimensionError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
         resid = 0.5 * np.abs(mat + mat.T).max()  # distance to the skew part
         if resid > tol * max(1.0, np.abs(mat).max()):
             raise DomainError(f"matrix is not in the algebra span (residual {resid:.3e})")
-        return Element(self, self._coords(mat))
+        return self._coords(mat)
 
     # -- algebra operations --------------------------------------------------------
 
-    def ad_matrix(self, x: "Element") -> np.ndarray:
+    def ad_matrix(self, x) -> np.ndarray:
         """Matrix of ad(x) = [x, .] acting on coordinate vectors."""
-        self._check_owns(x)
-        xm, basis = x.matrix, self.basis
+        xm, basis = self.to_matrices(x), self.basis
         return self._coords(xm @ basis - basis @ xm).T
 
-    def bracket_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def bracket(self, a, b) -> np.ndarray:
         """Coordinates of [a, b]; a and b may be broadcastable stacks."""
         x, y = self.to_matrices(a), self.to_matrices(b)
         return self._coords(x @ y - y @ x)
 
-    def inner_coords(self, a: np.ndarray, b: np.ndarray) -> float:
-        return self._w * float(a @ b)
+    def inner(self, a, b):
+        """Ad-invariant inner products -ip_scale * tr(xy) of every row of a
+        with every row of b; for two vectors, one number."""
+        return self._w * (self._checked(a) @ self._checked(b).T)
 
-    def _check_owns(self, x: "Element") -> None:
-        if x.algebra is not self:
-            raise DomainError("element belongs to a different algebra")
-
-
-@dataclass(frozen=True)
-class Element:
-    """An algebra element, stored as coefficients over the declared basis."""
-
-    algebra: MatrixLieAlgebra
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.array(self.coords, dtype=float))
-        self.coords.setflags(write=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.algebra.to_matrices(self.coords)
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.algebra.inner_coords(self.coords, self.coords), 0.0)))
-
-    def __add__(self, other: "Element") -> "Element":
-        self.algebra._check_owns(other)
-        return Element(self.algebra, self.coords + other.coords)
-
-    def __sub__(self, other: "Element") -> "Element":
-        self.algebra._check_owns(other)
-        return Element(self.algebra, self.coords - other.coords)
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.coords)
-
-    def __mul__(self, s: float) -> "Element":
-        return Element(self.algebra, self.coords * float(s))
-
-    __rmul__ = __mul__
-
-
-def bracket(x: Element, y: Element) -> Element:
-    """Lie bracket [x, y], the matrix commutator."""
-    if x.algebra is not y.algebra:
-        raise DomainError("bracket requires elements of the same algebra")
-    return Element(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
-
-
-def inner(x: Element, y: Element) -> float:
-    """Ad-invariant inner product -ip_scale * tr(xy)."""
-    if x.algebra is not y.algebra:
-        raise DomainError("inner product requires elements of the same algebra")
-    return x.algebra.inner_coords(x.coords, y.coords)
+    def norm(self, a):
+        """Norm of a coordinate vector, or of each row of a stack."""
+        a = self._checked(a)
+        return np.sqrt(np.maximum(self._w * np.vecdot(a, a), 0.0))
 
 
 def build_so(n: int, ip_scale: float = 0.5) -> MatrixLieAlgebra:
@@ -188,26 +128,26 @@ def so_pair_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def gram_schmidt(algebra: MatrixLieAlgebra, vectors, drop_tol: float = 1e-12):
+def gram_schmidt(algebra: MatrixLieAlgebra, vectors, drop_tol: float = 1e-12) -> np.ndarray:
     """Gram-Schmidt with one re-orthogonalization pass.
 
-    Returns coefficient vectors orthonormal under the algebra inner product.
-    A vector whose residual falls below drop_tol times the largest input
-    norm is dropped, so a roundoff-only input never becomes a basis vector.
+    Returns the orthonormal rows, as a (k, dim) array, under the algebra
+    inner product.  A vector whose residual falls below drop_tol times the
+    largest input norm is dropped, so a roundoff-only input never becomes a
+    basis vector.
     """
     vecs = np.array(vectors, dtype=float).reshape(-1, algebra.dim)
-    w = algebra._w
-    cut = drop_tol * np.sqrt(w * np.einsum("ij,ij->i", vecs, vecs).max(initial=0.0))
+    cut = drop_tol * algebra.norm(vecs).max(initial=0.0)
     out = np.empty_like(vecs)
     k = 0
     for v in vecs:
         for _ in range(2):  # second pass controls cancellation
-            v = v - w * ((out[:k] @ v) @ out[:k])
-        nrm = np.sqrt(w * (v @ v))
+            v = v - algebra.inner(out[:k], v) @ out[:k]
+        nrm = algebra.norm(v)
         if nrm > cut:
             out[k] = v / nrm
             k += 1
-    return list(out[:k])
+    return out[:k]
 
 
 @dataclass(frozen=True)
@@ -223,7 +163,7 @@ class Subspace:
             raise DimensionError(
                 f"subspace basis must have shape (k, {self.algebra.dim}), got {arr.shape}"
             )
-        gram = self.algebra._w * (arr @ arr.T)
+        gram = self.algebra.inner(arr, arr)
         if arr.shape[0] and np.abs(gram - np.eye(arr.shape[0])).max() > SUBSPACE_GRAM_TOL:
             raise StructureError("subspace basis is not orthonormal")
         object.__setattr__(self, "basis", arr)
@@ -232,9 +172,7 @@ class Subspace:
     @classmethod
     def span(cls, algebra: MatrixLieAlgebra, vectors) -> "Subspace":
         """Subspace spanned by arbitrary coefficient vectors (orthonormalized)."""
-        basis = gram_schmidt(algebra, vectors)
-        arr = np.array(basis).reshape(len(basis), algebra.dim)
-        return cls(algebra, arr)
+        return cls(algebra, gram_schmidt(algebra, vectors))
 
     @property
     def dim(self) -> int:
@@ -246,20 +184,11 @@ class Subspace:
 
     def coefficients(self, coords: np.ndarray) -> np.ndarray:
         """Components of a vector (or row stack) along the orthonormal basis."""
-        return self.algebra._w * (coords @ self.basis.T)
+        return self.algebra.inner(coords, self.basis)
 
-    def contains(self, x: Element, tol: float = 1e-10) -> bool:
-        resid = x.coords - self.project_coords(x.coords)
-        return np.sqrt(max(self.algebra.inner_coords(resid, resid), 0.0)) <= tol * max(
-            1.0, x.norm()
-        )
-
-
-def project(x: Element, subspace: Subspace) -> Element:
-    """Orthogonal projection of x onto the subspace (total; zero subspace -> 0)."""
-    if x.algebra is not subspace.algebra:
-        raise DomainError("projection requires a subspace of the same algebra")
-    return Element(x.algebra, subspace.project_coords(x.coords))
+    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+        alg = self.algebra
+        return alg.norm(x - self.project_coords(x)) <= tol * max(1.0, alg.norm(x))
 
 
 @dataclass(frozen=True)
@@ -300,7 +229,7 @@ class CartanDecomposition:
             raise StructureError(
                 f"eigenspace dimensions {k.dim}+{m.dim} do not fill the algebra ({alg.dim})"
             )
-        cross = alg._w * (k.basis @ m.basis.T)
+        cross = alg.inner(k.basis, m.basis)
         if np.abs(cross).max(initial=0.0) > 1e-10:
             raise StructureError("k and m are not orthogonal; involution is not an isometry")
         self._check_relations(k, m)
@@ -319,21 +248,14 @@ class CartanDecomposition:
             for s in range(0, a.dim, step):
                 x = alg.to_matrices(a.basis[s:s + step])[:, None]
                 w = alg._coords(x @ y - y @ x).reshape(-1, alg.dim)
-                resid = w - target.project_coords(w)
-                worst = max(worst, np.einsum("ij,ij->i", resid, resid).max(initial=0.0))
-            return float(np.sqrt(alg._w * worst))
+                worst = max(worst, alg.norm(w - target.project_coords(w)).max(initial=0.0))
+            return float(worst)
 
         checks = [max_leak(k, k, k), max_leak(k, m, m), max_leak(m, m, k)]
         if max(checks) > CLOSURE_TOL:
             raise StructureError(
                 f"Cartan relations fail (residuals {[f'{c:.2e}' for c in checks]})"
             )
-
-    def project_k(self, x: Element) -> Element:
-        return project(x, self.k)
-
-    def project_m(self, x: Element) -> Element:
-        return project(x, self.m)
 
 
 def cartan_decompose(algebra: MatrixLieAlgebra, p_matrix) -> CartanDecomposition:

@@ -21,9 +21,8 @@ import numpy as np
 
 from .adspec import AdEigenstructure, paired_bases
 from .errors import DimensionError, DomainError, StructureError
-from .liecore import Element, Subspace, build_so, cartan_decompose, gram_schmidt
+from .liecore import Subspace, build_so, cartan_decompose, gram_schmidt
 from .spectra import (
-    GroupSpectrum,
     PrincipalSpectrum,
     SubmanifoldSpectralData,
     assemble_group_spectrum,
@@ -35,6 +34,10 @@ SYMMETRY_TOL = 1e-12
 TANGENT_TOL = 1e-8
 BLOCK_MEMBERSHIP_TOL = 1e-8
 PERP_LABEL = "perp"
+# Largest mu-block cutoff (and mu/harmonic window): the dense block has
+# (2 cutoff + 1)^2 entries, 32 MB at the limit, where one `oracle --mode mu`
+# run takes about 1 s and peaks near 190 MB.
+MAX_MU_CUTOFF = 1000
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,6 @@ class TruncatedOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def to_json(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "labels": [lb.describe() for lb in self.labels],
-            "matrix": self.matrix.tolist(),
-        }
-
 
 def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
     """Truncated block on {y} + {sqrt2 x sin n pi t} + {sqrt2 y cos n pi t}.
@@ -104,8 +100,8 @@ def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
     """
     if nu <= 0:
         raise DomainError(f"frequency must be positive, got {nu}")
-    if cutoff < 1:
-        raise DomainError("cutoff must be at least 1")
+    if not 1 <= cutoff <= MAX_MU_CUTOFF:
+        raise DomainError(f"cutoff must be between 1 and {MAX_MU_CUTOFF}, got {cutoff}")
     size = 2 * cutoff + 1
     mat = np.zeros((size, size))
     mat[0, 0] = lam
@@ -156,18 +152,14 @@ def mu_block_residual(nu: float, lam: float, m: int, cutoff: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rows(alg, elements) -> np.ndarray:
-    """Coefficient vectors of a list of elements as a (len, dim) array."""
-    return np.array([e.coords for e in elements]).reshape(len(elements), alg.dim)
-
-
 class CurvatureAdaptedData:
     """Base-submanifold data aligned with the frequency blocks of ad(xi).
 
-    ``tangent0`` lists (lambda, [y]) inside the ad-kernel of m; ``tangent``
-    lists (nu, lambda, [y]) with each y in the frequency block m_nu.  The
-    remaining directions of every block are normal.  The x-partner of each
-    tangent or normal y is (1/nu)[xi, y], which lands in k_nu.
+    ``tangent0`` lists (lambda, ys) inside the ad-kernel of m; ``tangent``
+    lists (nu, lambda, ys) with each row of ys in the frequency block m_nu.
+    Each ys is a (k, dim) array of orthonormal rows.  The remaining
+    directions of every block are normal.  The x-partner of each tangent or
+    normal y is (1/nu)[xi, y], which lands in k_nu.
     """
 
     def __init__(self, ad: AdEigenstructure, tangent0, tangent):
@@ -176,62 +168,58 @@ class CurvatureAdaptedData:
         alg = self.cd.algebra
         xi = ad.xi
 
-        self.tangent0 = [(float(lam), list(ys)) for lam, ys in tangent0]
-        self.tangent = [(float(nu), float(lam), list(ys)) for nu, lam, ys in tangent]
+        def rows(frames):
+            """One (k, dim) array of the rows of every frame."""
+            return np.concatenate([np.zeros((0, alg.dim)), *frames])
 
-        all_tangent = [y for _, ys in self.tangent0 for y in ys]
-        all_tangent += [y for _, _, ys in self.tangent for y in ys]
-        Subspace(alg, _rows(alg, all_tangent))  # raises unless orthonormal
+        self.tangent0 = [(float(lam), np.reshape(ys, (len(ys), alg.dim))) for lam, ys in tangent0]
+        self.tangent = [
+            (float(nu), float(lam), np.reshape(ys, (len(ys), alg.dim))) for nu, lam, ys in tangent
+        ]
 
-        m0_span = Subspace(alg, _rows(alg, ad.m0_basis))
+        tangent0_rows = rows(ys for _, ys in self.tangent0)
+        all_tangent = rows([tangent0_rows, *(ys for _, _, ys in self.tangent)])
+        Subspace(alg, all_tangent)  # raises unless orthonormal
+
+        m0_span = Subspace(alg, ad.m0_basis)
         for lam, ys in self.tangent0:
-            for y in ys:
-                if not m0_span.contains(y, BLOCK_MEMBERSHIP_TOL):
-                    raise StructureError(
-                        f"kernel tangent vector for lambda={lam:.6g} is not in m_0"
-                    )
-                if abs(alg.inner_coords(y.coords, xi.coords)) > TANGENT_TOL * xi.norm():
-                    raise DomainError("tangent vectors must be orthogonal to xi")
+            if not all(m0_span.contains(y, BLOCK_MEMBERSHIP_TOL) for y in ys):
+                raise StructureError(f"kernel tangent vector for lambda={lam:.6g} is not in m_0")
+            if np.abs(alg.inner(ys, xi)).max(initial=0.0) > TANGENT_TOL * alg.norm(xi):
+                raise DomainError("tangent vectors must be orthogonal to xi")
 
-        self._block_spans = {}
-        for b in ad.blocks:
-            self._block_spans[b.nu] = Subspace(alg, _rows(alg, b.y_basis))
+        block_spans = {b.nu: Subspace(alg, b.y_basis) for b in ad.blocks}
         for nu, lam, ys in self.tangent:
-            span = self._block_spans.get(nu)
+            span = block_spans.get(nu)
             if span is None:
                 raise DomainError(f"no frequency block at nu={nu:.6g}")
-            for y in ys:
-                if not span.contains(y, BLOCK_MEMBERSHIP_TOL):
-                    raise StructureError(
-                        f"tangent vector for (nu={nu:.6g}, lambda={lam:.6g}) "
-                        "does not lie in its frequency block"
-                    )
+            if not all(span.contains(y, BLOCK_MEMBERSHIP_TOL) for y in ys):
+                raise StructureError(
+                    f"tangent vector for (nu={nu:.6g}, lambda={lam:.6g}) "
+                    "does not lie in its frequency block"
+                )
 
         # Per-block normal complements (within m_0 and within each m_nu).
         # The unit tangent vectors go first, so gram_schmidt's drop tolerance
         # (relative to the largest input) discards the roundoff left in a
         # block they fill.
         def complement(block_ys, tangent_ys):
-            vecs = gram_schmidt(alg, _rows(alg, [*tangent_ys, *block_ys]))
-            return [alg.element(v) for v in vecs[len(tangent_ys):]]
+            return gram_schmidt(alg, rows([tangent_ys, block_ys]))[len(tangent_ys):]
 
-        self.perp0 = complement(ad.m0_basis, [y for _, ys in self.tangent0 for y in ys])
+        self.perp0 = complement(ad.m0_basis, tangent0_rows)
         self.perp = [
-            (b.nu, complement(b.y_basis, [y for nu, _, ys in self.tangent for y in ys
-                                          if nu == b.nu]))
+            (b.nu, complement(b.y_basis, rows(ys for nu, _, ys in self.tangent if nu == b.nu)))
             for b in ad.blocks
         ]
 
         self._xi = xi
-        self._tangent_space = Subspace.span(alg, [y.coords for y in all_tangent])
-        normals = [y.coords for y in self.perp0]
-        normals += [y.coords for _, ys in self.perp for y in ys]
-        self._normal_space = Subspace.span(alg, normals)
+        self._tangent_space = Subspace.span(alg, all_tangent)
+        self._normal_space = Subspace.span(alg, rows([self.perp0, *(ys for _, ys in self.perp)]))
         if self._tangent_space.dim + self._normal_space.dim != self.cd.m.dim:
             raise StructureError("tangent and normal spaces do not fill m")
 
     @property
-    def xi(self) -> Element:
+    def xi(self) -> np.ndarray:
         return self._xi
 
     @property
@@ -242,38 +230,31 @@ class CurvatureAdaptedData:
     def normal_space(self) -> Subspace:
         return self._normal_space
 
-    def x_partner(self, nu: float, y: Element) -> Element:
-        alg = self.cd.algebra
-        return Element(alg, alg.bracket_coords(self._xi.coords, y.coords) / nu)
+    def x_partner(self, nu: float, y: np.ndarray) -> np.ndarray:
+        return self.cd.algebra.bracket(self._xi, y) / nu
 
     def perp_project(self, coords: np.ndarray) -> np.ndarray:
         return self._normal_space.project_coords(coords)
 
-    def base_shape_apply(self, y: Element) -> Element:
+    def base_shape_apply(self, y: np.ndarray) -> np.ndarray:
         """Shape operator of the base submanifold: lambda on each block."""
         alg = self.cd.algebra
         out = np.zeros(alg.dim)
         recon = np.zeros(alg.dim)
-        for lam, ys in self.tangent0:
+        for lam, ys in [*self.tangent0, *((lam, ys) for _, lam, ys in self.tangent)]:
             for e in ys:
-                w = alg.inner_coords(e.coords, y.coords)
-                out += lam * w * e.coords
-                recon += w * e.coords
-        for _, lam, ys in self.tangent:
-            for e in ys:
-                w = alg.inner_coords(e.coords, y.coords)
-                out += lam * w * e.coords
-                recon += w * e.coords
-        resid = y.coords - recon
-        leak = np.sqrt(max(alg.inner_coords(resid, resid), 0.0))
-        if leak > TANGENT_TOL * max(1.0, y.norm()):
+                w = alg.inner(e, y)
+                out += lam * w * e
+                recon += w * e
+        leak = alg.norm(y - recon)
+        if leak > TANGENT_TOL * max(1.0, alg.norm(y)):
             raise DomainError(f"vector is not tangent (normal residual {leak:.3e})")
-        return Element(alg, out)
+        return out
 
     def spectral_data(self) -> SubmanifoldSpectralData:
         freq_mult = self.ad.frequency_multiplicities()
-        mult0 = [(lam, len(ys)) for lam, ys in self.tangent0 if ys]
-        mult = [(nu, lam, len(ys)) for nu, lam, ys in self.tangent if ys]
+        mult0 = [(lam, len(ys)) for lam, ys in self.tangent0 if len(ys)]
+        mult = [(nu, lam, len(ys)) for nu, lam, ys in self.tangent if len(ys)]
         perp = [(0.0, len(self.perp0))]
         perp += [(nu, len(ys)) for nu, ys in self.perp]
         return SubmanifoldSpectralData.from_maps(
@@ -317,8 +298,7 @@ class CurvatureAdaptedData:
         return labels
 
     def _label_vectors(self, label: FourierBasisLabel):
-        """The (x, y) element pair behind a label (x in k, y in m)."""
-        alg = self.cd.algebra
+        """The (x, y) coordinate pair behind a label (x in k, y in m)."""
         if label.kind == "k0_sin":
             return self.ad.k0_basis[label.index], None
         if label.kind in ("m_const", "m_cos"):
@@ -349,8 +329,8 @@ class DecomposedPath:
     """
 
     q: np.ndarray  # (grid, dim)
-    x: Element
-    y: Element
+    x: np.ndarray  # (dim,)
+    y: np.ndarray  # (dim,)
 
     @property
     def grid(self) -> int:
@@ -368,23 +348,22 @@ def label_decomposed_path(
     """
     alg = data.cd.algebra
     t = np.linspace(0.0, 1.0, grid)
-    x_el, y_el = data._label_vectors(label)
-    zero = np.zeros((grid, alg.dim))
+    x, y = data._label_vectors(label)
+    zero = np.zeros(alg.dim)
     if label.kind in ("k0_sin", "k_nu_sin"):
         n = label.mode
-        base = x_el.coords
         scale = math.sqrt(2.0) / (n * math.pi)
-        z = scale * np.outer(np.cos(n * math.pi * t) - 1.0, base)
-        z1 = scale * (((-1.0) ** n) - 1.0) * base
+        z = scale * np.outer(np.cos(n * math.pi * t) - 1.0, x)
+        z1 = scale * (((-1.0) ** n) - 1.0) * x
         q = z - np.outer(t, z1)
-        return DecomposedPath(q, Element(alg, -z1), alg.zero())
+        return DecomposedPath(q, -z1, zero)
     if label.kind in ("m_const", "m_nu_const"):
-        return DecomposedPath(zero, alg.zero(), y_el)
+        return DecomposedPath(np.zeros((grid, alg.dim)), zero, y)
     if label.kind in ("m_cos", "m_nu_cos"):
         n = label.mode
         scale = math.sqrt(2.0) / (n * math.pi)
-        q = -scale * np.outer(np.sin(n * math.pi * t), y_el.coords)
-        return DecomposedPath(q, alg.zero(), alg.zero())
+        q = -scale * np.outer(np.sin(n * math.pi * t), y)
+        return DecomposedPath(q, zero, zero)
     raise DomainError(f"unknown label kind {label.kind!r}")
 
 
@@ -399,12 +378,12 @@ def label_closed_form(
     """
     t = np.linspace(0.0, 1.0, grid)
     alg = data.cd.algebra
-    x_el, y_el = data._label_vectors(label)
+    x, y = data._label_vectors(label)
     zero = np.zeros((grid, alg.dim))
     if label.kind == "k0_sin":
         return zero
     if label.kind == "m_const":
-        return np.outer(np.ones(grid), label.lam * y_el.coords)
+        return np.outer(np.ones(grid), label.lam * y)
     if label.kind == "m_cos":
         return zero
     nu, n = label.nu, label.mode
@@ -412,14 +391,14 @@ def label_closed_form(
     if label.kind == "k_nu_sin":
         coef = -nu / (n * math.pi) * root2
         if label.lam == PERP_LABEL:
-            return coef * np.outer(np.cos(n * math.pi * t), y_el.coords)
-        return coef * np.outer(np.cos(n * math.pi * t) - 1.0, y_el.coords)
+            return coef * np.outer(np.cos(n * math.pi * t), y)
+        return coef * np.outer(np.cos(n * math.pi * t) - 1.0, y)
     if label.kind == "m_nu_const":
-        const = np.outer(np.ones(grid), label.lam * y_el.coords)
-        return const + nu * np.outer(1.0 - t, x_el.coords)
+        const = np.outer(np.ones(grid), label.lam * y)
+        return const + nu * np.outer(1.0 - t, x)
     if label.kind == "m_nu_cos":
         coef = -nu / (n * math.pi) * root2
-        return coef * np.outer(np.sin(n * math.pi * t), x_el.coords)
+        return coef * np.outer(np.sin(n * math.pi * t), x)
     raise DomainError(f"unknown label kind {label.kind!r}")
 
 
@@ -447,8 +426,8 @@ def shape_apply_raw(
     scale = max(1.0, qn.max() if qn.size else 0.0)
     if max(np.linalg.norm(path.q[0]), np.linalg.norm(path.q[-1])) > boundary_tol * scale:
         raise DomainError("primitive Q must vanish at both endpoints")
-    leak = path.x.coords - data.cd.k.project_coords(path.x.coords)
-    if np.sqrt(max(alg.inner_coords(leak, leak), 0.0)) > TANGENT_TOL * max(1.0, path.x.norm()):
+    leak = alg.norm(path.x - data.cd.k.project_coords(path.x))
+    if leak > TANGENT_TOL * max(1.0, alg.norm(path.x)):
         raise DomainError("constant part x must lie in k")
     # base_shape_apply rejects y with a normal component.
     ay = data.base_shape_apply(path.y)
@@ -459,20 +438,18 @@ def shape_apply_raw(
     q_int = np.trapezoid(path.q, t, axis=0)
     perp_int = data.perp_project(admat @ q_int)
 
-    bx = admat @ path.x.coords
-    by = admat @ path.y.coords
+    bx = admat @ path.x
+    by = admat @ path.y
     out = bracket_q - perp_int[None, :]
     out += 0.5 * data.perp_project(bx)[None, :] - np.outer(t, bx)
-    out += ay.coords[None, :] + np.outer(1.0 - t, by)
+    out += ay[None, :] + np.outer(1.0 - t, by)
     return out
 
 
 def grid_l2_norm(values: np.ndarray, alg) -> float:
     """Trapezoid L2 norm of a grid path of coefficient vectors."""
-    grid = values.shape[0]
-    t = np.linspace(0.0, 1.0, grid)
-    sq = np.einsum("ti,ij,tj->t", values, alg.gram, values)
-    return float(math.sqrt(max(np.trapezoid(sq, t), 0.0)))
+    t = np.linspace(0.0, 1.0, values.shape[0])
+    return float(math.sqrt(max(np.trapezoid(alg.norm(values) ** 2, t), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +509,9 @@ def group_shape_matrix(data: CurvatureAdaptedData) -> np.ndarray:
         if i < dim_k:
             img = -0.5 * data.tangent_space.project_coords(br)
         else:
-            img = data.base_shape_apply(alg.element(row)).coords
-            img = img + 0.5 * data.cd.k.project_coords(br)
+            img = data.base_shape_apply(row) + 0.5 * data.cd.k.project_coords(br)
         images.append(img)
-    images = np.array(images)
-    mat = basis @ alg.gram @ images.T  # mat[a, b] = <e_a, A e_b>
+    mat = alg.inner(basis, np.array(images))  # mat[a, b] = <e_a, A e_b>
     asym = np.abs(mat - mat.T).max() if mat.size else 0.0
     if asym > 1e-9:
         raise StructureError(f"group-level assembly is not symmetric ({asym:.3e})")
@@ -603,6 +578,13 @@ class SpectralWindow:
     n_max: int = 3
     tol_abs: float = 1e-10
     tol_rel: float = 1e-2
+
+    def __post_init__(self):
+        if not (0 <= self.m_max <= MAX_MU_CUTOFF and 0 <= self.n_max <= MAX_MU_CUTOFF):
+            raise DomainError(
+                f"window m_max and n_max must be between 0 and {MAX_MU_CUTOFF}, "
+                f"got {self.m_max} and {self.n_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -726,23 +708,20 @@ def sphere_geometry(
     if dims > l - 1:
         raise DomainError(f"tangent dimension {dims} exceeds l - 1 = {l - 1}")
     raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    xi = alg.element(raw)
-    xi = (xi_scale / xi.norm()) * xi
+    xi = (xi_scale / alg.norm(raw)) * raw
     ad = paired_bases(cd, xi)
     if len(ad.blocks) != 1:
         raise StructureError("rank-one pair should produce exactly one frequency")
     block = ad.blocks[0]
 
     # Random orthonormal tangent frame inside the block's y-span.
-    span = np.array([y.coords for y in block.y_basis])
     mix = rng.standard_normal((block.mult, block.mult))
     qmat, _ = np.linalg.qr(mix)
-    frame = qmat[:dims] @ span
+    frame = qmat[:dims] @ block.y_basis
     tangent = []
     pos = 0
     for lam, m in lam_mults:
-        ys = [alg.element(frame[pos + i]) for i in range(m)]
-        tangent.append((block.nu, lam, ys))
+        tangent.append((block.nu, lam, frame[pos:pos + m]))
         pos += m
     return CurvatureAdaptedData(ad, tangent0=[], tangent=tangent)
 
@@ -774,8 +753,7 @@ def split_geometry(
     cd = split_pair(p, q)
     alg = cd.algebra
     raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    xi = alg.element(raw)
-    xi = (xi_scale / xi.norm()) * xi
+    xi = (xi_scale / alg.norm(raw)) * raw
     ad = paired_bases(cd, xi)
 
     if len(tangent0_lams) > ad.dim_m0 - 1:
@@ -790,23 +768,16 @@ def split_geometry(
 
     tangent0 = []
     if tangent0_lams:
-        unit = (1.0 / xi.norm()) * xi
-        rows = []
-        for y in ad.m0_basis:
-            w = y.coords - alg.inner_coords(unit.coords, y.coords) * unit.coords
-            rows.append(w)
-        onb = gram_schmidt(alg, rows)
+        unit = (1.0 / alg.norm(xi)) * xi
+        onb = gram_schmidt(alg, ad.m0_basis - np.outer(alg.inner(ad.m0_basis, unit), unit))
         mix = rng.standard_normal((len(onb), len(onb)))
         qmat, _ = np.linalg.qr(mix)
-        frame = qmat @ np.array(onb)
+        frame = qmat @ onb
         for i, lam in enumerate(tangent0_lams):
-            tangent0.append((lam, [alg.element(frame[i])]))
+            tangent0.append((lam, frame[i:i + 1]))
 
     tangent = []
     for lam, block in zip(block_lams, ad.blocks):
-        span = np.array([y.coords for y in block.y_basis])
-        weights = rng.standard_normal(block.mult)
-        vec = weights @ span
-        y = alg.element(vec)
-        tangent.append((block.nu, lam, [(1.0 / y.norm()) * y]))
+        vec = rng.standard_normal(block.mult) @ block.y_basis
+        tangent.append((block.nu, lam, ((1.0 / alg.norm(vec)) * vec)[None]))
     return CurvatureAdaptedData(ad, tangent0=tangent0, tangent=tangent)

@@ -23,7 +23,7 @@ reflection formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -31,6 +31,16 @@ import scipy.special
 from .errors import DomainError, PoleError, StructureError
 
 VALUE_MERGE_TOL = 1e-12
+# Largest enumeration (rows or (value, mult) pairs) and trace sum (terms
+# over all mu families) one call may ask for; each is counted in closed
+# form before anything is allocated.
+MAX_ENUMERATED_ROWS = 200_000
+MAX_TRACE_TERMS = 4_000_000
+
+
+def _check_work(what: str, count: float, limit: int) -> None:
+    if not count <= limit:
+        raise DomainError(f"{what} asks for {count:.3g} entries, more than the limit of {limit}")
 
 
 def mu(nu: float, lam: float, m: int) -> float:
@@ -403,6 +413,7 @@ def r_trace(spectrum: PrincipalSpectrum, m_cut: int):
     """
     if m_cut < 0:
         raise DomainError("m_cut must be nonnegative")
+    _check_work("trace sum", (2 * m_cut + 1) * len(spectrum.by_kind("mu")), MAX_TRACE_TERMS)
     partial = 0.0
     limit = 0.0
     for fam in spectrum.families:
@@ -523,6 +534,9 @@ def enumerate_rows(spectrum: PrincipalSpectrum, n_max: int, m_max: int):
     """
     if n_max < 0 or m_max < 0:
         raise DomainError("enumeration windows must be nonnegative")
+    count = sum({"lambda": 1, "harmonic": 2 * n_max, "mu": 2 * m_max + 1}.get(f.kind, 1)
+                for f in spectrum.families)
+    _check_work("enumeration window", count, MAX_ENUMERATED_ROWS)
     rows = []
     for fam in spectrum.families:
         if fam.kind == "lambda":
@@ -551,6 +565,13 @@ def enumerate_by_floor(spectrum: PrincipalSpectrum, value_floor: float):
     """
     if value_floor <= 0:
         raise DomainError("value_floor must be positive")
+    # A family has at most one value of magnitude >= floor, plus
+    # 2 nu / (pi floor) more if it is a harmonic or mu family.
+    count = len(spectrum.families) + sum(
+        2.0 * f.nu / (math.pi * value_floor)
+        for f in spectrum.families if f.kind in ("harmonic", "mu")
+    )
+    _check_work("value floor", count, MAX_ENUMERATED_ROWS)
     pairs = []
     for fam in spectrum.families:
         if fam.kind == "lambda":

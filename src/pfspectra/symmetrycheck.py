@@ -26,6 +26,7 @@ from .errors import DimensionError, DomainError, StructureError
 from .spectra import PrincipalSpectrum, cluster_indices, enumerate_by_floor
 
 CLUSTER_TOL = 1e-9
+MAX_SO9_GRID = 10_000  # samples on the normal circle of the SO(9) orbit
 
 
 @dataclass(frozen=True)
@@ -405,7 +406,7 @@ def so9_build() -> SO9Example:
                 mat = np.zeros((9, 9))
                 mat[3 * blk + i, 3 * blk + j] = 1.0
                 mat[3 * blk + j, 3 * blk + i] = -1.0
-                kp.append(alg.from_matrix(mat).coords)
+                kp.append(alg.from_matrix(mat))
     # Second subalgebra: conjugated copy of the matrices with zero first row.
     kk = []
     for i in range(1, 9):
@@ -413,16 +414,16 @@ def so9_build() -> SO9Example:
             mat = np.zeros((9, 9))
             mat[i, j] = 1.0
             mat[j, i] = -1.0
-            kk.append(alg.from_matrix(q @ mat @ q.T).coords)
+            kk.append(alg.from_matrix(q @ mat @ q.T))
 
-    h_basis = np.array(gram_schmidt(alg, kp + kk))
+    h_basis = gram_schmidt(alg, kp + kk)
     if h_basis.shape[0] != 34:
         raise StructureError(f"orbit tangent space has dim {h_basis.shape[0]}, expected 34")
-    kk_basis = np.array(gram_schmidt(alg, kk))
+    kk_basis = gram_schmidt(alg, kk)
 
     # Orthogonal complement inside so(9): the coordinate vectors
     # orthonormalised after h_basis.
-    normal_basis = np.array(gram_schmidt(alg, [*h_basis, *np.eye(alg.dim)])[len(h_basis):])
+    normal_basis = gram_schmidt(alg, np.vstack([h_basis, np.eye(alg.dim)]))[len(h_basis):]
     if normal_basis.shape[0] != 2:
         raise StructureError(
             f"normal space has dim {normal_basis.shape[0]}, expected 2"
@@ -432,33 +433,32 @@ def so9_build() -> SO9Example:
     return SO9Example(alg, q, h_basis, kk_basis, normal_basis, swaps)
 
 
-def subspace_preserved(alg, basis_rows: np.ndarray, conj: np.ndarray, tol: float) -> float:
+def subspace_preserved(alg, basis_rows: np.ndarray, conj: np.ndarray) -> float:
     """Max residual of conjugated basis vectors against the subspace span."""
     worst = 0.0
     for row in basis_rows:
-        mat = conj @ alg.to_matrices(row) @ conj.T
-        coords = alg.from_matrix(mat).coords
-        resid = coords - (basis_rows.T @ (basis_rows @ (alg.gram @ coords)))
-        worst = max(worst, math.sqrt(max(resid @ alg.gram @ resid, 0.0)))
+        coords = alg.from_matrix(conj @ alg.to_matrices(row) @ conj.T)
+        resid = coords - alg.inner(basis_rows, coords) @ basis_rows
+        worst = max(worst, float(alg.norm(resid)))
     return worst
 
 
 def arid_orbit_candidate_check(
-    alg, tangent_rows: np.ndarray, xi_coords: np.ndarray, conjugations,
+    alg, xi: np.ndarray, conjugations, preserve_residuals,
     preserve_tol: float = 1e-9, move_tol: float = 1e-8,
 ):
     """Find a conjugation preserving the tangent space but moving xi.
 
-    Returns the index of the first success, or None.  This is the generic
-    aridity certificate: a fixed-point isometry of the ambient group that
-    maps the orbit to itself while displacing the chosen normal direction.
+    ``preserve_residuals`` holds each conjugation's ``subspace_preserved``
+    residual on the tangent space; it does not depend on xi, so a caller
+    scanning many directions computes it once.  Returns the index of the
+    first success, or None.  This is the generic aridity certificate: a
+    fixed-point isometry of the ambient group that maps the orbit to itself
+    while displacing the chosen normal direction.
     """
-    xi_mat = alg.to_matrices(xi_coords)
-    for idx, conj in enumerate(conjugations):
-        moved = conj @ xi_mat @ conj.T
-        if np.abs(moved - xi_mat).max() <= move_tol:
-            continue
-        if subspace_preserved(alg, tangent_rows, conj, preserve_tol) <= preserve_tol:
+    xi_mat = alg.to_matrices(xi)
+    for idx, (conj, resid) in enumerate(zip(conjugations, preserve_residuals)):
+        if resid <= preserve_tol and np.abs(conj @ xi_mat @ conj.T - xi_mat).max() > move_tol:
             return idx
     return None
 
@@ -471,24 +471,26 @@ def so9_arid_verify(grid_size: int = 64):
     the swap found, and globally whether the swaps also preserve the two
     subalgebras separately.
     """
-    if grid_size < 4:
-        raise DomainError("need at least 4 samples on the normal circle")
+    if not 4 <= grid_size <= MAX_SO9_GRID:
+        raise DomainError(
+            f"need between 4 and {MAX_SO9_GRID} samples on the normal circle, got {grid_size}"
+        )
     ex = so9_build()
     alg = ex.algebra
     swap_names = ["(1,2)", "(1,3)", "(2,3)"]
 
-    h_pres = [subspace_preserved(alg, ex.h_basis, s, 1e-9) for s in ex.swaps]
+    h_pres = [subspace_preserved(alg, ex.h_basis, s) for s in ex.swaps]
     # Does each swap preserve the second subalgebra alone?  Recorded for
     # reference alongside the full tangent-space check.
-    k_pres = [subspace_preserved(alg, ex.kk_basis, s, 1e-9) for s in ex.swaps]
+    k_pres = [subspace_preserved(alg, ex.kk_basis, s) for s in ex.swaps]
 
     samples = []
     all_ok = True
     for idx in range(grid_size):
         ang = 2.0 * math.pi * idx / grid_size
         x, y = math.cos(ang), math.sin(ang)
-        xi = alg.from_matrix(so9_normal_matrix(x, y)).coords
-        found = arid_orbit_candidate_check(alg, ex.h_basis, xi, ex.swaps)
+        xi = alg.from_matrix(so9_normal_matrix(x, y))
+        found = arid_orbit_candidate_check(alg, xi, ex.swaps, h_pres)
         ok = found is not None
         all_ok &= ok
         samples.append({"x": x, "y": y, "swap": swap_names[found] if ok else None, "ok": ok})

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .errors import ChartError, DimensionError, DomainError
-from .liecore import CartanDecomposition, Element
+from .liecore import CartanDecomposition, MatrixLieAlgebra
 
 GRID_VALUE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
@@ -99,13 +99,6 @@ class PathGrid:
     def constant(cls, matrix: np.ndarray, nodes: int, kind: str) -> "PathGrid":
         mat = np.asarray(matrix, dtype=float)
         return cls(np.broadcast_to(mat, (nodes,) + mat.shape).copy(), kind)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "values": self.values.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PathGrid":
-        return cls(np.array(data["values"], dtype=float), data["kind"])
 
 
 def _require_same_grid(g: PathGrid, u: PathGrid) -> None:
@@ -251,7 +244,7 @@ def _skew_log(a: np.ndarray) -> np.ndarray:
 
 def coset_log(cd: CartanDecomposition, a: np.ndarray,
               radius: float = CHART_RADIUS, max_iter: int = 60,
-              tol: float = 1e-13) -> Element:
+              tol: float = 1e-13) -> np.ndarray:
     """Chart coordinate xi in m with exp(-xi) a in the subgroup of k.
 
     Fixed-point iteration xi <- xi + P_m(log(exp(-xi) a)).  Raises a chart
@@ -260,17 +253,17 @@ def coset_log(cd: CartanDecomposition, a: np.ndarray,
     """
     alg = cd.algebra
     a = np.asarray(a, dtype=float)
-    xi = alg.zero()
+    xi = np.zeros(alg.dim)
     for _ in range(max_iter):
-        rem = _skew_log(expm(-xi.matrix) @ a)
-        corr = cd.project_m(alg.from_matrix(rem))
+        rem = _skew_log(expm(-alg.to_matrices(xi)) @ a)
+        corr = cd.m.project_coords(alg.from_matrix(rem))
         xi = xi + corr
-        angle = float(np.abs(np.linalg.eigvals(xi.matrix).imag).max())
+        angle = float(np.abs(np.linalg.eigvals(alg.to_matrices(xi)).imag).max())
         if angle > radius:
             raise ChartError(
                 f"coset chart left its injectivity ball (angle {angle:.3f} > {radius:.3f})"
             )
-        if corr.norm() <= tol:
+        if alg.norm(corr) <= tol:
             return xi
     raise ChartError("coset chart iteration did not converge")
 
@@ -280,22 +273,23 @@ class CosetPoint:
     """A group element with its chart coordinate modulo the subgroup."""
 
     group_point: np.ndarray
-    m_log: Element
+    m_log: np.ndarray  # coordinates in m
+    algebra: MatrixLieAlgebra
 
     @property
     def chart_distance(self) -> float:
         """Distance to the base coset in the chart (norm of the coordinate)."""
-        return self.m_log.norm()
+        return float(self.algebra.norm(self.m_log))
 
     def subgroup_factor(self) -> np.ndarray:
-        return expm(-self.m_log.matrix) @ self.group_point
+        return expm(-self.algebra.to_matrices(self.m_log)) @ self.group_point
 
 
 def phi_k(u: PathGrid, cd: CartanDecomposition,
           radius: float = CHART_RADIUS) -> CosetPoint:
     """Endpoint of the frame ODE, reduced modulo the subgroup of k."""
     endpoint = transport_endpoint(u)
-    return CosetPoint(endpoint, coset_log(cd, endpoint, radius))
+    return CosetPoint(endpoint, coset_log(cd, endpoint, radius), cd.algebra)
 
 
 def fiber_tangent_residual(z: PathGrid, cd: CartanDecomposition,
@@ -317,8 +311,7 @@ def fiber_tangent_residual(z: PathGrid, cd: CartanDecomposition,
     if start_drift > BOUNDARY_TOL:
         raise DomainError(f"path must start at zero (drift {start_drift:.3e})")
     if enforce_boundary:
-        end = alg.from_matrix(z.values[-1])
-        leak = cd.project_m(end).norm()
+        leak = alg.norm(cd.m.project_coords(alg.from_matrix(z.values[-1])))
         if leak > BOUNDARY_TOL:
             raise DomainError(
                 f"path must end inside the k factor (m-component {leak:.3e})"
@@ -377,7 +370,7 @@ def random_fiber_group_path(cd: CartanDecomposition, nodes: int,
     n = alg.n
     coeffs = {d: _random_skew(n, rng, scale) for d in range(1, degree + 1)}
     total = sum(coeffs.values())
-    leak = cd.project_m(alg.from_matrix(total)).matrix
+    leak = alg.to_matrices(cd.m.project_coords(alg.from_matrix(total)))
     coeffs[degree] = coeffs[degree] - leak  # now the t=1 value lies in k
 
     def point(t: float) -> np.ndarray:

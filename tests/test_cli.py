@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from pfspectra.formats import (
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = "{data}"  # stands for a spectral_data file written by the test
 
 
 def write_json(tmp_path, name, doc):
@@ -265,10 +267,17 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("transport", "--check", "equivariance", "--samples", "0"),
          "--samples must be at least 1"),
         (("transport", "--check", "order", "--grid", "0"), "needs --grid >= 15"),
+        (("spectrum", "--data", DATA, "--n-max", "100000000"), "enumeration window asks for"),
+        (("austere", "--data", DATA, "--value-floor", "1e-9"), "value floor asks for"),
+        (("so9", "--grid", "100000000"), "between 4 and 10000 samples"),
+        (("trace", "--data", DATA, "--m-cut", "1000000000"), "trace sum asks for"),
+        (("oracle", "--cutoff", "100000"), "cutoff must be between 1 and 1000"),
+        (("oracle", "--m-max", "-1"), "window m_max and n_max must be between 0 and 1000"),
     ],
 )
-def test_degenerate_inputs_are_input_errors(capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv)
+def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
+    data = write_json(tmp_path, "data.json", sphere_doc(1.0, [(0.5, 1)], 2, 0))
+    code, out, err = run_cli(capsys, *(data if a == DATA else a for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and message in err
@@ -284,6 +293,26 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, token):
     assert out == ""
     assert err.startswith("input error:") and f"non-finite number {token}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_integers_too_large_for_a_float_are_input_errors(tmp_path, capsys):
+    # A 401-digit integer passes the schema as a number but overflows float().
+    path = tmp_path / "data.json"
+    doc = sphere_doc(1.0, [(0.5, 1)], 2, 0)
+    path.write_text(json.dumps(doc).replace("0.5", "1" + "0" * 400, 1))
+    code, out, err = run_cli(capsys, "austere", "--data", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "integer of 401 digits is too large" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_readme_quick_start_runs(capsys):
+    # The README's python example is executed as written, so it cannot go stale.
+    blocks = re.findall(r"```python\n(.*?)```", (REPO_ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "<README quick start>", "exec"), {})
+    assert "mu" in capsys.readouterr().out
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -10,12 +10,9 @@ from pfspectra import (
     DomainError,
     StructureError,
     Subspace,
-    bracket,
     build_so,
     cartan_decompose,
     gram_schmidt,
-    inner,
-    project,
     so_pair_index,
 )
 
@@ -27,13 +24,13 @@ SO_SIZES = (3, 5, 8)
 
 
 def draw_elements(data, alg, count):
-    """Draw `count` elements of alg with bounded coordinates."""
+    """Draw `count` coordinate vectors of alg with bounded entries."""
     coords = st.lists(
         st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
         min_size=alg.dim,
         max_size=alg.dim,
     )
-    return [alg.element(data.draw(coords)) for _ in range(count)]
+    return [np.array(data.draw(coords)) for _ in range(count)]
 
 
 def test_build_so_dimensions():
@@ -55,7 +52,8 @@ def test_build_so_rejects_bad_scale():
 
 def test_basis_is_orthonormal():
     alg = build_so(5)
-    np.testing.assert_allclose(alg.gram, np.eye(alg.dim), atol=ORTHO_TOL)
+    np.testing.assert_allclose(alg.inner(np.eye(alg.dim), np.eye(alg.dim)), np.eye(alg.dim),
+                               atol=ORTHO_TOL)
 
 
 def test_pair_index_round_trip():
@@ -82,9 +80,8 @@ def test_element_round_trip_through_matrix():
     alg = build_so(4)
     rng = np.random.default_rng(0)
     coords = rng.standard_normal(alg.dim)
-    x = alg.element(coords)
-    back = alg.from_matrix(x.matrix)
-    np.testing.assert_allclose(back.coords, coords, atol=1e-13)
+    back = alg.from_matrix(alg.to_matrices(coords))
+    np.testing.assert_allclose(back, coords, atol=1e-13)
 
 
 def test_from_matrix_rejects_symmetric_part():
@@ -96,16 +93,21 @@ def test_from_matrix_rejects_symmetric_part():
 def test_element_rejects_wrong_length():
     alg = build_so(3)
     with pytest.raises(DimensionError):
-        alg.element([1.0, 2.0])
+        alg.to_matrices([1.0, 2.0])
+    with pytest.raises(DimensionError):
+        alg.norm([1.0, 2.0])
+    with pytest.raises(DimensionError):
+        alg.ad_matrix(np.zeros(4))
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_bracket_antisymmetry(data):
     for n in SO_SIZES:
-        x, y = draw_elements(data, build_so(n), 2)
-        lhs = bracket(x, y).coords
-        rhs = -bracket(y, x).coords
+        alg = build_so(n)
+        x, y = draw_elements(data, alg, 2)
+        lhs = alg.bracket(x, y)
+        rhs = -alg.bracket(y, x)
         np.testing.assert_allclose(lhs, rhs, atol=BRACKET_TOL * 100)
 
 
@@ -113,24 +115,23 @@ def test_bracket_antisymmetry(data):
 @settings(max_examples=50, deadline=None)
 def test_jacobi_identity(data):
     for n in SO_SIZES:
-        x, y, z = draw_elements(data, build_so(n), 3)
-        total = (
-            bracket(x, bracket(y, z))
-            + bracket(y, bracket(z, x))
-            + bracket(z, bracket(x, y))
-        )
-        scale = max(1.0, x.norm() * y.norm() * z.norm())
-        assert total.norm() <= 1e-10 * scale
+        alg = build_so(n)
+        x, y, z = draw_elements(data, alg, 3)
+        br = alg.bracket
+        total = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
+        scale = max(1.0, alg.norm(x) * alg.norm(y) * alg.norm(z))
+        assert alg.norm(total) <= 1e-10 * scale
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_inner_product_is_ad_invariant(data):
     for n in SO_SIZES:
-        x, y, z = draw_elements(data, build_so(n), 3)
-        lhs = inner(bracket(x, y), z)
-        rhs = -inner(y, bracket(x, z))
-        scale = max(1.0, x.norm() * y.norm() * z.norm())
+        alg = build_so(n)
+        x, y, z = draw_elements(data, alg, 3)
+        lhs = alg.inner(alg.bracket(x, y), z)
+        rhs = -alg.inner(y, alg.bracket(x, z))
+        scale = max(1.0, alg.norm(x) * alg.norm(y) * alg.norm(z))
         assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -138,21 +139,18 @@ def test_bracket_matches_matrix_commutator():
     rng = np.random.default_rng(1)
     for n in SO_SIZES:
         alg = build_so(n)
-        x = alg.element(rng.standard_normal(alg.dim))
-        y = alg.element(rng.standard_normal(alg.dim))
-        comm = x.matrix @ y.matrix - y.matrix @ x.matrix
-        np.testing.assert_allclose(bracket(x, y).matrix, comm, atol=1e-12)
+        x, y = rng.standard_normal((2, alg.dim))
+        xm, ym = alg.to_matrices(x), alg.to_matrices(y)
+        np.testing.assert_allclose(alg.to_matrices(alg.bracket(x, y)), xm @ ym - ym @ xm,
+                                   atol=1e-12)
 
 
 def test_ad_matrix_reproduces_bracket():
     rng = np.random.default_rng(2)
     for n in SO_SIZES:
         alg = build_so(n)
-        x = alg.element(rng.standard_normal(alg.dim))
-        y = alg.element(rng.standard_normal(alg.dim))
-        np.testing.assert_allclose(
-            alg.ad_matrix(x) @ y.coords, bracket(x, y).coords, atol=1e-12
-        )
+        x, y = rng.standard_normal((2, alg.dim))
+        np.testing.assert_allclose(alg.ad_matrix(x) @ y, alg.bracket(x, y), atol=1e-12)
 
 
 def test_large_algebra_brackets_match_commutators():
@@ -160,28 +158,32 @@ def test_large_algebra_brackets_match_commutators():
     alg = build_so(20)
     assert alg.dim == 190
     rng = np.random.default_rng(7)
-    x = alg.element(rng.standard_normal(alg.dim))
-    y = alg.element(rng.standard_normal(alg.dim))
-    comm = x.matrix @ y.matrix - y.matrix @ x.matrix
-    np.testing.assert_allclose(bracket(x, y).matrix, comm, atol=1e-11)
-    np.testing.assert_allclose(alg.from_matrix(comm).coords, bracket(x, y).coords, atol=1e-11)
+    x, y = rng.standard_normal((2, alg.dim))
+    xm, ym = alg.to_matrices(x), alg.to_matrices(y)
+    comm = xm @ ym - ym @ xm
+    np.testing.assert_allclose(alg.to_matrices(alg.bracket(x, y)), comm, atol=1e-11)
+    np.testing.assert_allclose(alg.from_matrix(comm), alg.bracket(x, y), atol=1e-11)
 
 
 def test_coordinates_are_upper_triangle_entries():
     alg = build_so(4, ip_scale=1.5)
     rng = np.random.default_rng(8)
-    x = alg.element(rng.standard_normal(alg.dim))
+    x = rng.standard_normal(alg.dim)
+    xm = alg.to_matrices(x)
     rows, cols = np.triu_indices(4, 1)
-    np.testing.assert_array_equal(x.matrix[rows, cols], x.coords)
-    np.testing.assert_array_equal(x.matrix, -x.matrix.T)
-    np.testing.assert_allclose(alg.gram, 3.0 * np.eye(alg.dim))
-    assert inner(x, x) == pytest.approx(-1.5 * np.trace(x.matrix @ x.matrix))
+    np.testing.assert_array_equal(xm[rows, cols], x)
+    np.testing.assert_array_equal(xm, -xm.T)
+    np.testing.assert_allclose(alg.inner(np.eye(alg.dim), np.eye(alg.dim)), 3.0 * np.eye(alg.dim))
+    assert alg.inner(x, x) == pytest.approx(-1.5 * np.trace(xm @ xm))
 
 
 def test_bracket_rejects_mixed_algebras():
+    # An so(4) coordinate vector has the wrong length for so(3).
     a3, a4 = build_so(3), build_so(4)
-    with pytest.raises(DomainError):
-        bracket(a3.basis_element(0), a4.basis_element(0))
+    with pytest.raises(DimensionError):
+        a3.bracket(np.eye(a3.dim)[0], np.eye(a4.dim)[0])
+    with pytest.raises(DimensionError):
+        a3.inner(np.eye(a3.dim)[0], np.eye(a4.dim)[0])
 
 
 def test_gram_schmidt_orthonormalizes_and_drops():
@@ -205,7 +207,7 @@ def test_gram_schmidt_drops_roundoff_relative_to_the_batch():
     tiny = np.zeros(alg.dim)
     tiny[1] = 1e-17
     assert len(gram_schmidt(alg, [v, tiny])) == 1
-    assert gram_schmidt(alg, [np.zeros(alg.dim)]) == []
+    assert gram_schmidt(alg, [np.zeros(alg.dim)]).shape == (0, alg.dim)
 
 
 def test_subspace_projection_is_idempotent():
@@ -214,12 +216,12 @@ def test_subspace_projection_is_idempotent():
     basis = gram_schmidt(alg, rng.standard_normal((3, alg.dim)))
     sub = Subspace(alg, basis)
     assert sub.dim == 3
-    x = alg.element(rng.standard_normal(alg.dim))
-    p1 = project(x, sub)
-    p2 = project(p1, sub)
-    np.testing.assert_allclose(p1.coords, p2.coords, atol=1e-12)
+    x = rng.standard_normal(alg.dim)
+    p1 = sub.project_coords(x)
+    p2 = sub.project_coords(p1)
+    np.testing.assert_allclose(p1, p2, atol=1e-12)
     assert sub.contains(p1)
-    assert not sub.contains(x) or np.allclose(p1.coords, x.coords)
+    assert not sub.contains(x) or np.allclose(p1, x)
 
 
 def test_subspace_rejects_non_orthonormal_rows():
@@ -245,21 +247,22 @@ class TestCartanSphere:
 
     def test_projections_split_every_element(self):
         rng = np.random.default_rng(5)
-        x = self.alg.element(rng.standard_normal(self.alg.dim))
-        xk = self.cd.project_k(x)
-        xm = self.cd.project_m(x)
-        np.testing.assert_allclose(xk.coords + xm.coords, x.coords, atol=1e-12)
-        assert abs(inner(xk, xm)) <= 1e-12
+        x = rng.standard_normal(self.alg.dim)
+        xk = self.cd.k.project_coords(x)
+        xm = self.cd.m.project_coords(x)
+        np.testing.assert_allclose(xk + xm, x, atol=1e-12)
+        assert abs(self.alg.inner(xk, xm)) <= 1e-12
 
     def test_bracket_relations(self):
         rng = np.random.default_rng(6)
-        k1 = self.alg.element(rng.standard_normal(self.cd.k.dim) @ self.cd.k.basis)
-        k2 = self.alg.element(rng.standard_normal(self.cd.k.dim) @ self.cd.k.basis)
-        m1 = self.alg.element(rng.standard_normal(self.cd.m.dim) @ self.cd.m.basis)
-        m2 = self.alg.element(rng.standard_normal(self.cd.m.dim) @ self.cd.m.basis)
-        assert self.cd.k.contains(bracket(k1, k2))
-        assert self.cd.m.contains(bracket(k1, m1))
-        assert self.cd.k.contains(bracket(m1, m2))
+        k1 = rng.standard_normal(self.cd.k.dim) @ self.cd.k.basis
+        k2 = rng.standard_normal(self.cd.k.dim) @ self.cd.k.basis
+        m1 = rng.standard_normal(self.cd.m.dim) @ self.cd.m.basis
+        m2 = rng.standard_normal(self.cd.m.dim) @ self.cd.m.basis
+        br = self.alg.bracket
+        assert self.cd.k.contains(br(k1, k2))
+        assert self.cd.m.contains(br(k1, m1))
+        assert self.cd.k.contains(br(m1, m2))
 
 
 def test_cartan_rejects_non_involution():

@@ -258,12 +258,12 @@ class TestSO9:
         normal = Subspace(self.alg, self.ex.normal_basis)
         for x, y in [(1.0, 0.0), (0.0, 1.0), (0.3, -0.9)]:
             vec = self.alg.from_matrix(so9_normal_matrix(x, y))
-            resid = vec - self.alg.element(normal.project_coords(vec.coords))
-            assert resid.norm() <= PRESERVE_TOL * max(1.0, vec.norm())
+            resid = vec - normal.project_coords(vec)
+            assert self.alg.norm(resid) <= PRESERVE_TOL * max(1.0, self.alg.norm(vec))
 
     def test_swaps_preserve_tangent_space(self):
         for swap in self.ex.swaps:
-            resid = subspace_preserved(self.alg, self.ex.h_basis, swap, PRESERVE_TOL)
+            resid = subspace_preserved(self.alg, self.ex.h_basis, swap)
             assert resid <= PRESERVE_TOL
 
     @pytest.mark.parametrize("ij", sorted(SWAP_ACTIONS))
@@ -283,16 +283,14 @@ class TestSO9:
 
     def test_candidate_check_finds_a_moving_swap(self):
         xi = self.alg.from_matrix(so9_normal_matrix(1.0, 0.3))
-        idx = arid_orbit_candidate_check(
-            self.alg, self.ex.h_basis, xi.coords, self.ex.swaps
-        )
+        residuals = [subspace_preserved(self.alg, self.ex.h_basis, s) for s in self.ex.swaps]
+        idx = arid_orbit_candidate_check(self.alg, xi, self.ex.swaps, residuals)
         assert idx is not None
 
     def test_candidate_check_returns_none_without_movers(self):
         xi = self.alg.from_matrix(so9_normal_matrix(1.0, 0.3))
-        idx = arid_orbit_candidate_check(
-            self.alg, self.ex.h_basis, xi.coords, [np.eye(9)]
-        )
+        residual = subspace_preserved(self.alg, self.ex.h_basis, np.eye(9))
+        idx = arid_orbit_candidate_check(self.alg, xi, [np.eye(9)], [residual])
         assert idx is None
 
     def test_full_circle_verification(self):
