@@ -59,7 +59,7 @@ from .oracle import (
     split_pair,
 )
 from .spectra import (
-    GroupSpectrum,
+    EigenMultiset,
     HarmonicFamily,
     LambdaFamily,
     MuFamily,
@@ -82,7 +82,6 @@ from .spectra import (
 )
 from .symmetrycheck import (
     BUILTIN_ROOT_SYSTEMS,
-    EigenMultiset,
     SO9Example,
     WeylStratum,
     arid_orbit_candidate_check,

@@ -136,11 +136,8 @@ def _oracle_mu(args) -> int:
     window = oracle.SpectralWindow(
         m_max=args.m_max, n_max=args.n_max, tol_abs=args.tol_abs, tol_rel=args.tol_rel
     )
-    reports = [
-        oracle.compare_spectra(
-            oracle.build_mu_block(args.nu, args.lam, args.cutoff), spectrum, window
-        )
-    ]
+    mu_block = oracle.build_mu_block(args.nu, args.lam, args.cutoff)
+    reports = [oracle.compare_spectra(mu_block, spectrum, window)]
     for n in range(1, args.n_max + 1):
         reports.append(
             oracle.compare_spectra(
@@ -148,8 +145,7 @@ def _oracle_mu(args) -> int:
             )
         )
     residuals = {
-        str(m): oracle.mu_block_residual(args.nu, args.lam, m, args.cutoff)
-        for m in range(-1, 2)
+        str(m): oracle.mu_block_residual(mu_block, m) for m in range(-1, 2)
     }
     passed = all(r.passed for r in reports) and all(
         v <= args.residual_tol for v in residuals.values()
@@ -251,7 +247,7 @@ def _cmd_austere(args) -> int:
     group = spectra.assemble_group_spectrum(data)
     by_family = symmetrycheck.austere_check_pf(spec)
     by_floor = symmetrycheck.austere_check_enumerated(spec, args.value_floor)
-    group_ms = symmetrycheck.EigenMultiset.from_pairs(group.entries)
+    group_ms = spectra.EigenMultiset.from_pairs(group.entries, spectra.CLUSTER_TOL)
     by_group = symmetrycheck.austere_check_finite(group_ms)
     report = {
         "family_rule": by_family,

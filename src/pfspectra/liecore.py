@@ -21,15 +21,19 @@ from .errors import DimensionError, DomainError, StructureError
 CLOSURE_TOL = 1e-10
 JACOBI_TOL = 1e-9
 SUBSPACE_GRAM_TOL = 1e-10
-PROBES = 3  # randomised Jacobi/ad-invariance probes per algebra
+PROBES = 3  # randomised probes per algebra and per Cartan decomposition
+# Largest n for so(n): a Cartan split orthonormalises dim = n(n-1)/2
+# vectors of that length, O(n^6); decompose --n 40 takes about 0.6 s and
+# 120 MB with one BLAS thread.
+MAX_SO_N = 40
 
 
 class MatrixLieAlgebra:
     """so(n) in strict-upper-triangle coordinates."""
 
     def __init__(self, n: int, ip_scale: float):
-        if n < 2:
-            raise DimensionError(f"so(n) needs n >= 2, got {n}")
+        if not 2 <= n <= MAX_SO_N:
+            raise DimensionError(f"so(n) needs 2 <= n <= {MAX_SO_N}, got {n}")
         if ip_scale <= 0:
             raise DomainError(f"ip_scale must be positive, got {ip_scale}")
         self.n = int(n)
@@ -237,21 +241,21 @@ class CartanDecomposition:
         object.__setattr__(self, "m", m)
 
     def _check_relations(self, k: Subspace, m: Subspace) -> None:
+        """[k,k] in k, [k,m] in m and [m,m] in k on random combinations.
+
+        With P^2 = I and the span check passed, X -> PXP is a bracket
+        automorphism and the relations hold; batched probes catch a wrong
+        split without bracketing every pair of basis vectors.
+        """
         alg = self.algebra
-
-        def max_leak(a: Subspace, b: Subspace, target: Subspace) -> float:
-            # Every bracket [a_i, b_j] in batched commutators, in row chunks
-            # of a that keep each temporary near 2**20 entries.
-            step = max(1, (1 << 20) // max(1, b.dim * alg.n ** 2))
-            y = alg.to_matrices(b.basis)[None]
-            worst = 0.0
-            for s in range(0, a.dim, step):
-                x = alg.to_matrices(a.basis[s:s + step])[:, None]
-                w = alg._coords(x @ y - y @ x).reshape(-1, alg.dim)
-                worst = max(worst, alg.norm(w - target.project_coords(w)).max(initial=0.0))
-            return float(worst)
-
-        checks = [max_leak(k, k, k), max_leak(k, m, m), max_leak(m, m, k)]
+        rng = np.random.default_rng(0)
+        ka, kb = rng.standard_normal((2, PROBES, k.dim)) @ k.basis
+        ma, mb = rng.standard_normal((2, PROBES, m.dim)) @ m.basis
+        checks = []
+        for a, b, target in ((ka, kb, k), (ka, ma, m), (ma, mb, k)):
+            w = alg.bracket(a, b)
+            scale = np.maximum(1.0, alg.norm(a) * alg.norm(b))
+            checks.append(float((alg.norm(w - target.project_coords(w)) / scale).max()))
         if max(checks) > CLOSURE_TOL:
             raise StructureError(
                 f"Cartan relations fail (residuals {[f'{c:.2e}' for c in checks]})"

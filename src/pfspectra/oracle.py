@@ -133,14 +133,15 @@ def build_harmonic_block(nu: float, n: int) -> TruncatedOperator:
     return TruncatedOperator(labels, mat, n)
 
 
-def mu_block_residual(nu: float, lam: float, m: int, cutoff: int) -> float:
+def mu_block_residual(op: TruncatedOperator, m: int) -> float:
     """Relative residual |A v - mu v| / |v| of the predicted eigenvector.
 
-    v is the truncated coefficient vector of the mu(nu, lam, m)
-    eigenfunction, rescaled to the orthonormal mode basis.
+    ``op`` is a ``build_mu_block`` block A, and v is the truncated
+    coefficient vector of the mu(nu, lam, m) eigenfunction for its nu and
+    lam, rescaled to the orthonormal mode basis.
     """
-    op = build_mu_block(nu, lam, cutoff)
-    c, a, b = mu_eigenfunction_coeffs(nu, lam, m, cutoff)
+    nu, lam = op.labels[0].nu, op.labels[0].lam
+    c, a, b = mu_eigenfunction_coeffs(nu, lam, m, op.cutoff)
     v = np.concatenate(([c], a / math.sqrt(2.0), b / math.sqrt(2.0)))
     val = mu(nu, lam, m)
     resid = op.matrix @ v - val * v
@@ -258,7 +259,7 @@ class CurvatureAdaptedData:
         perp = [(0.0, len(self.perp0))]
         perp += [(nu, len(ys)) for nu, ys in self.perp]
         return SubmanifoldSpectralData.from_maps(
-            freq_mult, mult0, mult, perp, self.ad.dim_m0, self.ad.dim_k0, ad=self.ad
+            freq_mult, mult0, mult, perp, self.ad.dim_m0, self.ad.dim_k0
         )
 
     # -- tangent Fourier labels and their decomposed paths ------------------------

@@ -31,6 +31,7 @@ import scipy.special
 from .errors import DomainError, PoleError, StructureError
 
 VALUE_MERGE_TOL = 1e-12
+CLUSTER_TOL = 1e-9  # default eigenvalue clustering of the austere checks
 # Largest enumeration (rows or (value, mult) pairs) and trace sum (terms
 # over all mu families) one call may ask for; each is counted in closed
 # form before anything is allocated.
@@ -94,11 +95,39 @@ def cluster_indices(values, tol: float):
     return groups
 
 
-def _merge_keyed(pairs, key_tol=1e-12):
-    """Merge (key, mult) pairs whose keys agree within key_tol; keep the first key."""
-    pairs = list(pairs)
-    groups = cluster_indices([k for k, _ in pairs], key_tol)
-    return [(pairs[g[0]][0], sum(pairs[i][1] for i in g)) for g in groups]
+@dataclass(frozen=True)
+class EigenMultiset:
+    """Distinct eigenvalues with positive integer multiplicities."""
+
+    entries: tuple  # ((value, mult), ...) sorted by value
+
+    @classmethod
+    def from_pairs(cls, pairs, tol: float = CLUSTER_TOL) -> "EigenMultiset":
+        """Cluster (value, mult) pairs; no multiplicity is expanded.
+
+        Values group by ``cluster_indices`` and each group's multiplicities
+        add up.  A group of equal values (a single pair included) keeps that
+        value exactly; any other group takes the multiplicity-weighted mean.
+        """
+        pairs = [(float(v), int(m)) for v, m in pairs]
+        if any(m < 1 for _, m in pairs):
+            raise DomainError("multiplicities must be positive")
+        vals = np.array([v for v, _ in pairs])
+        entries = []
+        for g in cluster_indices(vals, tol):
+            v = vals[g]
+            # Weights scaled to at most 1 cannot overflow, and equal weights
+            # give the plain mean bit for bit.
+            w = np.array([pairs[i][1] for i in g], dtype=float)
+            value = v[0] if (v == v[0]).all() else np.average(v, weights=w / w.max())
+            entries.append((float(value), sum(pairs[i][1] for i in g)))
+        return cls(tuple(entries))
+
+    def total(self) -> int:
+        return sum(m for _, m in self.entries)
+
+    def to_json(self) -> dict:
+        return {"entries": [[v, m] for v, m in self.entries]}
 
 
 @dataclass(frozen=True)
@@ -109,6 +138,8 @@ class SubmanifoldSpectralData:
     multiplicities m(nu); ``mult0`` maps lambda -> m(0, lambda) (ad-kernel
     tangent directions), ``mult`` maps (nu, lambda) -> m(nu, lambda), and
     ``perp`` maps nu (including 0) -> m(nu, perp) for normal directions.
+    A frequency appears at most once in ``freq_mult`` and in ``perp``, and
+    every positive frequency of ``mult`` and ``perp`` is in ``freq_mult``.
     """
 
     freq_mult: tuple  # ((nu, m(nu)), ...) nu > 0 descending
@@ -117,13 +148,21 @@ class SubmanifoldSpectralData:
     perp: tuple  # ((nu, mult), ...) including nu = 0
     dim_m0: int
     dim_k0: int
-    ad: object = None  # optional AdEigenstructure backing this data
 
     def __post_init__(self):
+        for name, rows in (("freq_mult", self.freq_mult), ("perp", self.perp)):
+            nus = sorted(nu for nu, _ in rows)
+            repeated = [a for a, b in zip(nus, nus[1:]) if a == b]
+            if repeated:
+                raise DomainError(f"{name} lists frequency nu={repeated[0]:.6g} more than once")
         freq = {nu: m for nu, m in self.freq_mult}
         if any(nu <= 0 for nu in freq):
             raise DomainError("freq_mult must only contain positive frequencies")
         perp = dict(self.perp)
+        unlisted = {nu for nu, _, _ in self.mult} | {nu for nu in perp if nu != 0.0}
+        unlisted -= freq.keys()
+        if unlisted:
+            raise StructureError(f"block nu={min(unlisted):.6g} has no freq_mult entry")
         tangent_by_nu = {}
         for nu, lam, m in self.mult:
             if m < 0:
@@ -144,7 +183,7 @@ class SubmanifoldSpectralData:
             )
 
     @classmethod
-    def from_maps(cls, freq_mult, mult0, mult, perp, dim_m0, dim_k0, ad=None):
+    def from_maps(cls, freq_mult, mult0, mult, perp, dim_m0, dim_k0):
         return cls(
             tuple(sorted(((float(n), int(m)) for n, m in freq_mult), reverse=True)),
             tuple(sorted((float(l), int(m)) for l, m in mult0)),
@@ -152,11 +191,10 @@ class SubmanifoldSpectralData:
             tuple(sorted((float(n), int(m)) for n, m in perp)),
             int(dim_m0),
             int(dim_k0),
-            ad,
         )
 
     @classmethod
-    def sphere_like(cls, nu, lam_mults, codim, dim_k0, ad=None):
+    def sphere_like(cls, nu, lam_mults, codim, dim_k0):
         """Rank-one data: single frequency, all tangent directions at that nu.
 
         ``lam_mults`` lists (lambda, mult) of the base shape operator; the
@@ -165,7 +203,7 @@ class SubmanifoldSpectralData:
         """
         if codim < 1:
             raise DomainError("codimension must be at least 1")
-        lam_mults = _merge_keyed(lam_mults)
+        lam_mults = EigenMultiset.from_pairs(lam_mults, VALUE_MERGE_TOL).entries
         m_nu = sum(m for _, m in lam_mults) + (codim - 1)
         return cls.from_maps(
             freq_mult=[(nu, m_nu)],
@@ -174,13 +212,12 @@ class SubmanifoldSpectralData:
             perp=[(0.0, 1), (nu, codim - 1)],
             dim_m0=1,
             dim_k0=dim_k0,
-            ad=ad,
         )
 
     def lambdas(self):
         """All distinct base eigenvalues appearing in any block."""
         vals = [l for l, _ in self.mult0] + [l for _, l, _ in self.mult]
-        return [k for k, _ in _merge_keyed((v, 0) for v in vals)]
+        return [vals[g[0]] for g in cluster_indices(vals, VALUE_MERGE_TOL)]
 
     def to_json(self) -> dict:
         return {
@@ -262,19 +299,6 @@ class MuFamily:
         return {"kind": "mu", "nu": self.nu, "lambda": self.lam, "mult": self.mult}
 
 
-def _family_from_json(d: dict):
-    kind = d.get("kind")
-    if kind == "zero":
-        return ZeroFamily()
-    if kind == "lambda":
-        return LambdaFamily(float(d["lambda"]), int(d["mult"]))
-    if kind == "harmonic":
-        return HarmonicFamily(float(d["nu"]), int(d["mult"]))
-    if kind == "mu":
-        return MuFamily(float(d["nu"]), float(d["lambda"]), int(d["mult"]))
-    raise DomainError(f"unknown family kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class PrincipalSpectrum:
     """The full principal-curvature spectrum, organized by family."""
@@ -291,10 +315,6 @@ class PrincipalSpectrum:
 
     def to_json(self) -> dict:
         return {"families": [f.to_json() for f in self.families]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PrincipalSpectrum":
-        return cls(tuple(_family_from_json(d) for d in data["families"]))
 
 
 def assemble_pf_spectrum(data: SubmanifoldSpectralData) -> PrincipalSpectrum:
@@ -318,8 +338,7 @@ def assemble_pf_spectrum(data: SubmanifoldSpectralData) -> PrincipalSpectrum:
     return PrincipalSpectrum(tuple(fams))
 
 
-@dataclass(frozen=True)
-class GroupSpectrum:
+def assemble_group_spectrum(data: SubmanifoldSpectralData) -> EigenMultiset:
     """Finite spectrum of the group-level preimage: {0, lambda, kappa_pm}.
 
     The multiplicity of 0 counts the zero-modes inside the tangent space
@@ -327,22 +346,6 @@ class GroupSpectrum:
     paired x-partners of normal y's).  Ad-kernel normal directions are not
     tangent to the preimage and therefore contribute nothing.
     """
-
-    entries: tuple  # ((value, mult), ...) sorted by value
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def to_json(self) -> dict:
-        return {"entries": [[v, m] for v, m in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupSpectrum":
-        return cls(tuple((float(v), int(m)) for v, m in data["entries"]))
-
-
-def assemble_group_spectrum(data: SubmanifoldSpectralData) -> GroupSpectrum:
-    """Group-level eigenvalues {0, lambda, kappa_pm(nu, lambda)} with counts."""
     pairs = []
     zero_mult = data.dim_k0 + sum(m for nu, m in data.perp if nu > 0)
     if zero_mult > 0:
@@ -355,7 +358,7 @@ def assemble_group_spectrum(data: SubmanifoldSpectralData) -> GroupSpectrum:
             kp, km = kappa(nu, lam)
             pairs.append((kp, m))
             pairs.append((km, m))
-    return GroupSpectrum(tuple(_merge_keyed(pairs, VALUE_MERGE_TOL)))
+    return EigenMultiset.from_pairs(pairs, VALUE_MERGE_TOL)
 
 
 # ---------------------------------------------------------------------------

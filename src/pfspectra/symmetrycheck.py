@@ -23,52 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, StructureError
-from .spectra import PrincipalSpectrum, cluster_indices, enumerate_by_floor
+from .spectra import (
+    CLUSTER_TOL,
+    EigenMultiset,
+    PrincipalSpectrum,
+    cluster_indices,
+    enumerate_by_floor,
+)
 
-CLUSTER_TOL = 1e-9
 MAX_SO9_GRID = 10_000  # samples on the normal circle of the SO(9) orbit
-
-
-@dataclass(frozen=True)
-class EigenMultiset:
-    """Distinct eigenvalues with positive integer multiplicities."""
-
-    entries: tuple  # ((value, mult), ...) sorted by value
-
-    def __post_init__(self):
-        for _, m in self.entries:
-            if m < 1:
-                raise DomainError("multiplicities must be positive")
-
-    @classmethod
-    def from_values(cls, values, tol: float = CLUSTER_TOL) -> "EigenMultiset":
-        """Cluster raw eigenvalues into (value, mult) entries.
-
-        Values within tol * max(1, |v|) of their cluster's smallest value
-        collapse to the cluster mean (see ``spectra.cluster_indices``).
-        """
-        vals = np.asarray(values, dtype=float)
-        groups = cluster_indices(vals, tol)
-        return cls(tuple((float(np.mean(vals[g])), len(g)) for g in groups))
-
-    @classmethod
-    def from_pairs(cls, pairs, tol: float = CLUSTER_TOL) -> "EigenMultiset":
-        values = []
-        for v, m in pairs:
-            if int(m) < 1:
-                raise DomainError("multiplicities must be positive")
-            values.extend([float(v)] * int(m))
-        return cls.from_values(values, tol)
-
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def to_json(self) -> dict:
-        return {"entries": [[v, m] for v, m in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EigenMultiset":
-        return cls(tuple(sorted((float(v), int(m)) for v, m in data["entries"])))
 
 
 def austere_check_finite(ms: EigenMultiset, tol: float = CLUSTER_TOL) -> bool:
@@ -239,7 +202,7 @@ def product_sphere_austere(
     all_ok = True
     for a in normals:
         eig = np.linalg.eigvalsh(product_sphere_shape(m, n, a))
-        ms = EigenMultiset.from_values(eig, cluster_tol)
+        ms = EigenMultiset.from_pairs([(v, 1) for v in eig], cluster_tol)
         ok = austere_check_finite(ms, cluster_tol)
         all_ok &= ok
         details.append({"normal": list(np.asarray(a, dtype=float)), "austere": ok,

@@ -116,8 +116,9 @@ def test_criterion_02_raw_formula_equivalence_on_every_label():
 
 def test_criterion_03_eigenfunction_residuals():
     for nu, lam in SPECTRUM_PAIRS:
+        block = build_mu_block(nu, lam, 400)
         for m in (-1, 0, 1):
-            resid = mu_block_residual(nu, lam, m, 400)
+            resid = mu_block_residual(block, m)
             assert resid <= 5e-3, (nu, lam, m, resid)
     print("criterion 3: PASS — eigenfunction residuals under 5e-3 at cutoff 400")
 

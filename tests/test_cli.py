@@ -273,6 +273,7 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("trace", "--data", DATA, "--m-cut", "1000000000"), "trace sum asks for"),
         (("oracle", "--cutoff", "100000"), "cutoff must be between 1 and 1000"),
         (("oracle", "--m-max", "-1"), "window m_max and n_max must be between 0 and 1000"),
+        (("decompose", "--n", "41"), "so(n) needs 2 <= n <= 40"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
@@ -293,6 +294,38 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, token):
     assert out == ""
     assert err.startswith("input error:") and f"non-finite number {token}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+# A repeated frequency would be read once by the block-total check but twice
+# by the assembly: three directions in a block whose m(nu) is 2.
+REPEATED_FREQUENCY_DOCS = {
+    "perp": {"freq_mult": [[1.0, 2]], "mult0": [], "mult": [[1.0, 0.5, 1]],
+             "perp": [[0.0, 1], [1.0, 1], [1.0, 1]], "dim_m0": 1, "dim_k0": 0},
+    "freq_mult": {"freq_mult": [[1.0, 3], [1.0, 2]], "mult0": [], "mult": [[1.0, 0.5, 1]],
+                  "perp": [[0.0, 1], [1.0, 1]], "dim_m0": 1, "dim_k0": 0},
+}
+
+
+@pytest.mark.parametrize("field", sorted(REPEATED_FREQUENCY_DOCS))
+def test_repeated_frequencies_are_input_errors(tmp_path, capsys, field):
+    path = write_json(tmp_path, "data.json", REPEATED_FREQUENCY_DOCS[field])
+    code, out, err = run_cli(capsys, "spectrum", "--data", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and f"{field} lists frequency nu=1 more than once" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_austere_does_not_expand_multiplicities(tmp_path, capsys):
+    # 2e12 + 1 directions: expanding them into floats would exhaust memory.
+    big = 10**12
+    doc = {"freq_mult": [], "mult0": [[0.5, big], [-0.5, big]], "mult": [],
+           "perp": [[0.0, 1]], "dim_m0": 2 * big + 1, "dim_k0": 0}
+    path = write_json(tmp_path, "data.json", doc)
+    code, out, err = run_cli(capsys, "austere", "--data", path)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["austere"] and report["enumeration"] and report["group_multiset"]
 
 
 def test_integers_too_large_for_a_float_are_input_errors(tmp_path, capsys):

@@ -15,6 +15,7 @@ from pfspectra import (
     gram_schmidt,
     so_pair_index,
 )
+from pfspectra.liecore import MAX_SO_N
 
 ORTHO_TOL = 1e-12
 BRACKET_TOL = 1e-12
@@ -43,6 +44,12 @@ def test_build_so_dimensions():
 def test_build_so_rejects_small_n():
     with pytest.raises(DimensionError):
         build_so(1)
+
+
+def test_build_so_rejects_large_n():
+    build_so(MAX_SO_N)
+    with pytest.raises(DimensionError, match=f"n <= {MAX_SO_N}"):
+        build_so(MAX_SO_N + 1)
 
 
 def test_build_so_rejects_bad_scale():
@@ -263,6 +270,33 @@ class TestCartanSphere:
         assert self.cd.k.contains(br(k1, k2))
         assert self.cd.m.contains(br(k1, m1))
         assert self.cd.k.contains(br(m1, m2))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_cartan_relations_hold_on_every_basis_pair(p):
+    # The decomposition itself only probes random combinations.
+    n = 6
+    alg = build_so(n)
+    cd = cartan_decompose(alg, np.diag([1.0] * p + [-1.0] * (n - p)))
+    k, m = cd.k.basis, cd.m.basis
+    for a, b, target in ((k, k, cd.k), (k, m, cd.m), (m, m, cd.k)):
+        w = alg.bracket(a[:, None], b[None]).reshape(-1, alg.dim)
+        leak = alg.norm(w - target.project_coords(w))
+        assert leak.max(initial=0.0) <= BRACKET_TOL
+
+
+def test_cartan_relation_probes_catch_a_wrong_split():
+    alg = build_so(6)
+    cd = cartan_decompose(alg, np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
+    with pytest.raises(StructureError, match="Cartan relations fail"):
+        cd._check_relations(cd.m, cd.k)
+    # Rotating one k vector slightly into m keeps k and m orthonormal
+    # complements, but breaks the relations.
+    k, m = cd.k.basis.copy(), cd.m.basis.copy()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    k[0], m[0] = c * k[0] + s * m[0], c * m[0] - s * k[0]
+    with pytest.raises(StructureError, match="Cartan relations fail"):
+        cd._check_relations(Subspace(alg, k), Subspace(alg, m))
 
 
 def test_cartan_rejects_non_involution():

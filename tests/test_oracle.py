@@ -81,8 +81,8 @@ def test_truncated_operator_validates_input():
 
 
 def test_mu_block_residual_decreases_with_cutoff():
-    r50 = mu_block_residual(1.0, 0.5, 0, 50)
-    r200 = mu_block_residual(1.0, 0.5, 0, 200)
+    r50 = mu_block_residual(build_mu_block(1.0, 0.5, 50), 0)
+    r200 = mu_block_residual(build_mu_block(1.0, 0.5, 200), 0)
     assert r200 < r50
     assert r200 <= 1e-2
 

@@ -47,8 +47,13 @@ SWAP_ACTIONS = {
 # -------------------------------------------------------------- multisets
 
 
+def simple(values):
+    """Multiset of values that each have multiplicity one."""
+    return EigenMultiset.from_pairs([(v, 1) for v in values])
+
+
 def test_multiset_clusters_nearby_values():
-    ms = EigenMultiset.from_values([1.0, 1.0 + 1e-12, -2.0, -2.0, 0.5])
+    ms = simple([1.0, 1.0 + 1e-12, -2.0, -2.0, 0.5])
     assert ms.total() == 5
     assert len(ms.entries) == 3
     counts = dict(ms.entries)
@@ -58,16 +63,26 @@ def test_multiset_clusters_nearby_values():
     tol = CLUSTER_TOL
     for head in (0.5, -0.5, 1000.0, -1000.0 - 0.9e-6):
         step = tol * max(1.0, abs(head))
-        assert len(EigenMultiset.from_values([head, head + 0.9 * step]).entries) == 1
-        assert len(EigenMultiset.from_values([head, head + 1.1 * step]).entries) == 2
+        assert len(simple([head, head + 0.9 * step]).entries) == 1
+        assert len(simple([head, head + 1.1 * step]).entries) == 2
     # The head stays fixed: a chain of small steps still splits.
-    chain = EigenMultiset.from_values([0.0, 0.6 * tol, 1.2 * tol])
+    chain = simple([0.0, 0.6 * tol, 1.2 * tol])
     assert [m for _, m in chain.entries] == [2, 1]
 
 
-def test_multiset_json_round_trip():
-    ms = EigenMultiset.from_pairs([(0.5, 2), (-0.5, 2)])
-    assert EigenMultiset.from_json(ms.to_json()).entries == ms.entries
+def test_multiset_keeps_exact_values_and_weights_means():
+    # Singletons and groups of equal values keep their value bit for bit,
+    # whatever the multiplicities; the summed multiplicity is never expanded.
+    third = 1.0 / 3.0
+    ms = EigenMultiset.from_pairs([(third, 7), (-0.1, 1), (third, 10**12), (2.0 / 3.0, 3)])
+    assert ms.entries == ((-0.1, 1), (third, 10**12 + 7), (2.0 / 3.0, 3))
+    # A group of distinct values takes the multiplicity-weighted mean; with
+    # multiplicity one that is the plain mean.
+    tol = CLUSTER_TOL
+    (value, mult), = EigenMultiset.from_pairs([(0.5, 3), (0.5 + 0.4 * tol, 1)]).entries
+    assert mult == 4 and value == pytest.approx(0.5 + 0.1 * tol, abs=1e-18)
+    values = [0.25, 0.25 + 0.3 * tol, 0.25 + 0.7 * tol]
+    assert simple(values).entries == ((float(np.mean(values)), 3),)
 
 
 def test_multiset_rejects_bad_multiplicity():
