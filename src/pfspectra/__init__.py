@@ -105,10 +105,12 @@ from .transport import (
     CosetPoint,
     PathGrid,
     TransportSolution,
+    check_transport_work,
     compose_group_paths,
     coset_log,
     differentiate_path,
     equivariance_residual,
+    equivariance_residuals,
     fiber_tangent_residual,
     gauge_act,
     phi_k,

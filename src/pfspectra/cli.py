@@ -40,6 +40,26 @@ def _add_format(parser, choices=("json", "csv", "table")) -> None:
     parser.add_argument("--format", choices=list(choices), default="json")
 
 
+def _real(flag: str, positive: bool = False):
+    """argparse type of a float flag: a finite number, positive if asked.
+
+    It raises FormatError rather than ValueError, so argparse lets it
+    through and main reports it as a one-line input error.
+    """
+    need = "a positive finite number" if positive else "a finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            raise FormatError(f"{flag} needs {need}, got {text!r}")
+        return value
+
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -294,24 +314,48 @@ def _cmd_trace(args) -> int:
 # Smallest matrix size each transport check can run at: the order check
 # needs a nonzero so(n) element, the fiber check a nonzero k in so(n-1).
 _TRANSPORT_MIN_N = {"equivariance": 1, "order": 2, "fiber": 3}
+# The order check runs its own grids, one constant path on each.
+_ORDER_INTERVALS = (32, 64, 128)
+# The size flags each check reads, with their defaults; it refuses the others.
+_TRANSPORT_FLAGS = {"order": {}, "equivariance": {"grid": 256, "samples": 10},
+                    "fiber": {"grid": 256}}
 
 
-def _cmd_transport(args) -> int:
+def _transport_sizes(args) -> None:
+    """Validate the size flags of a transport check, fill in the defaults
+    of the flags it reads, refuse the flags it ignores, and refuse work
+    beyond the module limits before anything is allocated."""
     min_n = _TRANSPORT_MIN_N[args.check]
     if args.n < min_n:
         raise DomainError(f"transport --check {args.check} needs --n >= {min_n}, got {args.n}")
     min_grid = transport.MIN_TRANSPORT_NODES - 1
-    if args.grid < min_grid:
+    if args.grid is not None and args.grid < min_grid:
         raise DomainError(f"transport needs --grid >= {min_grid}, got {args.grid}")
+    reads = _TRANSPORT_FLAGS[args.check]
+    for flag in ("grid", "samples"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise DomainError(f"transport --check {args.check} takes no --{flag}")
+    # every path the check integrates: order one per grid (counted at the
+    # largest), equivariance a gauged and a plain path per sample, fiber two
+    if args.check == "order":
+        transport.check_transport_work(len(_ORDER_INTERVALS), _ORDER_INTERVALS[-1] + 1, args.n)
+    else:
+        paths = 2 * args.samples if args.check == "equivariance" else 2
+        transport.check_transport_work(paths, args.grid + 1, args.n)
+
+
+def _cmd_transport(args) -> int:
+    _transport_sizes(args)
     rng = np.random.default_rng(args.seed)
-    nodes = args.grid + 1
     if args.check == "order":
         raw = rng.standard_normal((args.n, args.n))
         x = 0.5 * (raw - raw.T)
         x *= math.pi / max(np.abs(np.linalg.eigvals(x).imag).max(), 1e-12)
         target = expm(x)
         errs = []
-        for intervals in (32, 64, 128):
+        for intervals in _ORDER_INTERVALS:
             path = transport.PathGrid.constant(x, intervals + 1, "algebra")
             errs.append(
                 float(np.linalg.norm(transport.transport_endpoint(path) - target))
@@ -325,11 +369,13 @@ def _cmd_transport(args) -> int:
             "passed": bool(passed),
         }
     elif args.check == "equivariance":
-        worst = 0.0
-        for _ in range(args.samples):
+        nodes = args.grid + 1
+
+        def draw():
             g = transport.random_group_path(args.n, nodes, rng)
-            u = transport.random_algebra_path(args.n, nodes, rng)
-            worst = max(worst, transport.equivariance_residual(g, u))
+            return g, transport.random_algebra_path(args.n, nodes, rng)
+
+        worst = max(transport.equivariance_residuals(draw, args.samples))
         passed = worst <= args.tol
         report = {
             "check": "equivariance",
@@ -340,6 +386,7 @@ def _cmd_transport(args) -> int:
             "passed": bool(passed),
         }
     else:  # fiber
+        nodes = args.grid + 1
         cd = oracle.sphere_pair(args.n - 1)
         alg = cd.algebra
         raw = rng.standard_normal(cd.k.dim) @ cd.k.basis
@@ -474,14 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="independent numerical cross-checks")
     p.add_argument("--mode", choices=["mu", "group", "forms"], default="mu")
-    p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--nu", type=_real("--nu"), default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_real("--lambda"), default=0.0)
     p.add_argument("--cutoff", type=int, default=400)
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--tol-rel", type=float, default=1e-2)
-    p.add_argument("--tol-abs", type=float, default=None)
-    p.add_argument("--residual-tol", type=float, default=5e-3)
+    p.add_argument("--tol-rel", type=_real("--tol-rel", positive=True), default=1e-2)
+    p.add_argument("--tol-abs", type=_real("--tol-abs", positive=True), default=None)
+    p.add_argument("--residual-tol", type=_real("--residual-tol", positive=True),
+                   default=5e-3)
     p.add_argument("--l", type=int, default=4, help="sphere size for group/forms")
     p.add_argument("--grid", type=int, default=1024)
     p.add_argument("--samples", type=int, default=20)
@@ -491,25 +539,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("austere", help="negation-invariance of a spectrum")
     p.add_argument("--data", required=True)
-    p.add_argument("--value-floor", type=float, default=0.05)
+    p.add_argument("--value-floor", type=_real("--value-floor", positive=True), default=0.05)
     _add_format(p, ("json",))
     p.set_defaults(fn=_cmd_austere)
 
     p = sub.add_parser("trace", help="regularized trace identities")
     p.add_argument("--data", required=True)
     p.add_argument("--m-cut", type=int, default=10000)
-    p.add_argument("--probes", type=float, nargs="+", default=[1.1, 1.01, 1.001])
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--probes", type=_real("--probes"), nargs="+", default=[1.1, 1.01, 1.001])
+    p.add_argument("--tol", type=_real("--tol", positive=True), default=1e-3)
     _add_format(p, ("json",))
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("transport", help="frame ODE and gauge-action checks")
     p.add_argument("--check", choices=["equivariance", "fiber", "order"],
                    required=True)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=int, help="intervals (equivariance, fiber; default 256)")
     p.add_argument("--n", type=int, default=4, help="matrix size")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--samples", type=int, help="path pairs (equivariance; default 10)")
+    p.add_argument("--tol", type=_real("--tol", positive=True), default=1e-6)
     p.add_argument("--seed", type=int, default=7)
     _add_format(p, ("json",))
     p.set_defaults(fn=_cmd_transport)
@@ -540,14 +588,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "tol_abs", 0) is None:
-        # exact families and the group oracle are absolute; the raw-form
-        # route carries quadrature error and gets a looser default
-        args.tol_abs = {"mu": 1e-12, "group": 1e-8, "forms": 1e-6}[args.mode]
     try:
-        if getattr(args, "samples", 1) < 1:
-            raise DomainError(f"--samples must be at least 1, got {args.samples}")
+        args = parser.parse_args(argv)
+        if getattr(args, "tol_abs", 0) is None:
+            # exact families and the group oracle are absolute; the raw-form
+            # route carries quadrature error and gets a looser default
+            args.tol_abs = {"mu": 1e-12, "group": 1e-8, "forms": 1e-6}[args.mode]
+        samples = getattr(args, "samples", None)
+        if samples is not None and samples < 1:
+            raise DomainError(f"--samples must be at least 1, got {samples}")
         return args.fn(args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,13 +1,17 @@
 """Discretized paths in an orthogonal group and its Lie algebra.
 
-Paths on [0, 1] are sampled at uniform nodes.  The central objects are the
-frame ODE E' = E u (solved by classical RK4 with per-step polar
-re-orthogonalization), its endpoint map u -> E(1), and the gauge action
+Paths on [0, 1] are sampled at uniform nodes, one path as a (nodes, n, n)
+array or a stack of paths on a common grid as (paths, nodes, n, n).  The
+central objects are the frame ODE E' = E u (solved by classical RK4 with
+per-step polar re-orthogonalization, for a whole stack in one loop), its
+endpoint map u -> E(1), and the gauge action
 
     (g, u) -> g u g^{-1} - g' g^{-1}
 
 under which the endpoint transforms by left/right translation.  Group
-values live in O(n), so inverses are transposes throughout.
+values live in O(n), so inverses are transposes throughout.  Stencils,
+products and checks act on the last three axes, so every function that
+takes a path also takes a stack.
 
 Coset charts: given a decomposition g = k (+) m, group elements near the
 identity factor as exp(xi) * (element of exp(k)) with xi in m; the
@@ -24,11 +28,14 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .errors import ChartError, DimensionError, DomainError
-from .liecore import CartanDecomposition, MatrixLieAlgebra
+from .liecore import MAX_SO_N, CartanDecomposition, MatrixLieAlgebra
 
 GRID_VALUE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 MIN_TRANSPORT_NODES = 16
+MAX_TRANSPORT_N = MAX_SO_N  # matrix size; the fiber check builds so(n)
+MAX_TRANSPORT_ENTRIES = 4_000_000  # matrix entries of one stack of paths
+MAX_TRANSPORT_STEPS = 250_000  # RK4 steps, one per path and interval
 CHART_RADIUS = math.pi / 2.0
 FIBER_EPS = 1e-5
 
@@ -36,50 +43,75 @@ _MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _MID_RIGHT = _MID_LEFT[::-1].copy()
 
+# The solver interpolates midpoints and checks frames for this many steps
+# at a time, so it never holds a second copy of a whole stack.
+_STEP_BLOCK = 64
+
 _D1_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
+def _max_abs(residual: np.ndarray) -> float:
+    """Entrywise max norm, computed in place in a scratch residual."""
+    return float(np.abs(residual, out=residual).max())
+
+
+def _orthogonality_drift(frames: np.ndarray) -> float:
+    """max |E^T E - I| over a matrix or a stack of matrices."""
+    gram = frames.mT @ frames
+    gram -= np.eye(frames.shape[-1])
+    return _max_abs(gram)
+
+
 @dataclass(frozen=True)
 class PathGrid:
-    """Uniformly sampled matrix path on [0, 1].
+    """Uniformly sampled matrix path on [0, 1], or a stack of such paths.
 
-    kind "algebra" holds skew matrices (Lie-algebra values); kind "group"
-    holds orthogonal matrices.  Both are checked on construction to within
-    1e-8 in entrywise max norm.
+    values is (nodes, n, n) for one path, (paths, nodes, n, n) for a stack
+    on a common grid; ``nodes`` is always the node count.  kind "algebra"
+    holds skew matrices (Lie-algebra values); kind "group" holds orthogonal
+    matrices.  Every member is checked on construction to within 1e-8 in
+    entrywise max norm.  The values are read-only: a read-only float array
+    is kept as it is, anything else is copied once.
     """
 
-    values: np.ndarray  # (nodes, n, n)
+    values: np.ndarray  # ([paths,] nodes, n, n)
     kind: str
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
-            raise DimensionError(f"path values must be (nodes, n, n), got {vals.shape}")
-        if vals.shape[0] < 2:
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == float
+                and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float)
+            vals.setflags(write=False)
+            object.__setattr__(self, "values", vals)
+        if vals.ndim not in (3, 4) or vals.shape[-1] != vals.shape[-2]:
+            raise DimensionError(
+                f"path values must be ([paths,] nodes, n, n), got {vals.shape}"
+            )
+        if vals.shape[-3] < 2:
             raise DomainError("a path needs at least 2 nodes")
+        # one path at a time, so the scratch residual is one path long
+        paths = vals if vals.ndim == 4 else (vals,)
         if self.kind == "algebra":
-            drift = np.abs(vals + np.swapaxes(vals, 1, 2)).max()
-            if drift > GRID_VALUE_TOL:
+            drift = np.max([_max_abs(path + path.mT) for path in paths])
+            if not drift <= GRID_VALUE_TOL:
                 raise DomainError(f"algebra path is not skew-symmetric (drift {drift:.3e})")
         elif self.kind == "group":
-            eye = np.eye(vals.shape[1])
-            drift = np.abs(np.swapaxes(vals, 1, 2) @ vals - eye).max()
-            if drift > GRID_VALUE_TOL:
+            drift = np.max([_orthogonality_drift(path) for path in paths])
+            if not drift <= GRID_VALUE_TOL:
                 raise DomainError(f"group path is not orthogonal (drift {drift:.3e})")
         else:
             raise DomainError(f"unknown path kind {self.kind!r}")
 
     @property
     def nodes(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     @property
     def matrix_dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def step(self) -> float:
@@ -93,12 +125,33 @@ class PathGrid:
     def sample(cls, fn, nodes: int, kind: str) -> "PathGrid":
         """Evaluate a matrix-valued callable at the uniform nodes."""
         ts = np.linspace(0.0, 1.0, nodes)
-        return cls(np.array([fn(t) for t in ts]), kind)
+        return cls(_frozen(np.array([fn(t) for t in ts], dtype=float)), kind)
 
     @classmethod
     def constant(cls, matrix: np.ndarray, nodes: int, kind: str) -> "PathGrid":
-        mat = np.asarray(matrix, dtype=float)
-        return cls(np.broadcast_to(mat, (nodes,) + mat.shape).copy(), kind)
+        mat = np.array(matrix, dtype=float)
+        return cls(np.broadcast_to(mat, (nodes,) + mat.shape), kind)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so PathGrid keeps it uncopied."""
+    arr.setflags(write=False)
+    return arr
+
+
+def check_transport_work(paths: int, nodes: int, n: int) -> None:
+    """Refuse, before anything is allocated, transport of ``paths`` paths
+    of ``nodes`` n x n matrices beyond the module limits."""
+    if not 1 <= n <= MAX_TRANSPORT_N:
+        raise DomainError(f"transport needs a matrix size 1 <= n <= {MAX_TRANSPORT_N}, got {n}")
+    entries = paths * nodes * n * n
+    if entries > MAX_TRANSPORT_ENTRIES:
+        raise DomainError(f"transport asks for {entries:.3g} path entries, "
+                          f"more than the limit of {MAX_TRANSPORT_ENTRIES}")
+    steps = paths * (nodes - 1)
+    if steps > MAX_TRANSPORT_STEPS:
+        raise DomainError(f"transport asks for {steps:.3g} RK4 steps, "
+                          f"more than the limit of {MAX_TRANSPORT_STEPS}")
 
 
 def _require_same_grid(g: PathGrid, u: PathGrid) -> None:
@@ -108,26 +161,37 @@ def _require_same_grid(g: PathGrid, u: PathGrid) -> None:
         )
 
 
+def _combine(weights: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
+    """out = sum_c weights[c] * terms[c], accumulated in term order."""
+    np.multiply(weights[0], terms[0], out=out)
+    for w, term in zip(weights[1:], terms[1:]):
+        out += w * term
+    return out
+
+
 def differentiate_path(path: PathGrid) -> np.ndarray:
     """Nodewise derivative by 4th-order finite differences.
 
     Central five-point stencil inside, one-sided five-point stencils at the
-    two nodes nearest each endpoint.
+    two nodes nearest each endpoint.  Each stencil is a weighted sum of
+    shifted node slices, so a stack is differentiated without copies of it.
     """
     vals = path.values
     nodes = path.nodes
     if nodes < 5:
         raise DomainError("4th-order differentiation needs at least 5 nodes")
-    h = path.step
-    out = np.empty_like(vals)
-    out[2:-2] = (
-        np.einsum("c,cnij->nij", _D1_CENTRAL, np.stack(
-            [vals[0:-4], vals[1:-3], vals[2:-2], vals[3:-1], vals[4:]]))
-    ) / h
-    out[0] = np.einsum("c,cij->ij", _D1_EDGE0, vals[0:5]) / h
-    out[1] = np.einsum("c,cij->ij", _D1_EDGE1, vals[0:5]) / h
-    out[-2] = -np.einsum("c,cij->ij", _D1_EDGE1, vals[-1:-6:-1]) / h
-    out[-1] = -np.einsum("c,cij->ij", _D1_EDGE0, vals[-1:-6:-1]) / h
+    out = np.empty(vals.shape)
+    inner = nodes - 4
+    _combine(_D1_CENTRAL, [vals[..., c:c + inner, :, :] for c in range(5)],
+             out[..., 2:-2, :, :])
+    head = [vals[..., c, :, :] for c in range(5)]
+    tail = [vals[..., -1 - c, :, :] for c in range(5)]
+    _combine(_D1_EDGE0, head, out[..., 0, :, :])
+    _combine(_D1_EDGE1, head, out[..., 1, :, :])
+    _combine(_D1_EDGE1, tail, out[..., -2, :, :])
+    _combine(_D1_EDGE0, tail, out[..., -1, :, :])
+    np.negative(out[..., -2:, :, :], out=out[..., -2:, :, :])
+    out /= path.step
     return out
 
 
@@ -137,10 +201,10 @@ def gauge_act(g: PathGrid, u: PathGrid) -> PathGrid:
         raise DomainError("gauge_act needs a group path acting on an algebra path")
     _require_same_grid(g, u)
     gp = differentiate_path(g)
-    gt = np.swapaxes(g.values, 1, 2)
+    gt = g.values.mT
     out = g.values @ u.values @ gt - gp @ gt
-    out = 0.5 * (out - np.swapaxes(out, 1, 2))
-    return PathGrid(out, "algebra")
+    out = 0.5 * (out - out.mT)
+    return PathGrid(_frozen(out), "algebra")
 
 
 def compose_group_paths(g: PathGrid, h: PathGrid) -> PathGrid:
@@ -148,50 +212,60 @@ def compose_group_paths(g: PathGrid, h: PathGrid) -> PathGrid:
     if g.kind != "group" or h.kind != "group":
         raise DomainError("both factors must be group paths")
     _require_same_grid(g, h)
-    return PathGrid(g.values @ h.values, "group")
+    return PathGrid(_frozen(g.values @ h.values), "group")
 
 
 def polar_project(x: np.ndarray) -> np.ndarray:
-    """Two Newton steps toward the orthogonal polar factor of x."""
-    eye = np.eye(x.shape[-1])
+    """Two Newton steps toward the orthogonal polar factor of x (or of
+    each matrix of a stack)."""
+    return _newton_polar(x, 1.5 * np.eye(x.shape[-1]))
+
+
+def _newton_polar(x: np.ndarray, eye15: np.ndarray) -> np.ndarray:
     for _ in range(2):
-        x = x @ (1.5 * eye - 0.5 * (x.T @ x))
+        x = x @ (eye15 - 0.5 * (x.mT @ x))
     return x
 
 
-def _midpoint_samples(vals: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of node values to interval midpoints.
+def _midpoint_samples(vals: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Cubic interpolation of node values to the midpoints of the intervals
+    start..stop-1; the node axis comes first in vals and in the result.
 
     Four-point stencils keep RK4's fourth order when the driving path is
     known only at the nodes.
     """
-    count = vals.shape[0] - 1
-    mids = np.empty((count,) + vals.shape[1:])
-    mids[0] = np.einsum("c,cij->ij", _MID_LEFT, vals[0:4])
-    mids[-1] = np.einsum("c,cij->ij", _MID_RIGHT, vals[-4:])
-    if count > 2:
-        stack = np.stack([vals[0:-3], vals[1:-2], vals[2:-1], vals[3:]])
-        mids[1:-1] = np.einsum("c,cnij->nij", _MID_INTERIOR, stack)
+    count = len(vals) - 1
+    mids = np.empty((stop - start,) + vals.shape[1:])
+    lo, hi = max(start, 1), min(stop, count - 1)
+    if lo < hi:
+        _combine(_MID_INTERIOR, [vals[lo - 1 + c:hi - 1 + c] for c in range(4)],
+                 mids[lo - start:hi - start])
+    if start == 0:
+        _combine(_MID_LEFT, vals[:4], mids[0])
+    if stop == count:
+        _combine(_MID_RIGHT, vals[-4:], mids[-1])
     return mids
 
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """Frame path solving E' = E u with E(0) = I, plus its endpoint."""
+    """Endpoint E(1) of the frame ODE E' = E u, E(0) = I, for one path or
+    for each path of a stack, with the worst frame drift max |E^T E - I|
+    over every step."""
 
-    frames: PathGrid
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.frames.values[-1]
+    endpoint: np.ndarray  # ([paths,] n, n)
+    drift: float
 
 
 def solve_transport(u: PathGrid) -> TransportSolution:
     """Integrate the frame ODE E' = E u(t) by classical RK4.
 
-    Midpoint values of u come from cubic interpolation; every step ends
-    with a polar projection pinning the frame to the orthogonal group.
-    E(0) is the identity exactly.
+    A stack of paths is integrated in one loop over the steps.  Midpoint
+    values of u come from cubic interpolation; every step ends with a polar
+    projection pinning the frames to the orthogonal group.  Midpoints and
+    frames are held for one block of steps only, and the frames of each
+    block are checked for drift from the group: above 1e-8 the solve
+    raises a DomainError.  E(0) is the identity exactly.
     """
     if u.kind != "algebra":
         raise DomainError("transport integrates algebra-valued paths")
@@ -200,31 +274,62 @@ def solve_transport(u: PathGrid) -> TransportSolution:
             f"transport needs at least {MIN_TRANSPORT_NODES} nodes, got {u.nodes}"
         )
     h = u.step
-    vals = u.values
-    mids = _midpoint_samples(vals)
-    frames = np.empty_like(vals)
-    frames[0] = np.eye(u.matrix_dim)
-    cur = frames[0]
-    for i in range(u.nodes - 1):
-        k1 = cur @ vals[i]
-        k2 = (cur + 0.5 * h * k1) @ mids[i]
-        k3 = (cur + 0.5 * h * k2) @ mids[i]
-        k4 = (cur + h * k3) @ vals[i + 1]
-        cur = polar_project(cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        frames[i + 1] = cur
-    return TransportSolution(PathGrid(frames, "group"))
+    steps = u.nodes - 1
+    vals = np.moveaxis(u.values, -3, 0)  # node-major views: vals[i] is node i of every path
+    eye15 = 1.5 * np.eye(u.matrix_dim)
+    cur = np.broadcast_to(np.eye(u.matrix_dim), vals.shape[1:])
+    drifts = []
+    for start in range(0, steps, _STEP_BLOCK):
+        stop = min(start + _STEP_BLOCK, steps)
+        mids = _midpoint_samples(vals, start, stop)
+        frames = np.empty(mids.shape)
+        for j, i in enumerate(range(start, stop)):
+            k1 = cur @ vals[i]
+            k2 = (cur + 0.5 * h * k1) @ mids[j]
+            k3 = (cur + 0.5 * h * k2) @ mids[j]
+            k4 = (cur + h * k3) @ vals[i + 1]
+            cur = frames[j] = _newton_polar(
+                cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), eye15)
+        drifts.append(_orthogonality_drift(frames))
+    drift = float(np.max(drifts))
+    if not drift <= GRID_VALUE_TOL:
+        raise DomainError(f"transported frames are not orthogonal (drift {drift:.3e})")
+    return TransportSolution(cur, drift)
 
 
 def transport_endpoint(u: PathGrid) -> np.ndarray:
     return solve_transport(u).endpoint
 
 
+def equivariance_residuals(draw, count: int) -> list:
+    """equivariance_residual of each of ``count`` pairs (g, u) = draw().
+
+    The pairs share one grid.  Each gauged path and each plain path is
+    written into one stack, of each g only g(0) and g(1) are kept, and the
+    stack is solved in one transport call.
+    """
+    stack = None
+    ends = []
+    for s in range(count):
+        g, u = draw()
+        acted = gauge_act(g, u)
+        if stack is None:
+            stack = np.empty((2 * count,) + u.values.shape)
+        stack[s] = acted.values
+        stack[count + s] = u.values
+        ends.append((g.values[0].copy(), g.values[-1].copy()))
+    endpoint = transport_endpoint(PathGrid(_frozen(stack), "algebra"))
+    return [
+        float(np.linalg.norm(endpoint[s] - g0 @ endpoint[count + s] @ g1.T))
+        for s, (g0, g1) in enumerate(ends)
+    ]
+
+
 def equivariance_residual(g: PathGrid, u: PathGrid) -> float:
     """Frobenius gap between the endpoint of the gauged path and the
-    translated endpoint: endpoint(g*u) vs g(0) endpoint(u) g(1)^T."""
-    left = transport_endpoint(gauge_act(g, u))
-    right = g.values[0] @ transport_endpoint(u) @ g.values[-1].T
-    return float(np.linalg.norm(left - right))
+    translated endpoint: endpoint(g*u) vs g(0) endpoint(u) g(1)^T, for one
+    pair of paths."""
+    return equivariance_residuals(lambda: (g, u), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +385,6 @@ class CosetPoint:
     def chart_distance(self) -> float:
         """Distance to the base coset in the chart (norm of the coordinate)."""
         return float(self.algebra.norm(self.m_log))
-
-    def subgroup_factor(self) -> np.ndarray:
-        return expm(-self.algebra.to_matrices(self.m_log)) @ self.group_point
 
 
 def phi_k(u: PathGrid, cd: CartanDecomposition,
@@ -342,6 +444,19 @@ def random_algebra_path(n: int, nodes: int, rng: np.random.Generator,
     return PathGrid(vals, "algebra")
 
 
+def _exp_polynomial_path(coeffs: dict, n: int, nodes: int) -> PathGrid:
+    """Group path t -> expm(sum_d t^d c_d), with one expm over the node stack.
+
+    The powers t^d are Python-float powers of the node times; NumPy's array
+    power can differ from them in the last bit.
+    """
+    ts = np.linspace(0.0, 1.0, nodes).tolist()
+    acc = np.zeros((nodes, n, n))
+    for d, c in coeffs.items():
+        acc += np.array([t ** d for t in ts])[:, None, None] * c
+    return PathGrid(_frozen(expm(acc)), "group")
+
+
 def random_group_path(n: int, nodes: int, rng: np.random.Generator,
                       degree: int = 3, scale: float = 0.5,
                       based: bool = False) -> PathGrid:
@@ -352,14 +467,7 @@ def random_group_path(n: int, nodes: int, rng: np.random.Generator,
     """
     start = 1 if based else 0
     coeffs = {d: _random_skew(n, rng, scale) for d in range(start, degree + 1)}
-
-    def point(t: float) -> np.ndarray:
-        acc = np.zeros((n, n))
-        for d, c in coeffs.items():
-            acc += (t ** d) * c
-        return expm(acc)
-
-    return PathGrid.sample(point, nodes, "group")
+    return _exp_polynomial_path(coeffs, n, nodes)
 
 
 def random_fiber_group_path(cd: CartanDecomposition, nodes: int,
@@ -367,16 +475,8 @@ def random_fiber_group_path(cd: CartanDecomposition, nodes: int,
                             scale: float = 0.5) -> PathGrid:
     """Group path with g(0) = identity and g(1) in the subgroup of k."""
     alg = cd.algebra
-    n = alg.n
-    coeffs = {d: _random_skew(n, rng, scale) for d in range(1, degree + 1)}
+    coeffs = {d: _random_skew(alg.n, rng, scale) for d in range(1, degree + 1)}
     total = sum(coeffs.values())
     leak = alg.to_matrices(cd.m.project_coords(alg.from_matrix(total)))
     coeffs[degree] = coeffs[degree] - leak  # now the t=1 value lies in k
-
-    def point(t: float) -> np.ndarray:
-        acc = np.zeros((n, n))
-        for d, c in coeffs.items():
-            acc += (t ** d) * c
-        return expm(acc)
-
-    return PathGrid.sample(point, nodes, "group")
+    return _exp_polynomial_path(coeffs, alg.n, nodes)

@@ -274,6 +274,25 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("oracle", "--cutoff", "100000"), "cutoff must be between 1 and 1000"),
         (("oracle", "--m-max", "-1"), "window m_max and n_max must be between 0 and 1000"),
         (("decompose", "--n", "41"), "so(n) needs 2 <= n <= 40"),
+        (("transport", "--check", "equivariance", "--tol", "nan"),
+         "--tol needs a positive finite number"),
+        (("transport", "--check", "fiber", "--tol", "inf"), "--tol needs a positive finite number"),
+        (("transport", "--check", "equivariance", "--tol", "-1"),
+         "--tol needs a positive finite number"),
+        (("oracle", "--nu", "nan"), "--nu needs a finite number"),
+        (("oracle", "--nu", "inf"), "--nu needs a finite number"),
+        (("oracle", "--lambda", "nan"), "--lambda needs a finite number"),
+        (("oracle", "--tol-rel", "nan"), "--tol-rel needs a positive finite number"),
+        (("oracle", "--tol-rel", "-1"), "--tol-rel needs a positive finite number"),
+        (("oracle", "--residual-tol", "nan"), "--residual-tol needs a positive finite number"),
+        (("trace", "--data", DATA, "--tol", "nan"), "--tol needs a positive finite number"),
+        (("trace", "--data", DATA, "--probes", "nan"), "--probes needs a finite number"),
+        (("transport", "--check", "equivariance", "--n", "3000"), "matrix size 1 <= n <= 40"),
+        (("transport", "--check", "equivariance", "--grid", "10000000"), "path entries"),
+        (("transport", "--check", "equivariance", "--samples", "100000000"), "path entries"),
+        (("transport", "--check", "order", "--grid", "100000000"), "takes no --grid"),
+        (("transport", "--check", "order", "--samples", "3"), "takes no --samples"),
+        (("transport", "--check", "fiber", "--samples", "3"), "takes no --samples"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

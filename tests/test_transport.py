@@ -10,11 +10,13 @@ from pfspectra import (
     DomainError,
     PathGrid,
     build_so,
+    check_transport_work,
     cartan_decompose,
     compose_group_paths,
     coset_log,
     differentiate_path,
     equivariance_residual,
+    equivariance_residuals,
     fiber_tangent_residual,
     gauge_act,
     phi_k,
@@ -168,7 +170,7 @@ def test_compose_requires_group_paths():
 def test_transport_of_zero_path_is_identity():
     u = PathGrid.constant(np.zeros((4, 4)), NODES, "algebra")
     sol = solve_transport(u)
-    np.testing.assert_allclose(sol.frames.values[-1], np.eye(4), atol=1e-14)
+    np.testing.assert_allclose(sol.endpoint, np.eye(4), atol=1e-14)
 
 
 def test_transport_of_constant_path_matches_exponential():
@@ -180,14 +182,18 @@ def test_transport_of_constant_path_matches_exponential():
 
 
 def test_transport_frames_stay_orthogonal_and_start_at_identity():
+    # The solver keeps only the current frames: E(0) = I shows as an exact
+    # identity endpoint of the zero path, and the recorded drift is the
+    # worst |E^T E - I| over every step.
+    zero = PathGrid.constant(np.zeros((4, 4)), NODES, "algebra")
+    np.testing.assert_array_equal(solve_transport(zero).endpoint, np.eye(4))
     rng = np.random.default_rng(9)
     u = random_algebra_path(4, NODES, rng, scale=2.0)
     sol = solve_transport(u)
-    frames = sol.frames.values
-    np.testing.assert_array_equal(frames[0], np.eye(4))
-    drift = np.abs(frames @ np.swapaxes(frames, 1, 2) - np.eye(4)).max()
-    assert drift <= 1e-12
-    np.testing.assert_array_equal(sol.endpoint, frames[-1])
+    assert sol.drift <= 1e-12
+    end = sol.endpoint
+    assert np.abs(end @ end.T - np.eye(4)).max() <= 1e-12
+    np.testing.assert_array_equal(sol.endpoint, transport_endpoint(u))
 
 
 def test_transport_requires_enough_nodes_and_algebra_kind():
@@ -195,6 +201,127 @@ def test_transport_requires_enough_nodes_and_algebra_kind():
         solve_transport(PathGrid.constant(np.zeros((3, 3)), 8, "algebra"))
     with pytest.raises(DomainError, match="algebra"):
         solve_transport(PathGrid.constant(np.eye(3), 32, "group"))
+
+
+# ------------------------------------------------ stacks against references
+
+
+def stencil_reference(weights, terms):
+    """The stencil as an einsum over stacked shifted copies."""
+    return np.einsum("c,c...->...", weights, np.stack(terms))
+
+
+def transport_reference(vals):
+    """Per-path RK4 loop with einsum midpoints and per-step polar steps."""
+    mid_in = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+    mid_left = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+    count = vals.shape[0] - 1
+    mids = np.empty((count,) + vals.shape[1:])
+    mids[0] = stencil_reference(mid_left, list(vals[0:4]))
+    mids[-1] = stencil_reference(mid_left[::-1], list(vals[-4:]))
+    mids[1:-1] = stencil_reference(mid_in, [vals[0:-3], vals[1:-2], vals[2:-1], vals[3:]])
+    h = 1.0 / count
+    cur = np.eye(vals.shape[1])
+    for i in range(count):
+        k1 = cur @ vals[i]
+        k2 = (cur + 0.5 * h * k1) @ mids[i]
+        k3 = (cur + 0.5 * h * k2) @ mids[i]
+        k4 = (cur + h * k3) @ vals[i + 1]
+        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for _ in range(2):
+            cur = cur @ (1.5 * np.eye(len(cur)) - 0.5 * (cur.T @ cur))
+    return cur
+
+
+def test_stacked_transport_equals_single_path_references():
+    rng = np.random.default_rng(19)
+    paths = [random_algebra_path(4, 769, rng, scale=1.5) for _ in range(3)]
+    stack = PathGrid(np.stack([p.values for p in paths]), "algebra")
+    assert stack.nodes == 769
+    sol = solve_transport(stack)
+    assert sol.endpoint.shape == (3, 4, 4) and sol.drift <= 1e-12
+    for path, end in zip(paths, sol.endpoint):
+        np.testing.assert_array_equal(end, transport_reference(path.values))
+        np.testing.assert_array_equal(end, transport_endpoint(path))
+
+
+def test_stacked_differentiation_equals_einsum_reference():
+    rng = np.random.default_rng(20)
+    stack = PathGrid(np.stack([random_algebra_path(3, 65, rng).values for _ in range(2)]),
+                     "algebra")
+    central = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    edge0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    edge1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+    h = stack.step
+    for vals, got in zip(stack.values, differentiate_path(stack)):
+        ref = np.empty_like(vals)
+        ref[2:-2] = stencil_reference(central, [vals[c:len(vals) - 4 + c] for c in range(5)]) / h
+        ref[0] = stencil_reference(edge0, list(vals[0:5])) / h
+        ref[1] = stencil_reference(edge1, list(vals[0:5])) / h
+        ref[-2] = -stencil_reference(edge1, list(vals[-1:-6:-1])) / h
+        ref[-1] = -stencil_reference(edge0, list(vals[-1:-6:-1])) / h
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_group_path_equals_per_node_exponentials():
+    nodes = 769
+    path = random_group_path(3, nodes, np.random.default_rng(21))
+    rng = np.random.default_rng(21)  # the path's draws: degree 3, scale 0.5
+    coeffs = [0.5 * 0.5 * (r - r.T) for r in (rng.standard_normal((3, 3)) for _ in range(4))]
+    for t, value in zip(np.linspace(0.0, 1.0, nodes).tolist(), path.values):
+        acc = np.zeros((3, 3))
+        for d, c in enumerate(coeffs):
+            acc += (t ** d) * c
+        np.testing.assert_array_equal(value, expm(acc))
+
+
+def test_path_grid_checks_every_member_of_a_stack():
+    rng = np.random.default_rng(22)
+    skews = np.stack([skew(rng, 3) for _ in range(3)])
+    stack = np.broadcast_to(skews[:, None], (3, 16, 3, 3)).copy()
+    assert PathGrid(stack, "algebra").nodes == 16
+    stack[1, 7, 0, 1] += 1e-6
+    with pytest.raises(DomainError, match="skew"):
+        PathGrid(stack, "algebra")
+    rotations = np.broadcast_to(expm(skews)[:, None], (3, 16, 3, 3)).copy()
+    assert PathGrid(rotations, "group").matrix_dim == 3
+    rotations[2, 15] *= 1.0 + 1e-6
+    with pytest.raises(DomainError, match="orthogonal"):
+        PathGrid(rotations, "group")
+
+
+def test_path_grid_keeps_read_only_stacks_uncopied():
+    stack = np.zeros((2, 16, 3, 3))
+    stack.setflags(write=False)
+    assert PathGrid(stack, "algebra").values is stack
+    writable = np.zeros((16, 3, 3))
+    grid = PathGrid(writable, "algebra")
+    assert grid.values is not writable and writable.flags.writeable
+
+
+def test_equivariance_residuals_batch_equals_single_pairs():
+    draws = np.random.default_rng(23)
+    batched = equivariance_residuals(
+        lambda: (random_group_path(3, 129, draws), random_algebra_path(3, 129, draws)), 4
+    )
+    rng = np.random.default_rng(23)
+    single = []
+    for _ in range(4):
+        g = random_group_path(3, 129, rng)
+        single.append(equivariance_residual(g, random_algebra_path(3, 129, rng)))
+    assert batched == single and max(batched) <= 1e-6
+
+
+def test_transport_work_is_bounded_before_allocation():
+    check_transport_work(2 * 5, 1025, 6)  # largest benchmark stacks stay accepted
+    check_transport_work(2 * 3, 1025, 8)
+    check_transport_work(2 * 20, 4097, 4)
+    with pytest.raises(DomainError, match="matrix size"):
+        check_transport_work(2, 16, 3000)
+    with pytest.raises(DomainError, match="path entries"):
+        check_transport_work(2 * 10, 10_000_001, 4)
+    with pytest.raises(DomainError, match="RK4 steps"):
+        check_transport_work(2, 200_001, 1)
 
 
 def test_polar_projection_restores_orthogonality():
@@ -275,7 +402,8 @@ def test_phi_k_of_small_normal_direction_is_first_order_exact():
     point = phi_k(PathGrid.constant(alg.to_matrices(x), NODES, "algebra"), cd)
     np.testing.assert_allclose(point.m_log, x, atol=1e-8)
     # representative factorization: group_point = exp(m_log) * subgroup factor
-    recon = expm(alg.to_matrices(point.m_log)) @ point.subgroup_factor()
+    subgroup_factor = expm(-alg.to_matrices(point.m_log)) @ point.group_point
+    recon = expm(alg.to_matrices(point.m_log)) @ subgroup_factor
     np.testing.assert_allclose(recon, point.group_point, atol=1e-10)
 
 
