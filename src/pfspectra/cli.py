@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -25,7 +26,14 @@ PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
 def _emit(report: dict, fmt: str, rows_fn=None) -> None:
-    """Print a report as JSON, or as CSV/table when rows are available."""
+    """Print a report as JSON, or as CSV/table when rows are available.
+
+    A report that carries a non-finite number (inputs that overflow, or a
+    window with no eigenvalue left to match) is refused.
+    """
+    where = _non_finite(report, "report")
+    if where:
+        raise DomainError(f"{where} is not a finite number, so no report is given")
     if fmt == "json" or rows_fn is None:
         sys.stdout.write(formats.canonical_json(report))
         return
@@ -34,6 +42,23 @@ def _emit(report: dict, fmt: str, rows_fn=None) -> None:
         sys.stdout.write(formats.csv_table(header, rows))
     else:
         sys.stdout.write(formats.text_table(header, rows))
+
+
+def _non_finite(obj, path: str):
+    """Path of the first non-finite number in a report, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        where = _non_finite(value, f"{path}[{key!r}]")
+        if where:
+            return where
+    return None
 
 
 def _add_format(parser, choices=("json", "csv", "table")) -> None:
@@ -496,7 +521,9 @@ def _cmd_product_sphere(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pfspectra",
         description="Principal curvature spectra of parallel-transport "
@@ -546,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="regularized trace identities")
     p.add_argument("--data", required=True)
     p.add_argument("--m-cut", type=int, default=10000)
-    p.add_argument("--probes", type=_real("--probes"), nargs="+", default=[1.1, 1.01, 1.001])
+    p.add_argument("--probes", type=_real("--probes"), nargs="+", default=(1.1, 1.01, 1.001))
     p.add_argument("--tol", type=_real("--tol", positive=True), default=1e-3)
     _add_format(p, ("json",))
     p.set_defaults(fn=_cmd_trace)

@@ -34,10 +34,23 @@ SYMMETRY_TOL = 1e-12
 TANGENT_TOL = 1e-8
 BLOCK_MEMBERSHIP_TOL = 1e-8
 PERP_LABEL = "perp"
-# Largest mu-block cutoff (and mu/harmonic window): the dense block has
-# (2 cutoff + 1)^2 entries, 32 MB at the limit, where one `oracle --mode mu`
-# run takes about 1 s and peaks near 190 MB.
+# Largest mu-block cutoff (and mu/harmonic window).  The sparse block has
+# 4 cutoff + 1 entries, but a window wide enough to take the dense route
+# (see DENSE_SHARE) solves all (2 cutoff + 1)^2 entries: 32 MB at the limit,
+# where that `oracle --mode mu` run takes about 1 s and peaks near 190 MB.
 MAX_MU_CUTOFF = 1000
+# eigenvalues(count) solves densely once DENSE_SHARE * count > size.  At
+# size 2001 (Xeon, one BLAS thread) ARPACK took 0.21 s for 255 eigenvalues
+# and 0.83 s for 511, against 0.53 s for the dense solve of all 2001.
+DENSE_SHARE = 8
+# compare_spectra trusts a top-of-spectrum solve only for targets of at
+# least this share of the largest eigenvalue magnitude (its absolute error
+# is about eps times that magnitude, so 2e-13 relative at the share).
+RESOLVED_SHARE = 1e-3
+# scipy.sparse and scipy.sparse.linalg are imported at first use: at module
+# level they made the benchmark's set-up snippet (`from pfspectra import
+# cli` and one parse) 21 ms slower, 0.241 -> 0.262 s (median of 15 fresh
+# processes each).
 
 
 @dataclass(frozen=True)
@@ -70,24 +83,53 @@ class FourierBasisLabel:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A finite symmetric matrix block of the path-space shape operator."""
+    """A finite symmetric matrix block of the path-space shape operator.
+
+    The block is kept as a ``scipy.sparse.csr_array`` whatever it is given.
+    """
 
     labels: tuple
-    matrix: np.ndarray
+    matrix: object
     cutoff: int
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
+        from scipy.sparse import csr_array
+
+        mat = csr_array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(self.labels):
             raise DimensionError("matrix shape does not match label count")
-        asym = np.abs(mat - mat.T).max() if mat.size else 0.0
+        asym = abs(mat - mat.T).max() if mat.nnz else 0.0
         if asym > SYMMETRY_TOL:
             raise StructureError(f"assembled block is not symmetric (deviation {asym:.3e})")
+        for part in (mat.data, mat.indices, mat.indptr):
+            part.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        mat.setflags(write=False)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+    def eigenvalues(self, count: int | None = None) -> np.ndarray:
+        """Ascending eigenvalues: all of them, or the ``count`` of largest
+        magnitude.
+
+        A ``count`` that is a sizeable share of the size (DENSE_SHARE) gets
+        all of them from the dense solve.  ARPACK starts from a fixed
+        vector, so repeated calls agree bit for bit.
+        """
+        size = self.matrix.shape[0]
+        if count is None or DENSE_SHARE * count > size:
+            return np.linalg.eigvalsh(self.matrix.toarray())
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import ArpackError, eigsh
+
+        # ARPACK's convergence test turns absolute below eps**(2/3), about
+        # 4e-11, so it solves the block scaled (exactly, by a power of two)
+        # to unit size.
+        mat = self.matrix
+        exp = math.frexp(np.abs(mat.data).max(initial=0.0))[1]
+        unit = csr_array((np.ldexp(mat.data, -exp), mat.indices, mat.indptr), shape=mat.shape)
+        try:
+            vals = eigsh(unit, k=count, which="LM", v0=np.ones(size), return_eigenvectors=False)
+        except ArpackError:  # e.g. a block whose entries all underflow to 0
+            return np.linalg.eigvalsh(mat.toarray())
+        return np.sort(np.ldexp(vals, exp))
 
 
 def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
@@ -102,16 +144,18 @@ def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
         raise DomainError(f"frequency must be positive, got {nu}")
     if not 1 <= cutoff <= MAX_MU_CUTOFF:
         raise DomainError(f"cutoff must be between 1 and {MAX_MU_CUTOFF}, got {cutoff}")
+    from scipy.sparse import csr_array
+
     size = 2 * cutoff + 1
-    mat = np.zeros((size, size))
-    mat[0, 0] = lam
     modes = np.arange(1, cutoff + 1)
     coupling = nu / (modes * math.pi)
-    mat[0, 1 : cutoff + 1] = math.sqrt(2.0) * coupling
-    mat[1 : cutoff + 1, 0] = math.sqrt(2.0) * coupling
-    idx = np.arange(cutoff)
-    mat[1 + idx, 1 + cutoff + idx] = -coupling
-    mat[1 + cutoff + idx, 1 + idx] = -coupling
+    sin, cos = modes, cutoff + modes
+    const = np.zeros(cutoff, dtype=int)
+    root2c = math.sqrt(2.0) * coupling
+    rows = np.concatenate(([0], const, sin, sin, cos))
+    cols = np.concatenate(([0], sin, const, cos, sin))
+    vals = np.concatenate(([lam], root2c, root2c, -coupling, -coupling))
+    mat = csr_array((vals, (rows, cols)), shape=(size, size))
     labels = [FourierBasisLabel("m_nu_const", 0, nu, lam)]
     labels += [FourierBasisLabel("k_nu_sin", 0, nu, lam, int(n)) for n in modes]
     labels += [FourierBasisLabel("m_nu_cos", 0, nu, lam, int(n)) for n in modes]
@@ -145,7 +189,8 @@ def mu_block_residual(op: TruncatedOperator, m: int) -> float:
     v = np.concatenate(([c], a / math.sqrt(2.0), b / math.sqrt(2.0)))
     val = mu(nu, lam, m)
     resid = op.matrix @ v - val * v
-    return float(np.linalg.norm(resid) / np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflow reaches the report as inf
+        return float(np.linalg.norm(resid) / np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +271,6 @@ class CurvatureAdaptedData:
     @property
     def tangent_space(self) -> Subspace:
         return self._tangent_space
-
-    @property
-    def normal_space(self) -> Subspace:
-        return self._normal_space
 
     def x_partner(self, nu: float, y: np.ndarray) -> np.ndarray:
         return self.cd.algebra.bracket(self._xi, y) / nu
@@ -631,11 +672,12 @@ def compare_spectra(
     labels (mu families over |m| <= m_max, harmonic pairs at the block's
     mode).  Matching is greedy from the largest |predicted| down, each
     computed eigenvalue consumed at most once, ties resolved toward the
-    smaller index.  Mu entries pass at tol_rel relative error, exact
-    families at tol_abs absolute error.
+    smaller index.  Only the eigenvalues of largest magnitude are computed,
+    as many as it takes to certify that the picks are those over the whole
+    spectrum.  Mu entries pass at tol_rel relative error, exact families at
+    tol_abs absolute error.
     """
     first = op.labels[0]
-    computed = op.eigenvalues()
     predicted = []
     if first.lam == PERP_LABEL:
         n = first.mode
@@ -663,7 +705,26 @@ def compare_spectra(
         block = f"mu nu={first.nu:.6g} lambda={first.lam:.6g}"
 
     predicted.sort(key=lambda p: -abs(p[1]))
-    picks, _ = _nearest_unused(computed, [value for _, value, _ in predicted])
+    targets = [value for _, value, _ in predicted]
+    # Every eigenvalue left out has |e| <= floor, the smallest computed
+    # magnitude, so it is farther than the pick from any target t with
+    # |t| - floor > |t - pick|: then the picks equal those over the whole
+    # spectrum.  Until that holds, compute twice as many.  A top-of-spectrum
+    # value is only accurate to about eps times the largest magnitude, so a
+    # target below RESOLVED_SHARE of it sends the block to the dense solve.
+    count = len(targets) + 2
+    while True:
+        computed = op.eigenvalues(count)
+        picks, _ = _nearest_unused(computed, targets)
+        if len(computed) == len(op.labels):
+            break
+        magnitude = np.abs(computed)
+        if min(map(abs, targets)) < RESOLVED_SHARE * magnitude.max():
+            count = len(op.labels)
+        elif all(abs(t) - magnitude.min() > abs(t - computed[i]) for t, i in zip(targets, picks)):
+            break
+        else:
+            count *= 2
     entries = []
     ok_all = True
     for (desc, value, exact), best in zip(predicted, picks):

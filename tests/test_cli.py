@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # Two commands in a row go through the one cached parser; each report
+    # must equal the one a fresh process prints.
+    data = write_json(tmp_path, "data.json", sphere_doc(1.0, [(0.5, 1)], 2, 0))
+    runs = [("trace", "--data", data, "--m-cut", "200"),
+            ("oracle", "--cutoff", "60", "--m-max", "1")]
+    in_process = [run_cli(capsys, *argv) for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    for argv, (code, out, _) in zip(runs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "pfspectra.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert out
 
 
 def test_spectrum_window_frozen_values(tmp_path, capsys):
@@ -293,6 +311,8 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("transport", "--check", "order", "--grid", "100000000"), "takes no --grid"),
         (("transport", "--check", "order", "--samples", "3"), "takes no --samples"),
         (("transport", "--check", "fiber", "--samples", "3"), "takes no --samples"),
+        (("oracle", "--nu", "1e300"), "residuals']['-1'] is not a finite number"),
+        (("oracle", "--cutoff", "1"), "[3]['computed'] is not a finite number"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

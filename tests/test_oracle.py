@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfspectra import (
     DimensionError,
     DomainError,
+    MuFamily,
     PERP_LABEL,
+    PrincipalSpectrum,
     SpectralWindow,
     StructureError,
     SubmanifoldSpectralData,
@@ -119,6 +123,90 @@ def test_compare_spectra_requires_matching_family():
     window = SpectralWindow(m_max=1, n_max=1, tol_abs=1e-10, tol_rel=1e-3)
     with pytest.raises(DomainError):
         compare_spectra(build_mu_block(1.0, 0.5, 50), spec, window)
+
+
+class DenseReference(TruncatedOperator):
+    """Reference block: every eigenvalue from the dense solve, whatever count
+    is asked for, so compare_spectra matches over the whole spectrum."""
+
+    def eigenvalues(self, count=None):
+        return np.linalg.eigvalsh(self.matrix.toarray())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.floats(0.0, math.pi, exclude_min=True, allow_subnormal=False),
+    lam=st.floats(-2.0, 2.0),
+    cutoff=st.integers(1, 300),
+    m_max=st.integers(0, 40),
+    scale=st.sampled_from([1.0, 0.25, 4.0]),
+)
+def test_top_of_spectrum_matches_dense_reference(nu, lam, cutoff, m_max, scale):
+    # scale != 1 puts the block of another frequency under this one's
+    # labels, so the targets fall among eigenvalues the first top-of-spectrum
+    # solve leaves out and the certificate has to ask for more.
+    labels = build_mu_block(nu, lam, cutoff).labels
+    op = TruncatedOperator(labels, build_mu_block(scale * nu, lam, cutoff).matrix, cutoff)
+    spec = PrincipalSpectrum((MuFamily(nu, lam, 1),))
+    window = SpectralWindow(m_max=m_max, n_max=1, tol_rel=1e-2)
+    try:
+        ref = compare_spectra(DenseReference(labels, op.matrix, cutoff), spec, window)
+    except DomainError:  # mu() has no value once nu/lambda rounds to 0
+        with pytest.raises(DomainError):
+            compare_spectra(op, spec, window)
+        return
+    got = compare_spectra(op, spec, window)
+    assert got.passed == ref.passed
+    assert [(e.descriptor, e.predicted, e.ok) for e in got.entries] == [
+        (e.descriptor, e.predicted, e.ok) for e in ref.entries
+    ]
+    np.testing.assert_allclose(
+        [e.computed for e in got.entries], [e.computed for e in ref.entries],
+        rtol=1e-12, atol=0.0, equal_nan=True,
+    )
+
+
+def test_certificate_asks_for_more_only_when_needed(monkeypatch):
+    calls = []
+    solve = TruncatedOperator.eigenvalues
+
+    def spy(self, count=None):
+        vals = solve(self, count)
+        calls.append((count, len(vals)))
+        return vals
+
+    monkeypatch.setattr(TruncatedOperator, "eigenvalues", spy)
+    spec = PrincipalSpectrum((MuFamily(1.0, 0.5, 1),))
+    window = SpectralWindow(m_max=2, n_max=1, tol_rel=1e-2)
+    honest = build_mu_block(1.0, 0.5, 400)
+    assert compare_spectra(honest, spec, window).passed
+    assert calls == [(7, 7)]
+    # a block of frequency 4 under these labels: the targets sit inside its
+    # spectrum, below the seven largest magnitudes
+    calls.clear()
+    impostor = TruncatedOperator(honest.labels, build_mu_block(4.0, 0.5, 400).matrix, 400)
+    assert not compare_spectra(impostor, spec, window).passed
+    assert calls[0] == (7, 7) and len(calls) > 1
+    assert all(b == 2 * a for (a, _), (b, _) in zip(calls, calls[1:]))
+
+
+def test_top_of_spectrum_is_repeatable():
+    op = build_mu_block(2.9, -1.3, 800)
+    first = op.eigenvalues(7)
+    assert first.shape == (7,)
+    for _ in range(3):
+        assert np.array_equal(op.eigenvalues(7), first)
+
+
+def test_wide_count_takes_the_dense_route():
+    op = build_mu_block(1.0, 0.5, 50)  # size 101
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert np.array_equal(op.eigenvalues(13), dense)
+    assert np.array_equal(op.eigenvalues(), dense)
+    top = op.eigenvalues(12)
+    assert top.shape == (12,)
+    np.testing.assert_allclose(top, np.sort(dense[np.argsort(-np.abs(dense))[:12]]),
+                               rtol=1e-12)
 
 
 def test_match_multisets_accounts_for_every_value():
