@@ -60,12 +60,8 @@ from .oracle import (
 )
 from .spectra import (
     EigenMultiset,
-    HarmonicFamily,
-    LambdaFamily,
-    MuFamily,
     PrincipalSpectrum,
     SubmanifoldSpectralData,
-    ZeroFamily,
     assemble_group_spectrum,
     assemble_pf_spectrum,
     cot_series,

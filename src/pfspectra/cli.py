@@ -1,10 +1,10 @@
 """Command-line driver for reproducible verification runs.
 
-Every command prints one report (JSON by default, CSV or a fixed-width
-table where enumeration makes sense) and exits 0 when its verification
-passed, 1 when a check failed, and 2 on malformed input.  All randomness
-flows from --seed, so identical invocations produce byte-identical
-reports.
+Every command returns one report, which ``main`` prints (JSON by default,
+CSV or a fixed-width table where enumeration makes sense).  It exits 1
+when the report's verdict (``passed``, or ``austere``) is false, 2 on
+malformed input, and 0 otherwise.  All randomness flows from --seed, so
+identical invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .liecore import build_so, cartan_decompose
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
-def _emit(report: dict, fmt: str, rows_fn=None) -> None:
+def _emit(report: dict, fmt: str, rows_fn) -> None:
     """Print a report as JSON, or as CSV/table when rows are available.
 
     A report that carries a non-finite number (inputs that overflow, or a
@@ -90,7 +90,7 @@ def _real(flag: str, positive: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     if args.input:
         doc = formats.load_document(args.input, "decompose_input")
         n = doc["n"]
@@ -116,10 +116,9 @@ def _cmd_decompose(args) -> int:
         "dim_k0": ad.dim_k0,
         "dim_m0": ad.dim_m0,
     }
-    _emit(report, args.format, lambda: (
+    return report, lambda: (
         ["frequency", "multiplicity"], [(nu, m) for nu, m in report["frequencies"]]
-    ))
-    return PASS
+    )
 
 
 def _random_m_direction(cd, rng):
@@ -132,7 +131,7 @@ def _random_m_direction(cd, rng):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     doc = formats.load_document(args.data, "spectral_data")
     data = spectra.SubmanifoldSpectralData.from_json(doc)
     if args.group:
@@ -154,8 +153,7 @@ def _cmd_spectrum(args) -> int:
             ["family", "index", "value", "multiplicity"],
             [(r.family, r.index, r.value, r.mult) for r in rows],
         )
-    _emit(report, args.format, rows_fn)
-    return PASS
+    return report, rows_fn
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def _cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     if args.mode == "mu":
         return _oracle_mu(args)
     if args.mode == "group":
@@ -171,13 +169,10 @@ def _cmd_oracle(args) -> int:
     return _oracle_forms(args)
 
 
-def _oracle_mu(args) -> int:
-    fams = (
-        spectra.ZeroFamily(),
-        spectra.MuFamily(args.nu, args.lam, 1),
-        spectra.HarmonicFamily(args.nu, 1),
+def _oracle_mu(args):
+    spectrum = spectra.PrincipalSpectrum(
+        harmonics=((args.nu, 1),), mus=((args.nu, args.lam, 1),)
     )
-    spectrum = spectra.PrincipalSpectrum(fams)
     window = oracle.SpectralWindow(
         m_max=args.m_max, n_max=args.n_max, tol_abs=args.tol_abs, tol_rel=args.tol_rel
     )
@@ -205,18 +200,20 @@ def _oracle_mu(args) -> int:
         "residual_tol": args.residual_tol,
         "passed": bool(passed),
     }
-    _emit(report, args.format, lambda: (
+    return report, lambda: (
         ["block", "descriptor", "predicted", "computed", "ok"],
         [
             (r.block, e.descriptor, e.predicted, e.computed, e.ok)
             for r in reports
             for e in r.entries
         ],
-    ))
-    return PASS if passed else FAIL
+    )
 
 
-def _oracle_group(args) -> int:
+def _oracle_group(args):
+    dim = (args.l + 1) * args.l // 2  # of so(l+1)
+    work = args.samples * (dim * dim + oracle.GROUP_SAMPLE_SETUP)
+    spectra.check_work("the group oracle", work, oracle.MAX_GROUP_WORK)
     rng = np.random.default_rng(args.seed)
     runs = []
     passed = True
@@ -233,15 +230,22 @@ def _oracle_group(args) -> int:
         "runs": runs,
         "passed": bool(passed),
     }
-    _emit(report, args.format)
-    return PASS if passed else FAIL
+    return report, None
 
 
-def _oracle_forms(args) -> int:
+def _oracle_forms(args):
     rng = np.random.default_rng(args.seed)
     lam_mults = _random_lam_mults(rng, max_vals=2, max_mult=2, max_dims=args.l - 2)
     data = oracle.sphere_geometry(args.l, lam_mults, rng)
+    if args.grid < 1:
+        raise DomainError(f"the forms check needs --grid >= 1, got {args.grid}")
     grid = args.grid + 1
+    # fourier_labels gives n_max labels per algebra direction, one more per
+    # tangent direction; each label path has grid * dim entries.
+    dim = data.cd.algebra.dim
+    spectra.check_work("a forms label path", grid * dim, oracle.MAX_FORMS_LABEL_ENTRIES)
+    labels = max(args.n_max, 0) * dim + data.tangent_space.dim
+    spectra.check_work("the forms check", labels * grid * dim, oracle.MAX_FORMS_ENTRIES)
     worst = 0.0
     rows = []
     for label in data.fourier_labels(args.n_max):
@@ -263,8 +267,7 @@ def _oracle_forms(args) -> int:
         "labels": [{"label": d, "residual": r} for d, r in rows],
         "passed": bool(passed),
     }
-    _emit(report, args.format, lambda: (["label", "residual"], rows))
-    return PASS if passed else FAIL
+    return report, lambda: (["label", "residual"], rows)
 
 
 def _random_lam_mults(rng, max_vals: int, max_mult: int, max_dims: int):
@@ -285,7 +288,7 @@ def _random_lam_mults(rng, max_vals: int, max_mult: int, max_dims: int):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_austere(args) -> int:
+def _cmd_austere(args):
     doc = formats.load_document(args.data, "spectral_data")
     data = spectra.SubmanifoldSpectralData.from_json(doc)
     spec = spectra.assemble_pf_spectrum(data)
@@ -301,11 +304,10 @@ def _cmd_austere(args) -> int:
         "value_floor": args.value_floor,
         "austere": bool(by_family),
     }
-    _emit(report, args.format)
-    return PASS if by_family else FAIL
+    return report, None
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args):
     doc = formats.load_document(args.data, "spectral_data")
     data = spectra.SubmanifoldSpectralData.from_json(doc)
     spec = spectra.assemble_pf_spectrum(data)
@@ -327,8 +329,7 @@ def _cmd_trace(args) -> int:
         "tolerance": args.tol,
         "passed": bool(passed),
     }
-    _emit(report, args.format)
-    return PASS if passed else FAIL
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,7 @@ def _transport_sizes(args) -> None:
         transport.check_transport_work(paths, args.grid + 1, args.n)
 
 
-def _cmd_transport(args) -> int:
+def _cmd_transport(args):
     _transport_sizes(args)
     rng = np.random.default_rng(args.seed)
     if args.check == "order":
@@ -439,8 +440,7 @@ def _cmd_transport(args) -> int:
             "tolerance": args.tol,
             "passed": bool(passed),
         }
-    _emit(report, args.format)
-    return PASS if report["passed"] else FAIL
+    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def _cmd_transport(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_weyl(args) -> int:
+def _cmd_weyl(args):
     if args.roots_file:
         doc = formats.load_document(args.roots_file, "weyl_roots")
         roots = doc["roots"]
@@ -464,24 +464,22 @@ def _cmd_weyl(args) -> int:
         "strata": [st.to_json() for st in strata],
         "isolated_directions": [list(v) for v in isolated],
     }
-    _emit(report, args.format, lambda: (
+    return report, lambda: (
         ["active", "dim", "representative"],
         [
             ("+".join(map(str, st.active)) or "-", st.dim,
              " ".join(formats.format_real(v) for v in st.representative))
             for st in strata
         ],
-    ))
-    return PASS
+    )
 
 
-def _cmd_so9(args) -> int:
+def _cmd_so9(args):
     result = symmetrycheck.so9_arid_verify(args.grid)
-    _emit(result, args.format, lambda: (
+    return result, lambda: (
         ["x", "y", "swap", "ok"],
         [(s["x"], s["y"], s["swap"] or "-", s["ok"]) for s in result["samples"]],
-    ))
-    return PASS if result["passed"] else FAIL
+    )
 
 
 def _parse_normal(text: str) -> np.ndarray:
@@ -494,7 +492,7 @@ def _parse_normal(text: str) -> np.ndarray:
     return normal
 
 
-def _cmd_product_sphere(args) -> int:
+def _cmd_product_sphere(args):
     normals = [_parse_normal(args.normal)] if args.normal else None
     austere, details = symmetrycheck.product_sphere_austere(
         args.m, args.n, normals=normals, samples=args.samples,
@@ -506,14 +504,13 @@ def _cmd_product_sphere(args) -> int:
         "austere": bool(austere),
         "samples": details,
     }
-    _emit(report, args.format, lambda: (
+    return report, lambda: (
         ["austere", "eigenvalues"],
         [
             (d["austere"], " ".join(formats.format_real(v) for v in d["eigenvalues"]))
             for d in details
         ],
-    ))
-    return PASS if austere else FAIL
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +621,12 @@ def main(argv=None) -> int:
         samples = getattr(args, "samples", None)
         if samples is not None and samples < 1:
             raise DomainError(f"--samples must be at least 1, got {samples}")
-        return args.fn(args)
-    except FormatError as exc:
+        report, rows_fn = args.fn(args)
+        _emit(report, args.format, rows_fn)
+    except GeometryError as exc:  # FormatError included
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except GeometryError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    return PASS if report.get("passed", report.get("austere", True)) else FAIL
 
 
 if __name__ == "__main__":

@@ -47,6 +47,18 @@ DENSE_SHARE = 8
 # least this share of the largest eigenvalue magnitude (its absolute error
 # is about eps times that magnitude, so 2e-13 relative at the share).
 RESOLVED_SHARE = 1e-3
+# `oracle --mode forms` holds a dozen (nodes, dim) arrays per label, one
+# label at a time, and computes nodes * dim entries for each of its labels.
+# Xeon, one BLAS thread: --l 6 --grid 2048 (2.8e6 entries) takes 0.10 s,
+# --l 4 --grid 65536 (2.1e7 entries, 6.6e5 per label) 1.3 s.
+MAX_FORMS_LABEL_ENTRIES = 1_000_000
+MAX_FORMS_ENTRIES = 50_000_000
+# `oracle --mode group` work: per sample, the dim^2 entries of its group
+# matrix plus GROUP_SAMPLE_SETUP for building the pair.  Xeon, one BLAS
+# thread: a sample takes 1.9 ms at --l 2 (dim 3), 35 ms at --l 20 (dim 210)
+# and 0.93 s at --l 39 (dim 780), so the limit is about 2 s of work.
+GROUP_SAMPLE_SETUP = 2000
+MAX_GROUP_WORK = 2_000_000
 # scipy.sparse and scipy.sparse.linalg are imported at first use: at module
 # level they made the benchmark's set-up snippet (`from pfspectra import
 # cli` and one parse) 21 ms slower, 0.241 -> 0.262 s (median of 15 fresh
@@ -681,27 +693,27 @@ def compare_spectra(
     predicted = []
     if first.lam == PERP_LABEL:
         n = first.mode
-        fams = [
-            f
-            for f in spectrum.by_kind("harmonic")
-            if abs(f.nu - first.nu) <= 1e-9 * max(1.0, first.nu)
+        nus = [
+            nu
+            for nu, _ in spectrum.harmonics
+            if abs(nu - first.nu) <= 1e-9 * max(1.0, first.nu)
         ]
-        if not fams:
+        if not nus:
             raise DomainError("spectrum has no harmonic family at this block's nu")
         for sign in (1, -1):
-            predicted.append((f"harmonic n={sign * n}", fams[0].value(sign * n), True))
+            predicted.append((f"harmonic n={sign * n}", nus[0] / (sign * n * math.pi), True))
         block = f"harmonic nu={first.nu:.6g} n={n}"
     else:
-        fams = [
-            f
-            for f in spectrum.by_kind("mu")
-            if abs(f.nu - first.nu) <= 1e-9 * max(1.0, first.nu)
-            and abs(f.lam - first.lam) <= 1e-9 * max(1.0, abs(first.lam))
+        rows = [
+            (nu, lam)
+            for nu, lam, _ in spectrum.mus
+            if abs(nu - first.nu) <= 1e-9 * max(1.0, first.nu)
+            and abs(lam - first.lam) <= 1e-9 * max(1.0, abs(first.lam))
         ]
-        if not fams:
+        if not rows:
             raise DomainError("spectrum has no mu family at this block's (nu, lambda)")
         for m in range(-window.m_max, window.m_max + 1):
-            predicted.append((f"mu m={m}", fams[0].value(m), False))
+            predicted.append((f"mu m={m}", mu(*rows[0], m), False))
         block = f"mu nu={first.nu:.6g} lambda={first.lam:.6g}"
 
     predicted.sort(key=lambda p: -abs(p[1]))

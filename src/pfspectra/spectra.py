@@ -1,23 +1,24 @@
 """Closed-form eigenvalue families and regularized traces.
 
 The shape operator of the path-space preimage of a curvature-adapted base
-submanifold has four kinds of principal curvature families:
+submanifold has four kinds of principal curvature families, held by
+``PrincipalSpectrum`` as rows of plain numbers:
 
-* ``ZeroFamily``      -- 0, with infinite multiplicity;
-* ``LambdaFamily``    -- base eigenvalues lambda carried by ad-kernel
-                         tangent directions, finite multiplicity each;
-* ``HarmonicFamily``  -- nu/(n*pi) for n in Z\\{0}, from normal-space
-                         frequency blocks;
-* ``MuFamily``        -- mu(nu, lambda, m) = nu / (arctan(nu/lambda) + m*pi)
-                         for m in Z, from tangent frequency blocks.
+* 0, with infinite multiplicity (always present, so it has no rows);
+* ``lambdas`` (lambda, mult) -- base eigenvalues carried by ad-kernel
+  tangent directions;
+* ``harmonics`` (nu, mult) -- nu/(n*pi) for n in Z\\{0}, from normal-space
+  frequency blocks;
+* ``mus`` (nu, lambda, mult) -- mu(nu, lambda, m) = nu / (arctan(nu/lambda)
+  + m*pi) for m in Z, from tangent frequency blocks.
 
 The finite-dimensional group-level picture replaces each (nu, lambda) block
 by the pair kappa_pm = (lambda +- sqrt(lambda^2 + nu^2)) / 2.
 
-Regularized traces: the symmetric partial sums of each MuFamily converge to
-lambda (cotangent identity), and the zeta-style trace reduces per family to
-Hurwitz zeta differences whose s -> 1 limit is again lambda by the digamma
-reflection formula.
+Regularized traces: the symmetric partial sums of each mu family converge
+to lambda (cotangent identity), and the zeta-style trace reduces per family
+to Hurwitz zeta differences whose s -> 1 limit is again lambda by the
+digamma reflection formula.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ MAX_ENUMERATED_ROWS = 200_000
 MAX_TRACE_TERMS = 4_000_000
 
 
-def _check_work(what: str, count: float, limit: int) -> None:
+def check_work(what: str, count: float, limit: int) -> None:
     if not count <= limit:
         raise DomainError(f"{what} asks for {count:.3g} entries, more than the limit of {limit}")
 
@@ -214,11 +215,6 @@ class SubmanifoldSpectralData:
             dim_k0=dim_k0,
         )
 
-    def lambdas(self):
-        """All distinct base eigenvalues appearing in any block."""
-        vals = [l for l, _ in self.mult0] + [l for _, l, _ in self.mult]
-        return [vals[g[0]] for g in cluster_indices(vals, VALUE_MERGE_TOL)]
-
     def to_json(self) -> dict:
         return {
             "freq_mult": [[n, m] for n, m in self.freq_mult],
@@ -247,74 +243,26 @@ class SubmanifoldSpectralData:
 
 
 @dataclass(frozen=True)
-class ZeroFamily:
-    """Eigenvalue 0 with infinite multiplicity."""
-
-    kind = "zero"
-
-    def to_json(self):
-        return {"kind": "zero"}
-
-
-@dataclass(frozen=True)
-class LambdaFamily:
-    lam: float
-    mult: int
-    kind = "lambda"
-
-    def to_json(self):
-        return {"kind": "lambda", "lambda": self.lam, "mult": self.mult}
-
-
-@dataclass(frozen=True)
-class HarmonicFamily:
-    """Eigenvalues nu/(n*pi) for every n in Z\\{0}, each with this mult."""
-
-    nu: float
-    mult: int
-    kind = "harmonic"
-
-    def value(self, n: int) -> float:
-        if n == 0:
-            raise DomainError("harmonic index n must be nonzero")
-        return self.nu / (n * math.pi)
-
-    def to_json(self):
-        return {"kind": "harmonic", "nu": self.nu, "mult": self.mult}
-
-
-@dataclass(frozen=True)
-class MuFamily:
-    """Eigenvalues mu(nu, lam, m) for every m in Z, each with this mult."""
-
-    nu: float
-    lam: float
-    mult: int
-    kind = "mu"
-
-    def value(self, m: int) -> float:
-        return mu(self.nu, self.lam, m)
-
-    def to_json(self):
-        return {"kind": "mu", "nu": self.nu, "lambda": self.lam, "mult": self.mult}
-
-
-@dataclass(frozen=True)
 class PrincipalSpectrum:
-    """The full principal-curvature spectrum, organized by family."""
+    """The full principal-curvature spectrum: 0, which is implicit, and the
+    rows of each other family kind, as the module docstring lists them."""
 
-    families: tuple
+    lambdas: tuple = ()
+    harmonics: tuple = ()
+    mus: tuple = ()
 
     def __post_init__(self):
-        for f in self.families:
-            if f.kind != "zero" and f.mult < 1:
+        for row in (*self.lambdas, *self.harmonics, *self.mus):
+            if row[-1] < 1:
                 raise DomainError("families must have multiplicity >= 1")
 
-    def by_kind(self, kind: str):
-        return [f for f in self.families if f.kind == kind]
-
     def to_json(self) -> dict:
-        return {"families": [f.to_json() for f in self.families]}
+        return {"families": [
+            {"kind": "zero"},
+            *({"kind": "lambda", "lambda": lam, "mult": m} for lam, m in self.lambdas),
+            *({"kind": "harmonic", "nu": nu, "mult": m} for nu, m in self.harmonics),
+            *({"kind": "mu", "nu": nu, "lambda": lam, "mult": m} for nu, lam, m in self.mus),
+        ]}
 
 
 def assemble_pf_spectrum(data: SubmanifoldSpectralData) -> PrincipalSpectrum:
@@ -325,17 +273,11 @@ def assemble_pf_spectrum(data: SubmanifoldSpectralData) -> PrincipalSpectrum:
     frequency block contributes a harmonic family on its normal part and a
     mu family per tangent eigenvalue.
     """
-    fams = [ZeroFamily()]
-    for lam, m in data.mult0:
-        if m > 0:
-            fams.append(LambdaFamily(lam, m))
-    for nu, m in data.perp:
-        if nu > 0 and m > 0:
-            fams.append(HarmonicFamily(nu, m))
-    for nu, lam, m in data.mult:
-        if m > 0:
-            fams.append(MuFamily(nu, lam, m))
-    return PrincipalSpectrum(tuple(fams))
+    return PrincipalSpectrum(
+        tuple((lam, m) for lam, m in data.mult0 if m > 0),
+        tuple((nu, m) for nu, m in data.perp if nu > 0 and m > 0),
+        tuple((nu, lam, m) for nu, lam, m in data.mult if m > 0),
+    )
 
 
 def assemble_group_spectrum(data: SubmanifoldSpectralData) -> EigenMultiset:
@@ -416,18 +358,17 @@ def r_trace(spectrum: PrincipalSpectrum, m_cut: int):
     """
     if m_cut < 0:
         raise DomainError("m_cut must be nonnegative")
-    _check_work("trace sum", (2 * m_cut + 1) * len(spectrum.by_kind("mu")), MAX_TRACE_TERMS)
+    check_work("trace sum", (2 * m_cut + 1) * len(spectrum.mus), MAX_TRACE_TERMS)
     partial = 0.0
     limit = 0.0
-    for fam in spectrum.families:
-        if fam.kind == "lambda":
-            partial += fam.lam * fam.mult
-            limit += fam.lam * fam.mult
-        elif fam.kind == "mu":
-            theta = _mu_theta(fam.nu, fam.lam)
-            ms = np.arange(-m_cut, m_cut + 1, dtype=float)
-            partial += fam.mult * float(np.sum(fam.nu / (theta + ms * math.pi)))
-            limit += fam.lam * fam.mult
+    for lam, mult in spectrum.lambdas:
+        partial += lam * mult
+        limit += lam * mult
+    for nu, lam, mult in spectrum.mus:
+        theta = _mu_theta(nu, lam)
+        ms = np.arange(-m_cut, m_cut + 1, dtype=float)
+        partial += mult * float(np.sum(nu / (theta + ms * math.pi)))
+        limit += lam * mult
     return partial, limit
 
 
@@ -445,15 +386,13 @@ def zeta_trace(spectrum: PrincipalSpectrum, s_probes):
         if s <= 1:
             raise DomainError(f"zeta trace probes need s > 1, got {s}")
         total = 0.0
-        for fam in spectrum.families:
-            if fam.kind == "lambda":
-                if fam.lam != 0.0:
-                    total += math.copysign(abs(fam.lam) ** s, fam.lam) * fam.mult
-            elif fam.kind == "mu":
-                theta = _mu_theta(fam.nu, fam.lam)
-                frac = theta / math.pi
-                diff = hurwitz_zeta(s, frac) - hurwitz_zeta(s, 1.0 - frac)
-                total += fam.mult * (fam.nu / math.pi) ** s * diff
+        for lam, mult in spectrum.lambdas:
+            if lam != 0.0:
+                total += math.copysign(abs(lam) ** s, lam) * mult
+        for nu, lam, mult in spectrum.mus:
+            frac = _mu_theta(nu, lam) / math.pi
+            diff = hurwitz_zeta(s, frac) - hurwitz_zeta(s, 1.0 - frac)
+            total += mult * (nu / math.pi) ** s * diff
         values.append(total)
     return values
 
@@ -487,6 +426,8 @@ def mu_eigenfunction_coeffs(nu: float, lam: float, m: int, n_max: int):
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     val = mu(nu, lam, m)
+    if val == 0.0:
+        raise DomainError(f"mu({nu:.3g}, {lam:.3g}, {m}) underflows to 0; it has no eigenfunction")
     r = nu / (math.pi * val)
     if abs(r - round(r)) < 1e-12:
         raise PoleError(f"resonant index r = {r} (integer); coefficients blow up")
@@ -537,24 +478,19 @@ def enumerate_rows(spectrum: PrincipalSpectrum, n_max: int, m_max: int):
     """
     if n_max < 0 or m_max < 0:
         raise DomainError("enumeration windows must be nonnegative")
-    count = sum({"lambda": 1, "harmonic": 2 * n_max, "mu": 2 * m_max + 1}.get(f.kind, 1)
-                for f in spectrum.families)
-    _check_work("enumeration window", count, MAX_ENUMERATED_ROWS)
-    rows = []
-    for fam in spectrum.families:
-        if fam.kind == "lambda":
-            rows.append(SpectrumRow("lambda", None, fam.lam, fam.mult))
-        elif fam.kind == "harmonic":
-            for n in range(-n_max, n_max + 1):
-                if n != 0:
-                    rows.append(SpectrumRow("harmonic", n, fam.value(n), fam.mult))
-        elif fam.kind == "mu":
-            for m in range(-m_max, m_max + 1):
-                rows.append(SpectrumRow("mu", m, fam.value(m), fam.mult))
+    count = (1 + len(spectrum.lambdas) + 2 * n_max * len(spectrum.harmonics)
+             + (2 * m_max + 1) * len(spectrum.mus))
+    check_work("enumeration window", count, MAX_ENUMERATED_ROWS)
+    rows = [SpectrumRow("lambda", None, lam, mult) for lam, mult in spectrum.lambdas]
+    for nu, mult in spectrum.harmonics:
+        for n in range(-n_max, n_max + 1):
+            if n != 0:
+                rows.append(SpectrumRow("harmonic", n, nu / (n * math.pi), mult))
+    for nu, lam, mult in spectrum.mus:
+        for m in range(-m_max, m_max + 1):
+            rows.append(SpectrumRow("mu", m, mu(nu, lam, m), mult))
     rows.sort(key=lambda r: (-abs(r.value), r.family, r.index if r.index is not None else 0))
-    has_zero = any(f.kind == "zero" for f in spectrum.families)
-    if has_zero:
-        rows.append(SpectrumRow("zero", None, 0.0, "inf"))
+    rows.append(SpectrumRow("zero", None, 0.0, "inf"))
     return rows
 
 
@@ -568,30 +504,21 @@ def enumerate_by_floor(spectrum: PrincipalSpectrum, value_floor: float):
     """
     if value_floor <= 0:
         raise DomainError("value_floor must be positive")
-    # A family has at most one value of magnitude >= floor, plus
-    # 2 nu / (pi floor) more if it is a harmonic or mu family.
-    count = len(spectrum.families) + sum(
-        2.0 * f.nu / (math.pi * value_floor)
-        for f in spectrum.families if f.kind in ("harmonic", "mu")
+    # A family has at most one value of magnitude >= floor (zero included),
+    # plus 2 nu / (pi floor) more if it is a harmonic or mu family.
+    nus = [nu for nu, _ in spectrum.harmonics] + [nu for nu, _, _ in spectrum.mus]
+    count = 1 + len(spectrum.lambdas) + len(nus) + sum(
+        2.0 * nu / (math.pi * value_floor) for nu in nus
     )
-    _check_work("value floor", count, MAX_ENUMERATED_ROWS)
-    pairs = []
-    for fam in spectrum.families:
-        if fam.kind == "lambda":
-            if abs(fam.lam) >= value_floor:
-                pairs.append((fam.lam, fam.mult))
-        elif fam.kind == "harmonic":
-            n_hi = math.floor(fam.nu / (math.pi * value_floor))
-            for n in range(1, n_hi + 1):
-                pairs.append((fam.value(n), fam.mult))
-                pairs.append((fam.value(-n), fam.mult))
-        elif fam.kind == "mu":
-            m = 0
-            while abs(fam.value(m)) >= value_floor:
-                pairs.append((fam.value(m), fam.mult))
-                m += 1
-            m = -1
-            while abs(fam.value(m)) >= value_floor:
-                pairs.append((fam.value(m), fam.mult))
-                m -= 1
+    check_work("value floor", count, MAX_ENUMERATED_ROWS)
+    pairs = [(lam, mult) for lam, mult in spectrum.lambdas if abs(lam) >= value_floor]
+    for nu, mult in spectrum.harmonics:
+        for n in range(1, math.floor(nu / (math.pi * value_floor)) + 1):
+            pairs.append((nu / (n * math.pi), mult))
+            pairs.append((nu / (-n * math.pi), mult))
+    for nu, lam, mult in spectrum.mus:
+        for m, step in ((0, 1), (-1, -1)):
+            while abs(value := mu(nu, lam, m)) >= value_floor:
+                pairs.append((value, mult))
+                m += step
     return pairs

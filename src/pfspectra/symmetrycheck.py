@@ -27,11 +27,17 @@ from .spectra import (
     CLUSTER_TOL,
     EigenMultiset,
     PrincipalSpectrum,
+    check_work,
     cluster_indices,
     enumerate_by_floor,
 )
 
 MAX_SO9_GRID = 10_000  # samples on the normal circle of the SO(9) orbit
+# product_sphere_austere work: normals * dim^2 * m for dim = m (n - 1) tangent
+# directions (dim^2 second differences, each along m factor curves); it also
+# bounds the m^2 n (n - 1) entries of the tangent frame.  Xeon: 30-60 us per
+# unit, so the limit is 1.5-3 s; --m 3 --n 3 --samples 8 is 864 units.
+MAX_PRODUCT_SPHERE_WORK = 50_000
 
 
 def austere_check_finite(ms: EigenMultiset, tol: float = CLUSTER_TOL) -> bool:
@@ -56,12 +62,11 @@ def austere_check_pf(spectrum: PrincipalSpectrum, tol: float = CLUSTER_TOL) -> b
     frequency (lambda = 0 is self-paired: its value set is symmetric under
     m -> -m - 1).
     """
-    lam_pairs = [(f.lam, f.mult) for f in spectrum.by_kind("lambda")]
-    if not austere_check_finite(EigenMultiset.from_pairs(lam_pairs), tol):
+    if not austere_check_finite(EigenMultiset.from_pairs(spectrum.lambdas), tol):
         return False
-    mus = spectrum.by_kind("mu")
-    for same_nu in cluster_indices([f.nu for f in mus], tol):
-        pairs = [(mus[i].lam, mus[i].mult) for i in same_nu]
+    mus = spectrum.mus
+    for same_nu in cluster_indices([nu for nu, _, _ in mus], tol):
+        pairs = [mus[i][1:] for i in same_nu]
         if not austere_check_finite(EigenMultiset.from_pairs(pairs, tol), tol):
             return False
     return True
@@ -195,6 +200,9 @@ def product_sphere_austere(
     noise of order 1e-7.
     """
     _check_product_dims(m, n)
+    dim = m * (n - 1)
+    count = samples if normals is None else len(normals)
+    check_work("the sphere-product check", count * dim * dim * m, MAX_PRODUCT_SPHERE_WORK)
     if normals is None:
         rng = rng or np.random.default_rng(0)
         normals = sample_product_normals(m, samples, rng)

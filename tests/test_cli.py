@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -95,8 +96,13 @@ def test_tables_have_header_and_rows():
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # capsys does not see Python warnings, so record them here: a command
+    # prints its report or its one-line error and nothing else.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
     captured = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
     return code, captured.out, captured.err
 
 
@@ -129,6 +135,29 @@ def test_spectrum_window_frozen_values(tmp_path, capsys):
     )
     assert finite == pytest.approx(expected, abs=1e-15)
     assert all(r[3] == "2" for r in rows if r[0] == "harmonic")
+
+
+def test_spectrum_report_lists_every_family(tmp_path, capsys):
+    # Zero first, then lambda, harmonic and mu families in sorted data order;
+    # rows of multiplicity 0 and the nu = 0 normal row give no family.
+    doc = {"freq_mult": [[2.0, 3], [1.0, 2]],
+           "mult0": [[0.25, 2], [-0.5, 0]],
+           "mult": [[2.0, 0.75, 3], [1.0, 0.5, 1], [1.0, -0.5, 0]],
+           "perp": [[0.0, 1], [2.0, 0], [1.0, 1]],
+           "dim_m0": 3, "dim_k0": 1}
+    path = write_json(tmp_path, "data.json", doc)
+    code, out, err = run_cli(capsys, "spectrum", "--data", path)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["kind"] == "path_space"
+    assert report["window"] == {"n_max": 3, "m_max": 2}
+    assert report["spectrum"] == {"families": [
+        {"kind": "zero"},
+        {"kind": "lambda", "lambda": 0.25, "mult": 2},
+        {"kind": "harmonic", "nu": 1.0, "mult": 1},
+        {"kind": "mu", "nu": 1.0, "lambda": 0.5, "mult": 1},
+        {"kind": "mu", "nu": 2.0, "lambda": 0.75, "mult": 3},
+    ]}
 
 
 def test_spectrum_group_mode(tmp_path, capsys):
@@ -313,6 +342,14 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("transport", "--check", "fiber", "--samples", "3"), "takes no --samples"),
         (("oracle", "--nu", "1e300"), "residuals']['-1'] is not a finite number"),
         (("oracle", "--cutoff", "1"), "[3]['computed'] is not a finite number"),
+        (("oracle", "--nu", "5e-324"), "underflows to 0"),
+        (("oracle", "--mode", "forms", "--grid", "100000000"), "a forms label path asks for"),
+        (("oracle", "--mode", "forms", "--n-max", "100000000"), "the forms check asks for"),
+        (("oracle", "--mode", "forms", "--grid", "-5"), "the forms check needs --grid >= 1"),
+        (("oracle", "--mode", "group", "--samples", "100000000"), "the group oracle asks for"),
+        (("product-sphere", "--m", "100000"), "the sphere-product check asks for"),
+        (("product-sphere", "--n", "100000"), "the sphere-product check asks for"),
+        (("product-sphere", "--samples", "100000000"), "the sphere-product check asks for"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

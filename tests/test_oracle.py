@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pfspectra import (
     DimensionError,
     DomainError,
-    MuFamily,
     PERP_LABEL,
     PrincipalSpectrum,
     SpectralWindow,
@@ -147,7 +146,7 @@ def test_top_of_spectrum_matches_dense_reference(nu, lam, cutoff, m_max, scale):
     # solve leaves out and the certificate has to ask for more.
     labels = build_mu_block(nu, lam, cutoff).labels
     op = TruncatedOperator(labels, build_mu_block(scale * nu, lam, cutoff).matrix, cutoff)
-    spec = PrincipalSpectrum((MuFamily(nu, lam, 1),))
+    spec = PrincipalSpectrum(mus=((nu, lam, 1),))
     window = SpectralWindow(m_max=m_max, n_max=1, tol_rel=1e-2)
     try:
         ref = compare_spectra(DenseReference(labels, op.matrix, cutoff), spec, window)
@@ -176,7 +175,7 @@ def test_certificate_asks_for_more_only_when_needed(monkeypatch):
         return vals
 
     monkeypatch.setattr(TruncatedOperator, "eigenvalues", spy)
-    spec = PrincipalSpectrum((MuFamily(1.0, 0.5, 1),))
+    spec = PrincipalSpectrum(mus=((1.0, 0.5, 1),))
     window = SpectralWindow(m_max=2, n_max=1, tol_rel=1e-2)
     honest = build_mu_block(1.0, 0.5, 400)
     assert compare_spectra(honest, spec, window).passed
@@ -252,6 +251,18 @@ def test_labels_cover_both_normal_modes():
     geo = split_geometry(3, 3, rng, tangent0_lams=[0.4], block_lams=[0.9])
     modes = {lb.lam == PERP_LABEL for lb in geo.fourier_labels(1) if lb.kind == "m_cos"}
     assert modes == {True, False}
+
+
+def test_label_count_is_the_closed_form_the_forms_limit_uses():
+    # `oracle --mode forms` counts its work from this count before it
+    # builds any label: n_max per algebra direction, one per tangent one.
+    rng = np.random.default_rng(5)
+    geos = [sphere_geometry(5, [(0.4, 2), (-1.0, 1)], rng),
+            split_geometry(3, 4, rng, tangent0_lams=[0.5, -0.2], block_lams=[0.3, 0.7])]
+    for geo in geos:
+        for n_max in (0, 1, 3):
+            labels = geo.fourier_labels(n_max)
+            assert len(labels) == n_max * geo.cd.algebra.dim + geo.tangent_space.dim
 
 
 def test_tangent_projection_rejects_normal_vectors():

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from pfspectra import (
     DomainError,
-    HarmonicFamily,
-    MuFamily,
     PoleError,
     PrincipalSpectrum,
     StructureError,
     SubmanifoldSpectralData,
-    ZeroFamily,
     assemble_group_spectrum,
     assemble_pf_spectrum,
     cot_series,
@@ -110,19 +107,13 @@ def test_kappa_frozen_value():
 # ------------------------------------------------------------------ families
 
 
-def test_family_values():
-    har = HarmonicFamily(2.0, 3)
-    assert har.value(1) == pytest.approx(2.0 / math.pi)
-    assert har.value(-2) == pytest.approx(-1.0 / math.pi)
-    with pytest.raises(DomainError):
-        har.value(0)
-    fam = MuFamily(1.0, 1.0, 2)
-    assert fam.value(0) == pytest.approx(mu(1.0, 1.0, 0))
-
-
 def test_spectrum_rejects_nonpositive_multiplicity():
     with pytest.raises(DomainError):
-        PrincipalSpectrum((ZeroFamily(), MuFamily(1.0, 0.0, 0)))
+        PrincipalSpectrum(mus=((1.0, 0.0, 0),))
+    with pytest.raises(DomainError):
+        PrincipalSpectrum(lambdas=((0.5, 0),))
+    with pytest.raises(DomainError):
+        PrincipalSpectrum(harmonics=((1.0, -1),))
 
 
 # ------------------------------------------------------- data and assembly
@@ -136,7 +127,6 @@ def test_sphere_like_shapes_the_block_table():
     assert data.perp == ((0.0, 1), (1.5, 2))
     assert data.dim_m0 == 1
     assert data.dim_k0 == 4
-    assert data.lambdas() == [0.7]
 
 
 def test_sphere_like_rejects_zero_codimension():
@@ -174,12 +164,9 @@ def test_data_json_round_trip():
 def test_pf_assembly_families():
     data = SubmanifoldSpectralData.sphere_like(1.0, [(0.7, 2), (-0.4, 1)], 3, 2)
     spec = assemble_pf_spectrum(data)
-    kinds = sorted(f.kind for f in spec.families)
-    assert kinds == ["harmonic", "mu", "mu", "zero"]
-    harmonic = spec.by_kind("harmonic")[0]
-    assert harmonic.nu == 1.0 and harmonic.mult == 2
-    mus = {(f.nu, f.lam): f.mult for f in spec.by_kind("mu")}
-    assert mus == {(1.0, 0.7): 2, (1.0, -0.4): 1}
+    assert spec.lambdas == ()
+    assert spec.harmonics == ((1.0, 2),)
+    assert spec.mus == ((1.0, -0.4, 1), (1.0, 0.7, 2))
 
 
 def test_group_assembly_entries():
