@@ -164,6 +164,8 @@ def _cmd_spectrum(args):
 def _cmd_oracle(args):
     if args.mode == "mu":
         return _oracle_mu(args)
+    if args.l < 2:  # the sphere S^l needs a rank-one pair so(l+1), so(l)
+        raise DomainError(f"oracle --mode {args.mode} needs --l >= 2, got {args.l}")
     if args.mode == "group":
         return _oracle_group(args)
     return _oracle_forms(args)
@@ -239,12 +241,14 @@ def _oracle_forms(args):
     data = oracle.sphere_geometry(args.l, lam_mults, rng)
     if args.grid < 1:
         raise DomainError(f"the forms check needs --grid >= 1, got {args.grid}")
+    if args.n_max < 0:
+        raise DomainError(f"the forms check needs --n-max >= 0, got {args.n_max}")
     grid = args.grid + 1
     # fourier_labels gives n_max labels per algebra direction, one more per
     # tangent direction; each label path has grid * dim entries.
     dim = data.cd.algebra.dim
     spectra.check_work("a forms label path", grid * dim, oracle.MAX_FORMS_LABEL_ENTRIES)
-    labels = max(args.n_max, 0) * dim + data.tangent_space.dim
+    labels = args.n_max * dim + data.tangent_space.dim
     spectra.check_work("the forms check", labels * grid * dim, oracle.MAX_FORMS_ENTRIES)
     worst = 0.0
     rows = []

@@ -350,6 +350,9 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("product-sphere", "--m", "100000"), "the sphere-product check asks for"),
         (("product-sphere", "--n", "100000"), "the sphere-product check asks for"),
         (("product-sphere", "--samples", "100000000"), "the sphere-product check asks for"),
+        (("oracle", "--mode", "forms", "--n-max", "-3"), "the forms check needs --n-max >= 0"),
+        (("oracle", "--mode", "group", "--l", "1"), "oracle --mode group needs --l >= 2"),
+        (("oracle", "--mode", "forms", "--l", "1"), "oracle --mode forms needs --l >= 2"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
