@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .liecore import CartanDecomposition
+from .liecore import CartanDecomposition, Subspace
 from .spectra import cluster_indices
 
 CLUSTER_REL_TOL = 1e-6
@@ -146,8 +146,7 @@ def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
         ys = -imgs / norms[:, None]
         # The y's must come out orthonormal; anything else means the block
         # does not behave like a symmetric-pair eigenspace.
-        if np.abs(alg.inner(ys, ys) - np.eye(len(ys))).max() > 1e-8:
-            raise StructureError(f"paired basis at nu={nu:.6g} is not orthonormal")
+        Subspace(alg, ys)  # raises unless orthonormal
         blocks.append(FrequencyBlock(nu, xs, ys))
 
     used = {j for _, idxs in clusters for j in idxs}

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from . import formats, oracle, spectra, symmetrycheck, transport
 from .adspec import paired_bases
 from .errors import DomainError, FormatError, GeometryError
-from .liecore import build_so, cartan_decompose
+from .liecore import MAX_SO_N, build_so, cartan_decompose
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -166,6 +166,8 @@ def _cmd_oracle(args):
         return _oracle_mu(args)
     if args.l < 2:  # the sphere S^l needs a rank-one pair so(l+1), so(l)
         raise DomainError(f"oracle --mode {args.mode} needs --l >= 2, got {args.l}")
+    if args.l > MAX_SO_N - 1:  # so(l+1) must be at most so(MAX_SO_N)
+        raise DomainError(f"oracle --mode {args.mode} needs --l <= {MAX_SO_N - 1}, got {args.l}")
     if args.mode == "group":
         return _oracle_group(args)
     return _oracle_forms(args)

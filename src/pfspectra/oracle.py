@@ -6,7 +6,9 @@ formulas they are meant to validate:
 * truncated operator blocks on sqrt(2)-normalized sine/cosine modes, whose
   eigenvalues converge to the mu families as the cutoff grows;
 * raw shape-operator application on a time grid (bracket + quadrature),
-  compared in grid-L2 against the closed-form images of each basis label;
+  compared in grid-L2 against the closed-form images of each basis label
+  (each label carries its (x, y) pair; the closed forms take the ad-kernel
+  as the frequency-0 block);
 * a finite group-level assembly on k + TN from raw brackets, eigensolved
   and matched against the predicted {0, lambda, kappa_pm} multiset.
 """
@@ -14,7 +16,7 @@ formulas they are meant to validate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -74,6 +76,11 @@ class FourierBasisLabel:
     'perp' for normal-block partners; ``mode`` is the positive Fourier index
     n (absent for constants).  Sine and cosine modes carry the sqrt(2)
     factor that makes the basis orthonormal in path L2.
+
+    Labels from ``CurvatureAdaptedData.fourier_labels`` carry the path's
+    coordinate pair: ``x`` its k part, ``y`` its m part, zero where the path
+    has none.  The kind names only describe the label; its ``profile`` in
+    time is the kind's suffix, 'sin', 'const' or 'cos'.
     """
 
     kind: str
@@ -81,6 +88,12 @@ class FourierBasisLabel:
     nu: float | None = None
     lam: object = None
     mode: int | None = None
+    x: np.ndarray | None = field(default=None, compare=False, repr=False)
+    y: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def profile(self) -> str:
+        return self.kind.rsplit("_", 1)[1]
 
     def describe(self) -> str:
         parts = [self.kind, f"i={self.index}"]
@@ -318,59 +331,32 @@ class CurvatureAdaptedData:
     # -- tangent Fourier labels and their decomposed paths ------------------------
 
     def fourier_labels(self, n_max: int):
-        """Every tangent basis label with Fourier modes up to n_max."""
-        labels = []
-        for i in range(self.ad.dim_k0):
-            labels += [
-                FourierBasisLabel("k0_sin", i, mode=n) for n in range(1, n_max + 1)
-            ]
-        j = 0
-        for lam, ys in self.tangent0:
-            for _ in ys:
-                labels.append(FourierBasisLabel("m_const", j, lam=lam))
-                labels += [
-                    FourierBasisLabel("m_cos", j, lam=lam, mode=n)
-                    for n in range(1, n_max + 1)
-                ]
-                j += 1
-        for r, _ in enumerate(self.perp0):
-            labels += [
-                FourierBasisLabel("m_cos", j + r, lam=PERP_LABEL, mode=n)
-                for n in range(1, n_max + 1)
-            ]
-        for nu, lam, ys in self.tangent:
-            for i, _ in enumerate(ys):
-                labels.append(FourierBasisLabel("m_nu_const", i, nu, lam))
-                for n in range(1, n_max + 1):
-                    labels.append(FourierBasisLabel("k_nu_sin", i, nu, lam, n))
-                    labels.append(FourierBasisLabel("m_nu_cos", i, nu, lam, n))
-        for nu, ys in self.perp:
-            for i, _ in enumerate(ys):
-                for n in range(1, n_max + 1):
-                    labels.append(FourierBasisLabel("k_nu_sin", i, nu, PERP_LABEL, n))
-                    labels.append(FourierBasisLabel("m_nu_cos", i, nu, PERP_LABEL, n))
-        return labels
+        """Every tangent basis label with Fourier modes up to n_max.
 
-    def _label_vectors(self, label: FourierBasisLabel):
-        """The (x, y) coordinate pair behind a label (x in k, y in m)."""
-        if label.kind == "k0_sin":
-            return self.ad.k0_basis[label.index], None
-        if label.kind in ("m_const", "m_cos"):
-            if label.lam == PERP_LABEL:
-                y = self.perp0[label.index - sum(len(ys) for _, ys in self.tangent0)]
-            else:
-                flat = [y for _, ys in self.tangent0 for y in ys]
-                y = flat[label.index]
-            return None, y
-        nu = label.nu
-        if label.lam == PERP_LABEL:
-            ys = dict(self.perp)[nu]
-        else:
-            ys = next(
-                ys for bnu, lam, ys in self.tangent if bnu == nu and lam == label.lam
-            )
-        y = ys[label.index]
-        return self.x_partner(nu, y), y
+        Each label carries its (x, y) pair.  A frequency-block y has the
+        partner x = (1/nu)[xi, y]; kernel labels have x or y zero.
+        """
+        zero = np.zeros(self.cd.algebra.dim)
+        modes = range(1, n_max + 1)
+        labels = []
+        for i, x in enumerate(self.ad.k0_basis):
+            labels += [FourierBasisLabel("k0_sin", i, mode=n, x=x, y=zero) for n in modes]
+        kernel = [(lam, y) for lam, ys in self.tangent0 for y in ys]
+        kernel += [(PERP_LABEL, y) for y in self.perp0]
+        for j, (lam, y) in enumerate(kernel):
+            if lam != PERP_LABEL:
+                labels.append(FourierBasisLabel("m_const", j, lam=lam, x=zero, y=y))
+            labels += [FourierBasisLabel("m_cos", j, lam=lam, mode=n, x=zero, y=y) for n in modes]
+        blocks = [*self.tangent, *((nu, PERP_LABEL, ys) for nu, ys in self.perp)]
+        for nu, lam, ys in blocks:
+            for i, y in enumerate(ys):
+                x = self.x_partner(nu, y)
+                if lam != PERP_LABEL:
+                    labels.append(FourierBasisLabel("m_nu_const", i, nu, lam, x=x, y=y))
+                for n in modes:
+                    labels.append(FourierBasisLabel("k_nu_sin", i, nu, lam, n, x, y))
+                    labels.append(FourierBasisLabel("m_nu_cos", i, nu, lam, n, x, y))
+        return labels
 
 
 @dataclass(frozen=True)
@@ -400,25 +386,18 @@ def label_decomposed_path(
     split as Q = Z - t Z(1) with constant part -Z(1); cosine labels are pure
     -Q' with Q = -(sqrt2/(n pi)) y sin(n pi t); constants are pure y.
     """
-    alg = data.cd.algebra
+    dim = data.cd.algebra.dim
     t = np.linspace(0.0, 1.0, grid)
-    x, y = data._label_vectors(label)
-    zero = np.zeros(alg.dim)
-    if label.kind in ("k0_sin", "k_nu_sin"):
-        n = label.mode
-        scale = math.sqrt(2.0) / (n * math.pi)
-        z = scale * np.outer(np.cos(n * math.pi * t) - 1.0, x)
-        z1 = scale * (((-1.0) ** n) - 1.0) * x
-        q = z - np.outer(t, z1)
-        return DecomposedPath(q, -z1, zero)
-    if label.kind in ("m_const", "m_nu_const"):
-        return DecomposedPath(np.zeros((grid, alg.dim)), zero, y)
-    if label.kind in ("m_cos", "m_nu_cos"):
-        n = label.mode
-        scale = math.sqrt(2.0) / (n * math.pi)
-        q = -scale * np.outer(np.sin(n * math.pi * t), y)
-        return DecomposedPath(q, zero, zero)
-    raise DomainError(f"unknown label kind {label.kind!r}")
+    zero = np.zeros(dim)
+    if label.profile == "const":
+        return DecomposedPath(np.zeros((grid, dim)), zero, label.y)
+    n = label.mode
+    scale = math.sqrt(2.0) / (n * math.pi)
+    if label.profile == "sin":
+        z = scale * np.outer(np.cos(n * math.pi * t) - 1.0, label.x)
+        z1 = scale * (((-1.0) ** n) - 1.0) * label.x
+        return DecomposedPath(z - np.outer(t, z1), -z1, zero)
+    return DecomposedPath(-scale * np.outer(np.sin(n * math.pi * t), label.y), zero, zero)
 
 
 def label_closed_form(
@@ -426,34 +405,21 @@ def label_closed_form(
 ) -> np.ndarray:
     """Grid image of a basis label under the path-space shape operator.
 
-    These are the six closed forms: kernel sines and kernel-side cosines map
-    to zero; kernel constants scale by lambda; frequency-block labels mix
-    their (x, y) pair through sine/cosine factors with weight nu/(n*pi).
+    One closed form per profile, mixing the label's (x, y) pair through
+    sine/cosine factors with weight nu/(n*pi).  The ad-kernel is the
+    frequency-0 block: kernel sines and cosines map to zero, and kernel
+    constants scale by lambda.
     """
     t = np.linspace(0.0, 1.0, grid)
-    alg = data.cd.algebra
-    x, y = data._label_vectors(label)
-    zero = np.zeros((grid, alg.dim))
-    if label.kind == "k0_sin":
-        return zero
-    if label.kind == "m_const":
-        return np.outer(np.ones(grid), label.lam * y)
-    if label.kind == "m_cos":
-        return zero
-    nu, n = label.nu, label.mode
-    root2 = math.sqrt(2.0)
-    if label.kind == "k_nu_sin":
-        coef = -nu / (n * math.pi) * root2
-        if label.lam == PERP_LABEL:
-            return coef * np.outer(np.cos(n * math.pi * t), y)
-        return coef * np.outer(np.cos(n * math.pi * t) - 1.0, y)
-    if label.kind == "m_nu_const":
-        const = np.outer(np.ones(grid), label.lam * y)
-        return const + nu * np.outer(1.0 - t, x)
-    if label.kind == "m_nu_cos":
-        coef = -nu / (n * math.pi) * root2
-        return coef * np.outer(np.sin(n * math.pi * t), x)
-    raise DomainError(f"unknown label kind {label.kind!r}")
+    nu = label.nu or 0.0
+    if label.profile == "const":
+        return np.outer(np.ones(grid), label.lam * label.y) + nu * np.outer(1.0 - t, label.x)
+    n = label.mode
+    coef = -nu / (n * math.pi) * math.sqrt(2.0)
+    if label.profile == "sin":
+        shift = 0.0 if label.lam == PERP_LABEL else 1.0
+        return coef * np.outer(np.cos(n * math.pi * t) - shift, label.y)
+    return coef * np.outer(np.sin(n * math.pi * t), label.x)
 
 
 def shape_apply_raw(

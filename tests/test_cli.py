@@ -353,6 +353,9 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("oracle", "--mode", "forms", "--n-max", "-3"), "the forms check needs --n-max >= 0"),
         (("oracle", "--mode", "group", "--l", "1"), "oracle --mode group needs --l >= 2"),
         (("oracle", "--mode", "forms", "--l", "1"), "oracle --mode forms needs --l >= 2"),
+        (("oracle", "--mode", "forms", "--l", "1000"), "oracle --mode forms needs --l <= 39"),
+        (("oracle", "--mode", "group", "--l", "40", "--samples", "1"),
+         "oracle --mode group needs --l <= 39"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
@@ -362,6 +365,20 @@ def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
     assert out == ""
     assert err.startswith("input error:") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_forms_report_lists_labels_in_basis_order(capsys):
+    # nu and lambda are seeded draws; the kinds, indices, perp flags and
+    # modes are pinned.
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "forms", "--l", "3", "--grid", "64",
+                           "--n-max", "1")
+    assert code == 0
+    got = [" ".join(p for p in row["label"].split() if not p.startswith(("nu=", "lam=")))
+           for row in json.loads(out)["labels"]]
+    assert got == [
+        "k0_sin i=0 n=1", "m_cos i=0 perp n=1", "m_nu_const i=0", "k_nu_sin i=0 n=1",
+        "m_nu_cos i=0 n=1", "k_nu_sin i=0 perp n=1", "m_nu_cos i=0 perp n=1",
+    ]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

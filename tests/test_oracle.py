@@ -265,6 +265,33 @@ def test_label_count_is_the_closed_form_the_forms_limit_uses():
             assert len(labels) == n_max * geo.cd.algebra.dim + geo.tangent_space.dim
 
 
+def test_constant_labels_cover_each_tangent_direction_once():
+    # The constant labels realise the tangent frame row by row, a repeated
+    # (nu, lambda) entry included.
+    rng = np.random.default_rng(9)
+    geos = [sphere_geometry(5, [(0.4, 2), (-1.0, 1)], rng),
+            split_geometry(3, 4, rng, tangent0_lams=[0.5, -0.2], block_lams=[0.3, 0.7]),
+            sphere_geometry(5, [(0.5, 1), (0.5, 1)], rng)]
+    for geo in geos:
+        frame = np.concatenate([ys for _, ys in geo.tangent0] + [ys for _, _, ys in geo.tangent])
+        ys = [label_decomposed_path(geo, lb, 3).y for lb in geo.fourier_labels(0)]
+        assert np.array_equal(np.array(ys), frame)
+
+
+def test_labels_come_in_basis_order():
+    # The forms report lists its labels in this order.
+    rng = np.random.default_rng(2)
+    geo = split_geometry(3, 3, rng, tangent0_lams=[0.4], block_lams=[0.9])
+    got = [(lb.kind, lb.index, lb.mode, lb.lam == PERP_LABEL) for lb in geo.fourier_labels(1)]
+    perp_pair = [("k_nu_sin", 0, 1, True), ("m_nu_cos", 0, 1, True)]
+    assert got == [
+        ("m_const", 0, None, False), ("m_cos", 0, 1, False),
+        ("m_cos", 1, 1, True), ("m_cos", 2, 1, True),
+        ("m_nu_const", 0, None, False), ("k_nu_sin", 0, 1, False), ("m_nu_cos", 0, 1, False),
+        *perp_pair * 5,
+    ]
+
+
 def test_tangent_projection_rejects_normal_vectors():
     rng = np.random.default_rng(4)
     geo = sphere_geometry(4, [(0.5, 1)], rng)
