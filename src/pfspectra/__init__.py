@@ -11,8 +11,6 @@ gauge action with its transport ODE.
 from .adspec import (
     AdEigenstructure,
     FrequencyBlock,
-    frequency_isomorphism,
-    frequency_spectrum,
     paired_bases,
 )
 from .errors import (
@@ -71,7 +69,6 @@ from .spectra import (
     hurwitz_zeta,
     kappa,
     mu,
-    mu_coefficient_residuals,
     mu_eigenfunction_coeffs,
     r_trace,
     zeta_trace,
@@ -98,11 +95,9 @@ from .symmetrycheck import (
     weyl_strata,
 )
 from .transport import (
-    CosetPoint,
     PathGrid,
     TransportSolution,
     check_transport_work,
-    compose_group_paths,
     coset_log,
     differentiate_path,
     equivariance_residual,
@@ -110,9 +105,7 @@ from .transport import (
     fiber_tangent_residual,
     gauge_act,
     phi_k,
-    polar_project,
     random_algebra_path,
-    random_fiber_group_path,
     random_group_path,
     solve_transport,
     transport_endpoint,

@@ -89,10 +89,6 @@ class AdEigenstructure:
     m0_basis: np.ndarray  # (dim_m0, dim) rows spanning ker ad(xi) in m
 
     @property
-    def frequencies(self):
-        return [b.nu for b in self.blocks]
-
-    @property
     def dim_k0(self) -> int:
         return len(self.k0_basis)
 
@@ -100,22 +96,8 @@ class AdEigenstructure:
     def dim_m0(self) -> int:
         return len(self.m0_basis)
 
-    def multiplicity(self, nu: float, tol: float = 1e-9) -> int:
-        for b in self.blocks:
-            if abs(b.nu - nu) <= tol * max(1.0, abs(nu)):
-                return b.mult
-        return 0
-
     def frequency_multiplicities(self):
         return [(b.nu, b.mult) for b in self.blocks]
-
-
-def frequency_spectrum(cd: CartanDecomposition, xi: np.ndarray):
-    """Distinct frequencies nu > 0 of ad(xi) with multiplicities, nu descending."""
-    _check_xi(cd, xi)
-    c = _ad_block(cd, xi)
-    sigma = np.linalg.svd(c, compute_uv=False) if min(c.shape) else np.zeros(0)
-    return [(nu, len(ix)) for nu, ix in _cluster(sigma, cd.algebra.norm(xi))]
 
 
 def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
@@ -162,10 +144,3 @@ def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
             f"m {total_m}/{cd.m.dim}"
         )
     return AdEigenstructure(cd, xi, tuple(blocks), k0, m0)
-
-
-def frequency_isomorphism(ad: AdEigenstructure, nu: float, x: np.ndarray) -> np.ndarray:
-    """Apply x -> -(1/nu)[xi, x]; on k_nu this is the isometry onto m_nu."""
-    if nu <= 0:
-        raise DomainError(f"frequency must be positive, got {nu}")
-    return -ad.cd.algebra.bracket(ad.xi, x) / nu

@@ -103,11 +103,11 @@ def _cmd_decompose(args):
         if "xi" in doc:
             xi = alg.from_matrix(np.array(doc["xi"], dtype=float))
         else:
-            xi = _random_m_direction(cd, np.random.default_rng(args.seed))
+            xi = oracle.random_m_direction(cd, np.random.default_rng(args.seed))
     else:
         n = args.n
         cd = oracle.sphere_pair(n - 1)
-        xi = _random_m_direction(cd, np.random.default_rng(args.seed))
+        xi = oracle.random_m_direction(cd, np.random.default_rng(args.seed))
     ad = paired_bases(cd, xi)
     report = {
         "n": n,
@@ -119,11 +119,6 @@ def _cmd_decompose(args):
     return report, lambda: (
         ["frequency", "multiplicity"], [(nu, m) for nu, m in report["frequencies"]]
     )
-
-
-def _random_m_direction(cd, rng):
-    raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    return (1.0 / cd.algebra.norm(raw)) * raw
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +425,7 @@ def _cmd_transport(args):
         z = transport.PathGrid.sample(z_path, nodes, "algebra")
         positive = transport.fiber_tangent_residual(z, cd)
 
-        xm = alg.to_matrices(_random_m_direction(cd, rng))
+        xm = alg.to_matrices(oracle.random_m_direction(cd, rng))
 
         def bad_path(t):
             return t * xm

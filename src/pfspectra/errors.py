@@ -22,7 +22,7 @@ class PoleError(DomainError):
 
 
 class ChartError(GeometryError):
-    """A coordinate chart was used outside its guaranteed radius."""
+    """A point lies outside the domain of a coordinate chart."""
 
 
 class FormatError(GeometryError):

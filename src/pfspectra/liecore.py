@@ -84,13 +84,14 @@ class MatrixLieAlgebra:
             self._basis.setflags(write=False)
         return self._basis
 
-    def from_matrix(self, mat, tol: float = CLOSURE_TOL) -> np.ndarray:
-        """Coordinates of a matrix, which must be skew-symmetric."""
+    def from_matrix(self, mat) -> np.ndarray:
+        """Coordinates of a matrix, which must be skew-symmetric (to
+        CLOSURE_TOL relative to its largest entry)."""
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (self.n, self.n):
             raise DimensionError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
         resid = 0.5 * np.abs(mat + mat.T).max()  # distance to the skew part
-        if resid > tol * max(1.0, np.abs(mat).max()):
+        if resid > CLOSURE_TOL * max(1.0, np.abs(mat).max()):
             raise DomainError(f"matrix is not in the algebra span (residual {resid:.3e})")
         return self._coords(mat)
 
@@ -132,16 +133,16 @@ def so_pair_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def gram_schmidt(algebra: MatrixLieAlgebra, vectors, drop_tol: float = 1e-12) -> np.ndarray:
+def gram_schmidt(algebra: MatrixLieAlgebra, vectors) -> np.ndarray:
     """Gram-Schmidt with one re-orthogonalization pass.
 
     Returns the orthonormal rows, as a (k, dim) array, under the algebra
-    inner product.  A vector whose residual falls below drop_tol times the
+    inner product.  A vector whose residual falls below 1e-12 times the
     largest input norm is dropped, so a roundoff-only input never becomes a
     basis vector.
     """
     vecs = np.array(vectors, dtype=float).reshape(-1, algebra.dim)
-    cut = drop_tol * algebra.norm(vecs).max(initial=0.0)
+    cut = 1e-12 * algebra.norm(vecs).max(initial=0.0)
     out = np.empty_like(vecs)
     k = 0
     for v in vecs:

@@ -35,6 +35,7 @@ from .spectra import (
 SYMMETRY_TOL = 1e-12
 TANGENT_TOL = 1e-8
 BLOCK_MEMBERSHIP_TOL = 1e-8
+BOUNDARY_TOL = 1e-8  # |Q| at the endpoints, relative to max(1, max |Q|)
 PERP_LABEL = "perp"
 # Largest mu-block cutoff (and mu/harmonic window).  The sparse block has
 # 4 cutoff + 1 entries, but a window wide enough to take the dense route
@@ -250,7 +251,7 @@ class CurvatureAdaptedData:
 
         tangent0_rows = rows(ys for _, ys in self.tangent0)
         all_tangent = rows([tangent0_rows, *(ys for _, _, ys in self.tangent)])
-        Subspace(alg, all_tangent)  # raises unless orthonormal
+        self._tangent_space = Subspace(alg, all_tangent)  # raises unless orthonormal
 
         m0_span = Subspace(alg, ad.m0_basis)
         for lam, ys in self.tangent0:
@@ -284,8 +285,7 @@ class CurvatureAdaptedData:
         ]
 
         self._xi = xi
-        self._tangent_space = Subspace.span(alg, all_tangent)
-        self._normal_space = Subspace.span(alg, rows([self.perp0, *(ys for _, ys in self.perp)]))
+        self._normal_space = Subspace(alg, rows([self.perp0, *(ys for _, ys in self.perp)]))
         if self._tangent_space.dim + self._normal_space.dim != self.cd.m.dim:
             raise StructureError("tangent and normal spaces do not fill m")
 
@@ -422,9 +422,7 @@ def label_closed_form(
     return coef * np.outer(np.sin(n * math.pi * t), label.x)
 
 
-def shape_apply_raw(
-    data: CurvatureAdaptedData, path: DecomposedPath, boundary_tol: float = 1e-8
-) -> np.ndarray:
+def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath) -> np.ndarray:
     """Apply the path-space shape operator from its raw block formulas.
 
     For a decomposed path -Q' + x + y the image is
@@ -444,7 +442,7 @@ def shape_apply_raw(
         raise DimensionError("q has the wrong shape")
     qn = np.linalg.norm(path.q, axis=1)
     scale = max(1.0, qn.max() if qn.size else 0.0)
-    if max(np.linalg.norm(path.q[0]), np.linalg.norm(path.q[-1])) > boundary_tol * scale:
+    if max(np.linalg.norm(path.q[0]), np.linalg.norm(path.q[-1])) > BOUNDARY_TOL * scale:
         raise DomainError("primitive Q must vanish at both endpoints")
     leak = alg.norm(path.x - data.cd.k.project_coords(path.x))
     if leak > TANGENT_TOL * max(1.0, alg.norm(path.x)):
@@ -726,30 +724,29 @@ def compare_spectra(
 
 def sphere_pair(l: int):
     """The pair (so(l+1), so(l)) with the last coordinate axis flipped."""
-    alg = build_so(l + 1)
-    p = np.eye(l + 1)
-    p[-1, -1] = -1.0
-    return cartan_decompose(alg, p)
+    return split_pair(l, 1)
 
 
-def sphere_geometry(
-    l: int, lam_mults, rng: np.random.Generator, xi_scale: float = 1.0
-) -> CurvatureAdaptedData:
+def random_m_direction(cd, rng: np.random.Generator) -> np.ndarray:
+    """A random unit vector of m: a standard-normal combination of the m
+    basis, normalized."""
+    raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
+    return (1.0 / cd.algebra.norm(raw)) * raw
+
+
+def sphere_geometry(l: int, lam_mults, rng: np.random.Generator) -> CurvatureAdaptedData:
     """Random curvature-adapted data on the rank-one pair (so(l+1), so(l)).
 
-    Draws a random normal direction xi of the requested norm and a random
-    orthonormal tangent frame orthogonal to xi, assigning ``lam_mults`` =
-    [(lambda, mult), ...] eigenvalues of the base shape operator.  The
-    total tangent dimension must be at most l - 1.
+    Draws a random unit normal direction xi and a random orthonormal
+    tangent frame orthogonal to xi, assigning ``lam_mults`` = [(lambda,
+    mult), ...] eigenvalues of the base shape operator.  The total tangent
+    dimension must be at most l - 1.
     """
     cd = sphere_pair(l)
-    alg = cd.algebra
     dims = sum(m for _, m in lam_mults)
     if dims > l - 1:
         raise DomainError(f"tangent dimension {dims} exceeds l - 1 = {l - 1}")
-    raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    xi = (xi_scale / alg.norm(raw)) * raw
-    ad = paired_bases(cd, xi)
+    ad = paired_bases(cd, random_m_direction(cd, rng))
     if len(ad.blocks) != 1:
         raise StructureError("rank-one pair should produce exactly one frequency")
     block = ad.blocks[0]
@@ -779,11 +776,10 @@ def split_geometry(
     rng: np.random.Generator,
     tangent0_lams=(),
     block_lams=(),
-    xi_scale: float = 1.0,
 ) -> CurvatureAdaptedData:
     """Random curvature-adapted data on the rank-min(p,q) split pair.
 
-    A generic normal direction xi has an ad-kernel of dimension min(p, q)
+    A generic unit normal direction xi has an ad-kernel of dimension min(p, q)
     inside m, so kernel tangent directions exist as soon as min(p, q) >= 2.
     ``tangent0_lams`` assigns one base eigenvalue per kernel direction
     (at most min(p,q) - 1 of them, keeping xi normal); ``block_lams``
@@ -792,8 +788,7 @@ def split_geometry(
     """
     cd = split_pair(p, q)
     alg = cd.algebra
-    raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    xi = (xi_scale / alg.norm(raw)) * raw
+    xi = random_m_direction(cd, rng)
     ad = paired_bases(cd, xi)
 
     if len(tangent0_lams) > ad.dim_m0 - 1:

@@ -124,9 +124,6 @@ class EigenMultiset:
             entries.append((float(value), sum(pairs[i][1] for i in g)))
         return cls(tuple(entries))
 
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def to_json(self) -> dict:
         return {"entries": [[v, m] for v, m in self.entries]}
 
@@ -435,26 +432,6 @@ def mu_eigenfunction_coeffs(nu: float, lam: float, m: int, n_max: int):
     b = -2.0 * r * r / (n * n - r * r)
     a = -n * math.pi * b * val / nu
     return 1.0, a, b
-
-
-def mu_coefficient_residuals(nu: float, lam: float, m: int, n_max: int):
-    """Residuals of the three defining relations for the mu eigenfunction.
-
-    The n-indexed relations are checked exactly over n <= n_max; the
-    constant-component relation uses the cotangent closed form for the
-    analytic tail beyond n_max.  All three should be at roundoff level.
-    """
-    val = mu(nu, lam, m)
-    c, a, b = mu_eigenfunction_coeffs(nu, lam, m, n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    res2 = np.max(np.abs((nu / math.pi) * (2.0 * c - b) / n - val * a))
-    res3 = np.max(np.abs(-(nu / math.pi) * a / n - val * b))
-    r = nu / (math.pi * val)
-    # sum_{n>=1} a_n / n = 2r * sum 1/(n^2 - r^2) = 1/r - pi*cot(pi*r)
-    _, closed = cot_series(r, 1)
-    full_sum = 2.0 * r * closed
-    res1 = abs(c * lam + (nu / math.pi) * full_sum - c * val)
-    return res1, float(res2), float(res3)
 
 
 # ---------------------------------------------------------------------------

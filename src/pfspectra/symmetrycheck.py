@@ -38,6 +38,15 @@ MAX_SO9_GRID = 10_000  # samples on the normal circle of the SO(9) orbit
 # bounds the m^2 n (n - 1) entries of the tangent frame.  Xeon: 30-60 us per
 # unit, so the limit is 1.5-3 s; --m 3 --n 3 --samples 8 is 864 units.
 MAX_PRODUCT_SPHERE_WORK = 50_000
+FD_STEP = 1e-4  # step of the finite-difference second derivatives
+# Eigenvalue clustering of the sphere-product check: coarser than
+# CLUSTER_TOL, as its eigenvalues carry finite-difference noise near 1e-7.
+PRODUCT_CLUSTER_TOL = 1e-5
+STRATUM_TOL = 1e-10
+# Arid certificate: a conjugation preserves the tangent space to
+# PRESERVE_TOL and moves xi by more than MOVE_TOL.
+PRESERVE_TOL = 1e-9
+MOVE_TOL = 1e-8
 
 
 def austere_check_finite(ms: EigenMultiset, tol: float = CLUSTER_TOL) -> bool:
@@ -54,34 +63,32 @@ def austere_check_finite(ms: EigenMultiset, tol: float = CLUSTER_TOL) -> bool:
     )
 
 
-def austere_check_pf(spectrum: PrincipalSpectrum, tol: float = CLUSTER_TOL) -> bool:
+def austere_check_pf(spectrum: PrincipalSpectrum) -> bool:
     """Negation-invariance of the full path-space spectrum via family pairing.
 
     Zero and harmonic families are self-paired.  Lambda families must pair
     value-wise; mu families must pair lambda <-> -lambda within the same
     frequency (lambda = 0 is self-paired: its value set is symmetric under
-    m -> -m - 1).
+    m -> -m - 1).  Values cluster at CLUSTER_TOL.
     """
-    if not austere_check_finite(EigenMultiset.from_pairs(spectrum.lambdas), tol):
+    if not austere_check_finite(EigenMultiset.from_pairs(spectrum.lambdas)):
         return False
     mus = spectrum.mus
-    for same_nu in cluster_indices([nu for nu, _, _ in mus], tol):
+    for same_nu in cluster_indices([nu for nu, _, _ in mus], CLUSTER_TOL):
         pairs = [mus[i][1:] for i in same_nu]
-        if not austere_check_finite(EigenMultiset.from_pairs(pairs, tol), tol):
+        if not austere_check_finite(EigenMultiset.from_pairs(pairs)):
             return False
     return True
 
 
-def austere_check_enumerated(
-    spectrum: PrincipalSpectrum, value_floor: float, tol: float = CLUSTER_TOL
-) -> bool:
+def austere_check_enumerated(spectrum: PrincipalSpectrum, value_floor: float) -> bool:
     """Literal negation check on all enumerated eigenvalues above a floor.
 
     The floor window is symmetric under negation, so this agrees with the
     family-pairing rule whenever the enumeration is faithful.
     """
     pairs = enumerate_by_floor(spectrum, value_floor)
-    return austere_check_finite(EigenMultiset.from_pairs(pairs, tol), tol)
+    return austere_check_finite(EigenMultiset.from_pairs(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +109,7 @@ def _factor_curve(p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return math.cos(s * t) * p + math.sin(s * t) * (v / s)
 
 
-def product_sphere_shape(
-    m: int, n: int, normal_coeffs, base_point=None, step: float = 1e-4
-) -> np.ndarray:
+def product_sphere_shape(m: int, n: int, normal_coeffs, base_point=None) -> np.ndarray:
     """Shape-operator matrix of S^{n-1}(1)^m inside S^{mn-1}(sqrt m).
 
     The normal direction is xi = (a_1 p_1, ..., a_m p_m) with sum a_i = 0
@@ -156,8 +161,8 @@ def product_sphere_shape(
             c0 = curve(vel, 0.0)
             return float(np.sum((cp - 2.0 * c0 + cm) * xi)) / (h * h)
 
-        d1 = central(step)
-        d2 = central(step / 2.0)
+        d1 = central(FD_STEP)
+        d2 = central(FD_STEP / 2.0)
         return (4.0 * d2 - d1) / 3.0  # Richardson: O(h^4) truncation
 
     mat = np.zeros((dim, dim))
@@ -190,14 +195,12 @@ def product_sphere_austere(
     normals=None,
     samples: int = 32,
     rng: np.random.Generator | None = None,
-    cluster_tol: float = 1e-5,
 ):
     """Austerity report for S^{n-1}(1)^m over sampled normal directions.
 
     Returns (austere, details): austere is True when every sampled normal
-    yields a negation-invariant shape spectrum.  The cluster tolerance is
-    coarser than the default because eigenvalues carry finite-difference
-    noise of order 1e-7.
+    yields a negation-invariant shape spectrum, clustered at
+    PRODUCT_CLUSTER_TOL.
     """
     _check_product_dims(m, n)
     dim = m * (n - 1)
@@ -210,8 +213,8 @@ def product_sphere_austere(
     all_ok = True
     for a in normals:
         eig = np.linalg.eigvalsh(product_sphere_shape(m, n, a))
-        ms = EigenMultiset.from_pairs([(v, 1) for v in eig], cluster_tol)
-        ok = austere_check_finite(ms, cluster_tol)
+        ms = EigenMultiset.from_pairs([(v, 1) for v in eig], PRODUCT_CLUSTER_TOL)
+        ok = austere_check_finite(ms, PRODUCT_CLUSTER_TOL)
         all_ok &= ok
         details.append({"normal": list(np.asarray(a, dtype=float)), "austere": ok,
                         "eigenvalues": [v for v, _ in ms.entries]})
@@ -282,15 +285,16 @@ def isolated_directions(fundamental_roots):
     return out
 
 
-def stratum_membership(roots, w, active, tol: float = 1e-10) -> bool:
-    """Does w lie in the stratum where exactly ``active`` roots are positive?"""
+def stratum_membership(roots, w, active) -> bool:
+    """Does w lie in the stratum where exactly ``active`` roots are positive
+    (beyond STRATUM_TOL, and the others vanish to within it)?"""
     roots = np.asarray(roots, dtype=float)
     vals = roots @ np.asarray(w, dtype=float)
     for i, v in enumerate(vals):
         if i in active:
-            if v <= tol:
+            if v <= STRATUM_TOL:
                 return False
-        elif abs(v) > tol:
+        elif abs(v) > STRATUM_TOL:
             return False
     return True
 
@@ -414,10 +418,7 @@ def subspace_preserved(alg, basis_rows: np.ndarray, conj: np.ndarray) -> float:
     return worst
 
 
-def arid_orbit_candidate_check(
-    alg, xi: np.ndarray, conjugations, preserve_residuals,
-    preserve_tol: float = 1e-9, move_tol: float = 1e-8,
-):
+def arid_orbit_candidate_check(alg, xi: np.ndarray, conjugations, preserve_residuals):
     """Find a conjugation preserving the tangent space but moving xi.
 
     ``preserve_residuals`` holds each conjugation's ``subspace_preserved``
@@ -429,7 +430,7 @@ def arid_orbit_candidate_check(
     """
     xi_mat = alg.to_matrices(xi)
     for idx, (conj, resid) in enumerate(zip(conjugations, preserve_residuals)):
-        if resid <= preserve_tol and np.abs(conj @ xi_mat @ conj.T - xi_mat).max() > move_tol:
+        if resid <= PRESERVE_TOL and np.abs(conj @ xi_mat @ conj.T - xi_mat).max() > MOVE_TOL:
             return idx
     return None
 

@@ -15,10 +15,12 @@ values live in O(n), so inverses are transposes throughout.  Stencils,
 products and checks act on the last three axes, so every function that
 takes a path also takes a stack.
 
-Coset charts: given a decomposition g = k (+) m, group elements near the
-identity factor as exp(xi) * (element of exp(k)) with xi in m; the
-m-logarithm xi serves as a coordinate on the quotient by the subgroup.
-A fixed-point iteration computes it, guarded by an injectivity radius.
+Coset charts: given a decomposition g = k (+) m into the +1/-1
+eigenspaces of conjugation by P, group elements near the identity factor
+as exp(xi) * (element of exp(k)) with xi in m; the m-logarithm xi serves
+as a coordinate on the quotient by the subgroup.  The Cartan embedding
+a -> a P a^T P maps such an element to exp(2 xi), so the chart is half a
+principal logarithm, in closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm, logm
 
 from .errors import ChartError, DimensionError, DomainError
-from .liecore import MAX_SO_N, CartanDecomposition, MatrixLieAlgebra
+from .liecore import MAX_SO_N, CartanDecomposition
 
 GRID_VALUE_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
@@ -38,7 +40,6 @@ MIN_TRANSPORT_NODES = 16
 MAX_TRANSPORT_N = MAX_SO_N  # matrix size; the fiber check builds so(n)
 MAX_TRANSPORT_ENTRIES = 4_000_000  # matrix entries of one stack of paths
 MAX_TRANSPORT_STEPS = 250_000  # RK4 steps, one per path and interval
-CHART_RADIUS = math.pi / 2.0
 FIBER_EPS = 1e-5
 
 _MID_INTERIOR = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
@@ -209,21 +210,9 @@ def gauge_act(g: PathGrid, u: PathGrid) -> PathGrid:
     return PathGrid(_frozen(out), "algebra")
 
 
-def compose_group_paths(g: PathGrid, h: PathGrid) -> PathGrid:
-    """Pointwise product path t -> g(t) h(t)."""
-    if g.kind != "group" or h.kind != "group":
-        raise DomainError("both factors must be group paths")
-    _require_same_grid(g, h)
-    return PathGrid(_frozen(g.values @ h.values), "group")
-
-
-def polar_project(x: np.ndarray) -> np.ndarray:
-    """Two Newton steps toward the orthogonal polar factor of x (or of
-    each matrix of a stack)."""
-    return _newton_polar(x, 1.5 * np.eye(x.shape[-1]))
-
-
 def _newton_polar(x: np.ndarray, eye15: np.ndarray) -> np.ndarray:
+    """Two Newton steps toward the orthogonal polar factor of x (or of
+    each matrix of a stack); eye15 is 1.5 times the identity."""
     for _ in range(2):
         t = x.mT @ x
         t *= -0.5
@@ -382,64 +371,45 @@ def _skew_log(a: np.ndarray) -> np.ndarray:
     return 0.5 * (log - log.T)
 
 
-def coset_log(cd: CartanDecomposition, a: np.ndarray,
-              radius: float = CHART_RADIUS, max_iter: int = 60,
-              tol: float = 1e-13) -> np.ndarray:
+def coset_log(cd: CartanDecomposition, a: np.ndarray) -> np.ndarray:
     """Chart coordinate xi in m with exp(-xi) a in the subgroup of k.
 
-    Fixed-point iteration xi <- xi + P_m(log(exp(-xi) a)).  Raises a chart
-    error when the iterate leaves the injectivity ball of the given radius
-    (measured by the largest rotation angle of xi) or fails to converge.
+    For a = exp(xi) k with k in the subgroup, a P a^T P = exp(2 xi), so xi
+    is half the m-part of the principal logarithm of a P a^T P.  The
+    logarithm refuses a rotation angle at its cut, which bounds the angles
+    of xi by (pi - 1e-6)/2.  Then exp(-xi) a commutes with P; it lies in
+    the subgroup only if it keeps the orientation of the -1 eigenspace of
+    P (a subgroup element may still rotate by pi), else the chart raises.
     """
     alg = cd.algebra
+    p = cd.p_matrix
     a = np.asarray(a, dtype=float)
-    xi = np.zeros(alg.dim)
-    for _ in range(max_iter):
-        rem = _skew_log(expm(-alg.to_matrices(xi)) @ a)
-        corr = cd.m.project_coords(alg.from_matrix(rem))
-        xi = xi + corr
-        angle = float(np.abs(np.linalg.eigvals(alg.to_matrices(xi)).imag).max())
-        if angle > radius:
-            raise ChartError(
-                f"coset chart left its injectivity ball (angle {angle:.3f} > {radius:.3f})"
-            )
-        if alg.norm(corr) <= tol:
-            return xi
-    raise ChartError("coset chart iteration did not converge")
+    xi = 0.5 * cd.m.project_coords(alg.from_matrix(_skew_log(a @ p @ a.T @ p)))
+    rest = expm(-alg.to_matrices(xi)) @ a
+    flip = 0.5 * (np.eye(alg.n) - p)  # projection onto the -1 eigenspace
+    if not np.linalg.det(rest @ flip + np.eye(alg.n) - flip) > 0.0:
+        raise ChartError("group element is outside the coset chart: its subgroup "
+                         "factor reverses the -1 eigenspace of the involution")
+    return xi
 
 
-@dataclass(frozen=True)
-class CosetPoint:
-    """A group element with its chart coordinate modulo the subgroup."""
-
-    group_point: np.ndarray
-    m_log: np.ndarray  # coordinates in m
-    algebra: MatrixLieAlgebra
-
-    @property
-    def chart_distance(self) -> float:
-        """Distance to the base coset in the chart (norm of the coordinate)."""
-        return float(self.algebra.norm(self.m_log))
-
-
-def phi_k(u: PathGrid, cd: CartanDecomposition,
-          radius: float = CHART_RADIUS) -> CosetPoint:
-    """Endpoint of the frame ODE, reduced modulo the subgroup of k."""
-    endpoint = transport_endpoint(u)
-    return CosetPoint(endpoint, coset_log(cd, endpoint, radius), cd.algebra)
+def phi_k(u: PathGrid, cd: CartanDecomposition) -> np.ndarray:
+    """Chart coordinate (in m) of the endpoint of the frame ODE, that is,
+    the endpoint reduced modulo the subgroup of k."""
+    return coset_log(cd, transport_endpoint(u))
 
 
 def fiber_tangent_residual(z: PathGrid, cd: CartanDecomposition,
-                           eps: float = FIBER_EPS,
                            enforce_boundary: bool = True) -> float:
     """First-order drift of the coset chart along the direction -z'.
 
     z must vanish at t = 0 and end inside k at t = 1 (within 1e-10);
     directions of that form are tangent to the fiber through the zero
-    path, so the chart coordinate of the endpoint of eps * (-z') is
-    O(eps^2) and the returned ratio is small.  With enforce_boundary off
-    the endpoint condition is skipped, which turns the ratio into a
-    negative control: non-fiber directions give order-one values.
+    path, so the chart coordinate of the endpoint of eps * (-z'), with
+    eps = FIBER_EPS, is O(eps^2) and the returned ratio is small.  With
+    enforce_boundary off the endpoint condition is skipped, which turns the
+    ratio into a negative control: non-fiber directions give order-one
+    values.
     """
     if z.kind != "algebra":
         raise DomainError("fiber directions are algebra-valued paths")
@@ -453,9 +423,8 @@ def fiber_tangent_residual(z: PathGrid, cd: CartanDecomposition,
             raise DomainError(
                 f"path must end inside the k factor (m-component {leak:.3e})"
             )
-    direction = PathGrid(-differentiate_path(z), "algebra")
-    scaled = PathGrid(eps * direction.values, "algebra")
-    return phi_k(scaled, cd).chart_distance / eps
+    scaled = PathGrid(-FIBER_EPS * differentiate_path(z), "algebra")
+    return float(alg.norm(phi_k(scaled, cd))) / FIBER_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +438,9 @@ def _random_skew(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
 
 
 def random_algebra_path(n: int, nodes: int, rng: np.random.Generator,
-                        degree: int = 3, scale: float = 1.0) -> PathGrid:
-    """Polynomial path of skew matrices, smooth by construction."""
-    coeffs = [_random_skew(n, rng, scale) for _ in range(degree + 1)]
+                        scale: float = 1.0) -> PathGrid:
+    """Cubic polynomial path of skew matrices, smooth by construction."""
+    coeffs = [_random_skew(n, rng, scale) for _ in range(4)]
     ts = np.linspace(0.0, 1.0, nodes)
     vals = np.zeros((nodes, n, n))
     for d, c in enumerate(coeffs):
@@ -519,40 +488,17 @@ def _expm_stack(acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _exp_polynomial_path(coeffs: dict, n: int, nodes: int) -> PathGrid:
-    """Group path t -> expm(sum_d t^d c_d), with one batched exponential
-    over the node stack.
+def random_group_path(n: int, nodes: int, rng: np.random.Generator,
+                      scale: float = 0.5, based: bool = False) -> PathGrid:
+    """Exponential of a random cubic polynomial skew path, t -> expm(sum_d
+    t^d c_d), with one batched exponential over the node stack.
 
-    The powers t^d are Python-float powers of the node times; NumPy's array
-    power can differ from them in the last bit.
+    With ``based`` the polynomial has no constant term, so the path starts
+    at the identity.  The powers t^d are Python-float powers of the node
+    times; NumPy's array power can differ from them in the last bit.
     """
     ts = np.linspace(0.0, 1.0, nodes).tolist()
     acc = np.zeros((nodes, n, n))
-    for d, c in coeffs.items():
-        acc += np.array([t ** d for t in ts])[:, None, None] * c
+    for d in range(1 if based else 0, 4):
+        acc += np.array([t ** d for t in ts])[:, None, None] * _random_skew(n, rng, scale)
     return PathGrid(_frozen(_expm_stack(acc)), "group")
-
-
-def random_group_path(n: int, nodes: int, rng: np.random.Generator,
-                      degree: int = 3, scale: float = 0.5,
-                      based: bool = False) -> PathGrid:
-    """Exponential of a random polynomial skew path.
-
-    With ``based`` the polynomial has no constant term, so the path starts
-    at the identity.
-    """
-    start = 1 if based else 0
-    coeffs = {d: _random_skew(n, rng, scale) for d in range(start, degree + 1)}
-    return _exp_polynomial_path(coeffs, n, nodes)
-
-
-def random_fiber_group_path(cd: CartanDecomposition, nodes: int,
-                            rng: np.random.Generator, degree: int = 3,
-                            scale: float = 0.5) -> PathGrid:
-    """Group path with g(0) = identity and g(1) in the subgroup of k."""
-    alg = cd.algebra
-    coeffs = {d: _random_skew(alg.n, rng, scale) for d in range(1, degree + 1)}
-    total = sum(coeffs.values())
-    leak = alg.to_matrices(cd.m.project_coords(alg.from_matrix(total)))
-    coeffs[degree] = coeffs[degree] - leak  # now the t=1 value lies in k
-    return _exp_polynomial_path(coeffs, alg.n, nodes)

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from pfspectra import (
+    CurvatureAdaptedData,
     DimensionError,
     DomainError,
     Subspace,
     build_so,
     cartan_decompose,
-    frequency_isomorphism,
-    frequency_spectrum,
     paired_bases,
     so9_build,
     so9_normal_matrix,
@@ -47,7 +46,7 @@ def test_sphere_single_frequency_equals_norm():
     alg, cd = sphere_cd(5)
     rng = np.random.default_rng(0)
     xi = rng.standard_normal(cd.m.dim) @ cd.m.basis
-    spec = frequency_spectrum(cd, xi)
+    spec = paired_bases(cd, xi).frequency_multiplicities()
     assert len(spec) == 1
     nu, mult = spec[0]
     assert abs(nu - alg.norm(xi)) <= PAIRING_TOL * alg.norm(xi)
@@ -97,7 +96,7 @@ def test_frequency_spectrum_matches_eigen_route():
         cd = cartan_decompose(alg, np.diag([1.0] * p + [-1.0] * q))
         rng = np.random.default_rng(seed)
         xi = rng.standard_normal(cd.m.dim) @ cd.m.basis
-        svd_route = frequency_spectrum(cd, xi)
+        svd_route = paired_bases(cd, xi).frequency_multiplicities()
         ref = eigen_route_frequencies(cd, xi)
         assert len(svd_route) == len(ref)
         for (nu_a, m_a), (nu_b, m_b) in zip(sorted(svd_route), sorted(ref)):
@@ -112,32 +111,36 @@ def test_isomorphism_is_an_isometry_onto_the_partner_block():
     eig = paired_bases(cd, xi)
     block = eig.blocks[0]
     x = block.x_basis[0]
-    y = frequency_isomorphism(eig, block.nu, x)
+    y = -alg.bracket(xi, x) / block.nu
     assert abs(alg.norm(y) - 1.0) <= 1e-10
     assert cd.m.contains(y)
+    assert alg.norm(y - block.y_basis[0]) <= 1e-10
 
 
 def test_isomorphism_rejects_nonpositive_frequency():
+    # a tangent frame is paired through a frequency block of ad(xi), and
+    # nu = 0 is the kernel, never a block
     alg, cd = sphere_cd(4)
     rng = np.random.default_rng(8)
     xi = rng.standard_normal(cd.m.dim) @ cd.m.basis
     eig = paired_bases(cd, xi)
-    with pytest.raises(DomainError):
-        frequency_isomorphism(eig, 0.0, eig.blocks[0].x_basis[0])
+    assert all(block.nu > 0.0 for block in eig.blocks)
+    with pytest.raises(DomainError, match="no frequency block"):
+        CurvatureAdaptedData(eig, [], [(0.0, 0.5, eig.blocks[0].y_basis[:1])])
 
 
 def test_rejects_xi_outside_m():
     alg, cd = sphere_cd(4)
     with pytest.raises(DomainError, match="not in m"):
-        frequency_spectrum(cd, cd.k.basis[0])
+        paired_bases(cd, cd.k.basis[0])
     with pytest.raises(DimensionError):
-        frequency_spectrum(cd, cd.m.basis[0][:-1])
+        paired_bases(cd, cd.m.basis[0][:-1])
 
 
 def test_rejects_zero_xi():
     alg, cd = sphere_cd(4)
     with pytest.raises(DomainError, match="nonzero"):
-        frequency_spectrum(cd, np.zeros(alg.dim))
+        paired_bases(cd, np.zeros(alg.dim))
 
 
 class TestSO9NormalDirections:
@@ -161,7 +164,7 @@ class TestSO9NormalDirections:
         xi = self.alg.from_matrix(so9_normal_matrix(x, y))
         expected_nu = np.sqrt(6.0 * x * x + 2.0 * y * y)
         assert abs(self.alg.norm(xi) - expected_nu) <= 1e-12
-        spec = frequency_spectrum(self.cd, xi)
+        spec = paired_bases(self.cd, xi).frequency_multiplicities()
         assert len(spec) == 1
         assert abs(spec[0][0] - expected_nu) <= 1e-9
         assert spec[0][1] == 7
@@ -175,7 +178,7 @@ class TestSO9NormalDirections:
     def test_agrees_with_eigen_route(self):
         xi = self.alg.from_matrix(so9_normal_matrix(0.6, 0.8))
         ref = eigen_route_frequencies(self.cd, xi)
-        spec = frequency_spectrum(self.cd, xi)
+        spec = paired_bases(self.cd, xi).frequency_multiplicities()
         assert len(ref) == len(spec) == 1
         assert abs(ref[0][0] - spec[0][0]) <= 1e-7
         assert ref[0][1] == spec[0][1]

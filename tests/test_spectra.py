@@ -22,7 +22,6 @@ from pfspectra import (
     hurwitz_zeta,
     kappa,
     mu,
-    mu_coefficient_residuals,
     mu_eigenfunction_coeffs,
     r_trace,
     zeta_trace,
@@ -305,9 +304,21 @@ def test_extrapolation_is_exact_on_polynomials():
 @pytest.mark.parametrize("pair", [(1.0, 0.0), (2.0, 1.0), (math.pi, -1.0)])
 @pytest.mark.parametrize("m", [-1, 0, 1])
 def test_mu_coefficient_requirements_vanish(pair, m):
+    # The three defining relations of the eigenfunction: the n-indexed ones
+    # over n <= 400, the constant one with the tail summed in closed form,
+    # sum_n a_n / n = 2 r sum_n 1/(n^2 - r^2).
     nu, lam = pair
-    residuals = mu_coefficient_residuals(nu, lam, m, 400)
-    assert max(abs(r) for r in residuals) <= 1e-10
+    val = mu(nu, lam, m)
+    c, a, b = mu_eigenfunction_coeffs(nu, lam, m, 400)
+    n = np.arange(1, 401, dtype=float)
+    r = nu / (math.pi * val)
+    _, closed = cot_series(r, 1)
+    residuals = (
+        c * lam + (nu / math.pi) * 2.0 * r * closed - c * val,
+        (nu / math.pi) * (2.0 * c - b) / n - val * a,
+        -(nu / math.pi) * a / n - val * b,
+    )
+    assert max(np.abs(res).max() for res in residuals) <= 1e-10
 
 
 def test_mu_coefficients_shapes_and_domain():

@@ -54,7 +54,7 @@ def simple(values):
 
 def test_multiset_clusters_nearby_values():
     ms = simple([1.0, 1.0 + 1e-12, -2.0, -2.0, 0.5])
-    assert ms.total() == 5
+    assert sum(m for _, m in ms.entries) == 5
     assert len(ms.entries) == 3
     counts = dict(ms.entries)
     assert counts[next(v for v in counts if abs(v - 1.0) < 1e-9)] == 2

@@ -13,7 +13,6 @@ from pfspectra import (
     build_so,
     check_transport_work,
     cartan_decompose,
-    compose_group_paths,
     coset_log,
     differentiate_path,
     equivariance_residual,
@@ -21,11 +20,11 @@ from pfspectra import (
     fiber_tangent_residual,
     gauge_act,
     phi_k,
-    polar_project,
     random_algebra_path,
-    random_fiber_group_path,
     random_group_path,
+    so_pair_index,
     solve_transport,
+    split_pair,
     transport_endpoint,
 )
 
@@ -47,6 +46,18 @@ def so3_cd():
 def so4_cd():
     alg = build_so(4)
     return alg, cartan_decompose(alg, np.diag([1.0, -1.0, -1.0, -1.0]))
+
+
+def random_fiber_group_path(cd, nodes, rng):
+    """Group path t -> expm(sum_d t^d c_d), d = 1..3, by scipy per node:
+    it starts at the identity, and the c_3 correction puts g(1) in the
+    subgroup of k."""
+    alg = cd.algebra
+    coeffs = [0.5 * skew(rng, alg.n) for _ in range(3)]
+    coeffs[2] = coeffs[2] - alg.to_matrices(cd.m.project_coords(alg.from_matrix(sum(coeffs))))
+    return PathGrid.sample(
+        lambda t: expm(sum(t ** (d + 1) * c for d, c in enumerate(coeffs))), nodes, "group"
+    )
 
 
 # ---------------------------------------------------------------- PathGrid
@@ -153,16 +164,20 @@ def test_gauge_action_composes_like_a_group_action():
     g = random_group_path(3, NODES, rng)
     h = random_group_path(3, NODES, rng)
     u = random_algebra_path(3, NODES, rng)
-    lhs = gauge_act(compose_group_paths(g, h), u)
+    lhs = gauge_act(PathGrid(g.values @ h.values, "group"), u)
     rhs = gauge_act(g, gauge_act(h, u))
     assert np.abs(lhs.values - rhs.values).max() <= 1e-6
 
 
 def test_compose_requires_group_paths():
+    # the pointwise product of two group paths is a group path; that of
+    # two algebra paths is refused as one
     rng = np.random.default_rng(7)
+    g, h = random_group_path(3, 65, rng), random_group_path(3, 65, rng)
+    assert PathGrid(g.values @ h.values, "group").nodes == 65
     u = random_algebra_path(3, 65, rng)
-    with pytest.raises(DomainError):
-        compose_group_paths(u, u)
+    with pytest.raises(DomainError, match="orthogonal"):
+        PathGrid(u.values @ u.values, "group")
 
 
 # -------------------------------------------------------------- frame ODE
@@ -358,7 +373,8 @@ def test_transport_work_is_bounded_before_allocation():
 
 def test_polar_projection_restores_orthogonality():
     rng = np.random.default_rng(10)
-    q = polar_project(np.eye(4) + 1e-4 * rng.standard_normal((4, 4)))
+    q = transport._newton_polar(np.eye(4) + 1e-4 * rng.standard_normal((4, 4)),
+                                1.5 * np.eye(4))
     np.testing.assert_allclose(q @ q.T, np.eye(4), atol=1e-12)
 
 
@@ -419,24 +435,61 @@ def test_coset_log_guards_its_injectivity_ball():
         coset_log(cd, expm(2.0 * xm))
 
 
+@pytest.mark.parametrize("pq", [(3, 1), (4, 1), (6, 1), (2, 2), (3, 3), (2, 4), (5, 3)])
+def test_coset_log_inverts_exp_x_times_subgroup_factor(pq):
+    cd = split_pair(*pq)
+    alg = cd.algebra
+    rng = np.random.default_rng(10 * pq[0] + pq[1])
+    for _ in range(20):
+        x = rng.standard_normal(cd.m.dim) @ cd.m.basis
+        x *= rng.uniform(0.0, 0.6) / alg.norm(x)
+        k = rng.standard_normal(cd.k.dim) @ cd.k.basis
+        a = expm(alg.to_matrices(x)) @ expm(alg.to_matrices(k))
+        np.testing.assert_allclose(coset_log(cd, a), x, rtol=0.0, atol=1e-12)
+
+
+def test_coset_log_accepts_subgroup_rotations_by_pi():
+    # the subgroup factor has eigenvalues -1 but keeps both orientations
+    cd = split_pair(2, 2)
+    alg = cd.algebra
+    half_turns = np.zeros(alg.dim)
+    half_turns[[so_pair_index(4, 0, 1), so_pair_index(4, 2, 3)]] = np.pi
+    x = 0.3 * cd.m.basis[0]
+    a = expm(alg.to_matrices(x)) @ expm(alg.to_matrices(half_turns))
+    np.testing.assert_allclose(coset_log(cd, a), x, rtol=0.0, atol=1e-12)
+
+
+def test_coset_log_refuses_a_rank_two_point_past_the_chart():
+    # rotation angles (2.0, 0.3) in two commuting planes of m: the first
+    # is past pi/2, so no xi in the chart reaches the point
+    cd = split_pair(2, 2)
+    alg = cd.algebra
+    xi = np.zeros(alg.dim)
+    xi[[so_pair_index(4, 0, 2), so_pair_index(4, 1, 3)]] = (2.0, 0.3)
+    assert cd.m.contains(xi)
+    with pytest.raises(ChartError, match="outside the coset chart"):
+        coset_log(cd, expm(alg.to_matrices(xi)))
+
+
 def test_phi_k_trivial_and_fiber_directions():
     alg, cd = so4_cd()
     zero = PathGrid.constant(np.zeros((4, 4)), NODES, "algebra")
-    assert phi_k(zero, cd).chart_distance <= 1e-12
+    assert alg.norm(phi_k(zero, cd)) <= 1e-12
     xk = alg.to_matrices(cd.k.basis[0])
     fiber = PathGrid.constant(xk, NODES, "algebra")
-    assert phi_k(fiber, cd).chart_distance <= 1e-9
+    assert alg.norm(phi_k(fiber, cd)) <= 1e-9
 
 
 def test_phi_k_of_small_normal_direction_is_first_order_exact():
     alg, cd = so4_cd()
     x = 0.05 * cd.m.basis[1]
-    point = phi_k(PathGrid.constant(alg.to_matrices(x), NODES, "algebra"), cd)
-    np.testing.assert_allclose(point.m_log, x, atol=1e-8)
-    # representative factorization: group_point = exp(m_log) * subgroup factor
-    subgroup_factor = expm(-alg.to_matrices(point.m_log)) @ point.group_point
-    recon = expm(alg.to_matrices(point.m_log)) @ subgroup_factor
-    np.testing.assert_allclose(recon, point.group_point, atol=1e-10)
+    u = PathGrid.constant(alg.to_matrices(x), NODES, "algebra")
+    xi = phi_k(u, cd)
+    np.testing.assert_allclose(xi, x, atol=1e-8)
+    # representative factorization: endpoint = exp(xi) * subgroup factor
+    subgroup_factor = expm(-alg.to_matrices(xi)) @ transport_endpoint(u)
+    p = cd.p_matrix
+    np.testing.assert_allclose(p @ subgroup_factor @ p, subgroup_factor, atol=1e-10)
 
 
 # ---------------------------------------------------------- fiber tangency
@@ -493,7 +546,7 @@ def test_gauge_orbit_of_zero_stays_in_the_fiber():
     for _ in range(3):
         g = random_fiber_group_path(cd, NODES, rng)
         moved = gauge_act(g, zero)
-        assert phi_k(moved, cd).chart_distance <= CHART_TOL
+        assert alg.norm(phi_k(moved, cd)) <= CHART_TOL
 
 
 def test_fiber_group_paths_have_the_right_boundary():
