@@ -32,9 +32,10 @@ PAIRING_TOL = 1e-6
 
 def _check_xi(cd: CartanDecomposition, xi: np.ndarray) -> None:
     alg = cd.algebra
-    nrm = alg.norm(xi)
-    if nrm == 0.0:
-        raise DomainError("xi must be nonzero")
+    with np.errstate(over="ignore"):
+        nrm = alg.norm(xi)
+    if not 0.0 < nrm < np.inf:
+        raise DomainError(f"xi must have a finite nonzero norm, got {nrm:.3e}")
     leak = alg.norm(xi - cd.m.project_coords(xi))
     if leak > XI_MEMBERSHIP_TOL * nrm:
         raise DomainError(f"xi is not in m (relative residual {leak / nrm:.3e})")

@@ -58,8 +58,9 @@ MAX_FORMS_LABEL_ENTRIES = 1_000_000
 MAX_FORMS_ENTRIES = 50_000_000
 # `oracle --mode group` work: per sample, the dim^2 entries of its group
 # matrix plus GROUP_SAMPLE_SETUP for building the pair.  Xeon, one BLAS
-# thread: a sample takes 1.9 ms at --l 2 (dim 3), 35 ms at --l 20 (dim 210)
-# and 0.93 s at --l 39 (dim 780), so the limit is about 2 s of work.
+# thread: a sample takes 1.7 ms at --l 2 (dim 3), 18 ms at --l 20 (dim 210)
+# and 0.45 s at --l 39 (dim 780), so the limit (three samples at --l 39)
+# is about 1.4 s of work.
 GROUP_SAMPLE_SETUP = 2000
 MAX_GROUP_WORK = 2_000_000
 # scipy.sparse and scipy.sparse.linalg are imported at first use: at module
@@ -730,6 +731,8 @@ def sphere_pair(l: int):
 def random_m_direction(cd, rng: np.random.Generator) -> np.ndarray:
     """A random unit vector of m: a standard-normal combination of the m
     basis, normalized."""
+    if cd.m.dim == 0:
+        raise DomainError("m is {0} (the involution is +-I), so it has no unit direction xi")
     raw = rng.standard_normal(cd.m.dim) @ cd.m.basis
     return (1.0 / cd.algebra.norm(raw)) * raw
 

@@ -109,7 +109,7 @@ def _factor_curve(p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return math.cos(s * t) * p + math.sin(s * t) * (v / s)
 
 
-def product_sphere_shape(m: int, n: int, normal_coeffs, base_point=None) -> np.ndarray:
+def product_sphere_shape(m: int, n: int, normal_coeffs) -> np.ndarray:
     """Shape-operator matrix of S^{n-1}(1)^m inside S^{mn-1}(sqrt m).
 
     The normal direction is xi = (a_1 p_1, ..., a_m p_m) with sum a_i = 0
@@ -130,19 +130,12 @@ def product_sphere_shape(m: int, n: int, normal_coeffs, base_point=None) -> np.n
         raise DomainError("normal direction is zero (all coefficients vanish)")
     a = a / nrm
 
-    if base_point is None:
-        pts = [np.eye(n)[0] for _ in range(m)]
-    else:
-        pts = [np.asarray(p, dtype=float) for p in base_point]
-        if len(pts) != m or any(p.shape != (n,) for p in pts):
-            raise DimensionError("base point must list m unit vectors of length n")
-        if any(abs(np.linalg.norm(p) - 1.0) > 1e-10 for p in pts):
-            raise DomainError("base point factors must be unit vectors")
-
-    # Orthonormal tangent frame: per factor, any completion of p_i.
+    # Base point (e_1, ..., e_1); the tangent frame of each factor is one
+    # orthonormal completion of e_1.
+    pts = [np.eye(n)[0]] * m
+    basis = np.linalg.svd(np.eye(n) - np.outer(pts[0], pts[0]))[0][:, : n - 1]
     frame = []
-    for i, p in enumerate(pts):
-        basis = np.linalg.svd(np.eye(n) - np.outer(p, p))[0][:, : n - 1]
+    for i in range(m):
         for c in range(n - 1):
             vec = np.zeros((m, n))
             vec[i] = basis[:, c]

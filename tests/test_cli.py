@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,39 @@ def test_decompose_input_at_unit_scale(tmp_path, capsys, n):
     code, out, err = run_cli(capsys, "decompose", "--input", path, "--seed", "4")
     assert code == 0, err
     assert json.loads(out)["frequencies"]
+
+
+def test_decompose_input_with_a_rotated_involution(tmp_path, capsys):
+    # P = Q diag(1^10, -1^10) Q^T for a random orthogonal Q: the split has
+    # dim k = 2 * C(10, 2) and dim m = 100, and a generic xi in m has a
+    # 10-dimensional kernel in m.
+    q_mat, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 20)))
+    p = q_mat @ np.diag([1.0] * 10 + [-1.0] * 10) @ q_mat.T
+    path = write_json(tmp_path, "dec.json", {"n": 20, "p": (0.5 * (p + p.T)).tolist()})
+    code, out, err = run_cli(capsys, "decompose", "--input", path, "--seed", "0")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["dim_m0"] == 10
+    assert sum(mult for _, mult in rep["frequencies"]) + rep["dim_m0"] == 100
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_decompose_refuses_an_involution_without_m(tmp_path, capsys, sign):
+    # P = +-I fixes the whole algebra, so m = {0} holds no direction xi.
+    path = write_json(tmp_path, "dec.json", {"n": 4, "p": (sign * np.eye(4)).tolist()})
+    code, out, err = run_cli(capsys, "decompose", "--input", path)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "m is {0}" in err
+
+
+def test_decompose_refuses_an_xi_whose_norm_overflows(tmp_path, capsys):
+    xi = np.zeros((4, 4))
+    xi[0, 3], xi[1, 3] = 1e200, 3e200
+    path = write_json(tmp_path, "dec.json", {"n": 4, "xi": (xi - xi.T).tolist()})
+    code, out, err = run_cli(capsys, "decompose", "--input", path)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "finite nonzero norm" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_oracle_mu_mode_quick(capsys):

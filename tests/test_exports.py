@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the unit tests."""
+"""Every public name of the package, and every public member of an exported
+class, has a caller outside the unit tests."""
 
 import inspect
 import pathlib
@@ -13,17 +14,39 @@ def _words(text: str) -> set:
     return set(re.findall(r"\w+", text))
 
 
+PACKAGE = REPO_ROOT / "src" / "pfspectra"
+# Files outside the package whose use of a name counts: the benchmark and
+# the acceptance tests.
+OUTSIDE = [*(REPO_ROOT / "perfbench").rglob("*.py"), REPO_ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_exported_name_is_used_outside_the_unit_tests():
     # A name counts as used when a package module other than __init__
     # names it beyond its own def or class line (code or docs), or when the
     # benchmark or the acceptance tests name it.
     used = set()
-    for path in (REPO_ROOT / "src" / "pfspectra").glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             used |= _words(re.sub(r"\b(?:def|class)\s+\w+", "", path.read_text()))
-    for path in (REPO_ROOT / "perfbench").rglob("*.py"):
+    for path in OUTSIDE:
         used |= _words(path.read_text())
-    used |= _words((REPO_ROOT / "tests" / "test_acceptance.py").read_text())
     names = [name for name in pfspectra.__all__
              if not inspect.ismodule(getattr(pfspectra, name))]
     assert [name for name in names if name not in used] == []
+
+
+def test_every_public_member_of_an_exported_class_is_used_outside_the_unit_tests():
+    # The same rule for the methods, classmethods and properties of the
+    # exported classes: a member counts as used when ".name" appears in a
+    # package module, in the benchmark or in the acceptance tests.
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *OUTSIDE]:
+        used |= set(re.findall(r"\.(\w+)", path.read_text()))
+    members = [
+        f"{name}.{attr}"
+        for name in pfspectra.__all__ if inspect.isclass(cls := getattr(pfspectra, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (inspect.isfunction(value)
+                                         or isinstance(value, (property, classmethod, staticmethod)))
+    ]
+    assert [m for m in members if m.split(".")[1] not in used] == []

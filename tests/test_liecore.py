@@ -323,3 +323,40 @@ def test_split_involution_fills_the_algebra_at_every_scale(n, scale):
         assert cd.k.dim == p * (p - 1) // 2 + q * (q - 1) // 2
         assert cd.m.dim == p * q
         assert cd.k.dim + cd.m.dim == alg.dim
+
+
+@pytest.mark.parametrize("n", [18, 20, 24])
+def test_cartan_splits_random_orthogonal_involutions(n):
+    # P = Q diag(1^p, -1^q) Q^T for a random orthogonal Q: the eigenspaces
+    # have dimensions C(p,2) + C(q,2) and p*q, and conjugation acts as +1
+    # on every k row and -1 on every m row.
+    alg = build_so(n)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, n))
+        q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        inv = q_mat @ np.diag([1.0] * p + [-1.0] * (n - p)) @ q_mat.T
+        inv = 0.5 * (inv + inv.T)
+        cd = cartan_decompose(alg, inv)
+        q = n - p
+        assert cd.k.dim == p * (p - 1) // 2 + q * (q - 1) // 2
+        assert cd.m.dim == p * q
+        ks, ms = alg.to_matrices(cd.k.basis), alg.to_matrices(cd.m.basis)
+        assert np.abs(inv @ ks @ inv - ks).max() <= ORTHO_TOL
+        assert np.abs(inv @ ms @ inv + ms).max() <= ORTHO_TOL
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_diagonal_split_bases_are_scaled_coordinate_rows(scale):
+    # For P = diag(1^p, -1^q) the bases are exactly the coordinate rows of
+    # the fixed and flipped pairs, in coordinate order, scaled to unit norm.
+    cases = [(n, p) for n in range(2, 13) for p in range(1, n)]
+    cases += [(40, 1), (40, 20), (40, 39)]
+    for n, p in cases:
+        alg = build_so(n, ip_scale=scale)
+        cd = cartan_decompose(alg, np.diag([1.0] * p + [-1.0] * (n - p)))
+        rows, cols = np.triu_indices(n, 1)
+        fixed = (rows < p) == (cols < p)
+        unit = np.eye(alg.dim) / np.sqrt(2.0 * scale)
+        np.testing.assert_array_equal(cd.k.basis, unit[fixed])
+        np.testing.assert_array_equal(cd.m.basis, unit[~fixed])

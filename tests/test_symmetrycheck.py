@@ -176,16 +176,6 @@ def test_product_sphere_shape_eigenvalues():
     np.testing.assert_allclose(w, [-r, -r, r, r], atol=FD_EIGEN_TOL)
 
 
-def test_product_sphere_shape_respects_base_point():
-    base = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
-    mat = product_sphere_shape(2, 3, [1.0, -1.0], base_point=base)
-    w = np.sort(np.linalg.eigvalsh(mat))
-    r = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(w, [-r, -r, r, r], atol=FD_EIGEN_TOL)
-    with pytest.raises(DomainError, match="unit"):
-        product_sphere_shape(2, 3, [1.0, -1.0], base_point=[[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
-
-
 def test_sampled_normals_live_on_the_trace_free_sphere():
     rng = np.random.default_rng(0)
     normals = sample_product_normals(3, 8, rng)
