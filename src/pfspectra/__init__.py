@@ -6,6 +6,11 @@ over compact symmetric spaces: frequency decompositions of ad(xi),
 closed-form eigenvalue families with truncated-operator oracles,
 regularized traces, austere/arid symmetry deciders, and the discretized
 gauge action with its transport ODE.
+
+scipy and jsonschema are imported at first use, inside the functions that
+call them: imported at module level, they made the set-up of one CLI call
+(import, parser, one document load) take 0.51 s instead of 0.21 s (median
+of 9 fresh processes, one BLAS thread).
 """
 
 from .adspec import (

@@ -11,10 +11,13 @@ bases (x_i, y_i) satisfying
 
 Everything is derived from one singular value decomposition of ad(xi)
 restricted to k -> m, so the pairing is exact up to floating point noise.
+The decomposition runs on xi scaled by a power of two to norm about 1,
+which is exact; the frequencies are scaled back.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,15 +33,22 @@ XI_MEMBERSHIP_TOL = 1e-10
 PAIRING_TOL = 1e-6
 
 
-def _check_xi(cd: CartanDecomposition, xi: np.ndarray) -> None:
+def _scaled_xi(cd: CartanDecomposition, xi: np.ndarray):
+    """(xi * 2**s, s) with s = -round(log2 |xi|), after checking that xi is
+    a nonzero vector of m.  At |xi| near 1e-160 the squared norms of
+    brackets are subnormal and lose digits; at norm about 1 they do not."""
     alg = cd.algebra
     with np.errstate(over="ignore"):
         nrm = alg.norm(xi)
     if not 0.0 < nrm < np.inf:
         raise DomainError(f"xi must have a finite nonzero norm, got {nrm:.3e}")
+    s = -round(math.log2(nrm))
+    xi = np.ldexp(xi, s)
+    nrm = alg.norm(xi)
     leak = alg.norm(xi - cd.m.project_coords(xi))
     if leak > XI_MEMBERSHIP_TOL * nrm:
         raise DomainError(f"xi is not in m (relative residual {leak / nrm:.3e})")
+    return xi, s
 
 
 def _ad_block(cd: CartanDecomposition, xi: np.ndarray) -> np.ndarray:
@@ -88,6 +98,7 @@ class AdEigenstructure:
     blocks: tuple  # FrequencyBlock, nu descending
     k0_basis: np.ndarray  # (dim_k0, dim) rows spanning ker ad(xi) in k
     m0_basis: np.ndarray  # (dim_m0, dim) rows spanning ker ad(xi) in m
+    xi_norm: float  # |xi|, computed at norm about 1 and scaled back
 
     @property
     def dim_k0(self) -> int:
@@ -104,23 +115,25 @@ class AdEigenstructure:
 def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
     """Orthonormal paired bases for every frequency block of ad(xi)."""
     xi = np.asarray(xi, dtype=float)
-    _check_xi(cd, xi)
+    unit_xi, s = _scaled_xi(cd, xi)
     alg = cd.algebra
-    c = _ad_block(cd, xi)
+    c = _ad_block(cd, unit_xi)
     dim_m, dim_k = c.shape
     if min(dim_m, dim_k) == 0:
         u, sigma, vt = np.eye(dim_m), np.zeros(0), np.eye(dim_k)
     else:
         u, sigma, vt = np.linalg.svd(c, full_matrices=True)
-    clusters = _cluster(sigma, alg.norm(xi))
+    unit_norm = alg.norm(unit_xi)
+    clusters = _cluster(sigma, unit_norm)
 
     blocks = []
     for nu, idxs in clusters:
         xs = vt[idxs] @ cd.k.basis
-        imgs = alg.bracket(xi, xs)
+        imgs = alg.bracket(unit_xi, xs)
         norms = alg.norm(imgs)
         scale = norms / nu
         worst = np.argmax(np.abs(scale - 1.0))
+        nu = math.ldexp(nu, -s)
         if abs(scale[worst] - 1.0) > PAIRING_TOL:
             raise StructureError(
                 f"pairing failed at nu={nu:.6g}: |[xi,x]|/nu = {scale[worst]:.8f} "
@@ -144,4 +157,4 @@ def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
             f"frequency blocks do not exhaust the pair: k {total_k}/{cd.k.dim}, "
             f"m {total_m}/{cd.m.dim}"
         )
-    return AdEigenstructure(cd, xi, tuple(blocks), k0, m0)
+    return AdEigenstructure(cd, xi, tuple(blocks), k0, m0, math.ldexp(unit_norm, -s))

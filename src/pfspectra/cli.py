@@ -15,7 +15,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import formats, oracle, spectra, symmetrycheck, transport
 from .adspec import paired_bases
@@ -111,7 +110,7 @@ def _cmd_decompose(args):
     ad = paired_bases(cd, xi)
     report = {
         "n": n,
-        "xi_norm": float(cd.algebra.norm(xi)),
+        "xi_norm": ad.xi_norm,
         "frequencies": [[nu, m] for nu, m in ad.frequency_multiplicities()],
         "dim_k0": ad.dim_k0,
         "dim_m0": ad.dim_m0,
@@ -249,11 +248,12 @@ def _oracle_forms(args):
     spectra.check_work("the forms check", labels * grid * dim, oracle.MAX_FORMS_ENTRIES)
     worst = 0.0
     rows = []
+    q, raw, closed, scratch = np.empty((4, grid, dim))
     for label in data.fourier_labels(args.n_max):
-        path = oracle.label_decomposed_path(data, label, grid)
-        raw = oracle.shape_apply_raw(data, path)
-        closed = oracle.label_closed_form(data, label, grid)
-        err = oracle.grid_l2_norm(raw - closed, data.cd.algebra)
+        path = oracle.label_decomposed_path(data, label, grid, out=q, scratch=scratch)
+        oracle.shape_apply_raw(data, path, out=raw, scratch=scratch)
+        oracle.label_closed_form(data, label, grid, out=closed)
+        err = oracle.grid_l2_norm(np.subtract(raw, closed, out=raw), data.cd.algebra)
         scale = max(oracle.grid_l2_norm(closed, data.cd.algebra), 1.0)
         rel = err / scale
         worst = max(worst, rel)
@@ -377,6 +377,9 @@ def _cmd_transport(args):
     _transport_sizes(args)
     rng = np.random.default_rng(args.seed)
     if args.check == "order":
+        # scipy's expm is the independent reference for the RK4 integrator.
+        from scipy.linalg import expm
+
         raw = rng.standard_normal((args.n, args.n))
         x = 0.5 * (raw - raw.T)
         x *= math.pi / max(np.abs(np.linalg.eigvals(x).imag).max(), 1e-12)

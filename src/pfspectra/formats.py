@@ -14,8 +14,6 @@ import json
 import csv
 import math
 
-import jsonschema
-
 from .errors import FormatError
 
 _NUM_INT_PAIR = {
@@ -107,6 +105,8 @@ def validate_document(kind: str, document) -> None:
     """
     if kind not in SCHEMAS:
         raise FormatError(f"unknown schema {kind!r} (have {sorted(SCHEMAS)})")
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
     errors = sorted(validator.iter_errors(document), key=lambda e: e.json_path)
     if errors:

@@ -63,10 +63,6 @@ MAX_FORMS_ENTRIES = 50_000_000
 # is about 1.4 s of work.
 GROUP_SAMPLE_SETUP = 2000
 MAX_GROUP_WORK = 2_000_000
-# scipy.sparse and scipy.sparse.linalg are imported at first use: at module
-# level they made the benchmark's set-up snippet (`from pfspectra import
-# cli` and one parse) 21 ms slower, 0.241 -> 0.262 s (median of 15 fresh
-# processes each).
 
 
 @dataclass(frozen=True)
@@ -378,31 +374,51 @@ class DecomposedPath:
         return self.q.shape[0]
 
 
+# label_decomposed_path, label_closed_form and shape_apply_raw take
+# optional (grid, dim) buffers: ``out`` receives the result and ``scratch``
+# one temporary.  The forms check allocates them once per command, so its
+# time does not depend on the allocator's mmap and trim thresholds.  The
+# arithmetic is that of np.outer and of the scalar products, in the same
+# order, so the results carry the same bits.
+
+
+def _grid_buffer(grid: int, dim: int, buf) -> np.ndarray:
+    return np.empty((grid, dim)) if buf is None else buf
+
+
 def label_decomposed_path(
-    data: CurvatureAdaptedData, label: FourierBasisLabel, grid: int
+    data: CurvatureAdaptedData, label: FourierBasisLabel, grid: int, out=None, scratch=None
 ) -> DecomposedPath:
     """Realize a Fourier basis label as a decomposed grid path.
 
     Sine labels use the primitive Z = (sqrt2/(n pi)) x (cos(n pi t) - 1),
     split as Q = Z - t Z(1) with constant part -Z(1); cosine labels are pure
-    -Q' with Q = -(sqrt2/(n pi)) y sin(n pi t); constants are pure y.
+    -Q' with Q = -(sqrt2/(n pi)) y sin(n pi t); constants are pure y.  The
+    returned path's q is ``out`` when given.
     """
     dim = data.cd.algebra.dim
     t = np.linspace(0.0, 1.0, grid)
     zero = np.zeros(dim)
+    q = _grid_buffer(grid, dim, out)
     if label.profile == "const":
-        return DecomposedPath(np.zeros((grid, dim)), zero, label.y)
+        q.fill(0.0)
+        return DecomposedPath(q, zero, label.y)
     n = label.mode
     scale = math.sqrt(2.0) / (n * math.pi)
     if label.profile == "sin":
-        z = scale * np.outer(np.cos(n * math.pi * t) - 1.0, label.x)
+        np.multiply((np.cos(n * math.pi * t) - 1.0)[:, None], label.x, out=q)
+        q *= scale
         z1 = scale * (((-1.0) ** n) - 1.0) * label.x
-        return DecomposedPath(z - np.outer(t, z1), -z1, zero)
-    return DecomposedPath(-scale * np.outer(np.sin(n * math.pi * t), label.y), zero, zero)
+        tz1 = _grid_buffer(grid, dim, scratch)
+        q -= np.multiply(t[:, None], z1, out=tz1)
+        return DecomposedPath(q, -z1, zero)
+    np.multiply(np.sin(n * math.pi * t)[:, None], label.y, out=q)
+    q *= -scale
+    return DecomposedPath(q, zero, zero)
 
 
 def label_closed_form(
-    data: CurvatureAdaptedData, label: FourierBasisLabel, grid: int
+    data: CurvatureAdaptedData, label: FourierBasisLabel, grid: int, out=None
 ) -> np.ndarray:
     """Grid image of a basis label under the path-space shape operator.
 
@@ -413,17 +429,27 @@ def label_closed_form(
     """
     t = np.linspace(0.0, 1.0, grid)
     nu = label.nu or 0.0
+    out = _grid_buffer(grid, data.cd.algebra.dim, out)
     if label.profile == "const":
-        return np.outer(np.ones(grid), label.lam * label.y) + nu * np.outer(1.0 - t, label.x)
+        # nu (1 - t) x + lambda y: the sum commutes exactly.
+        np.multiply((1.0 - t)[:, None], label.x, out=out)
+        out *= nu
+        out += label.lam * label.y
+        return out
     n = label.mode
     coef = -nu / (n * math.pi) * math.sqrt(2.0)
     if label.profile == "sin":
         shift = 0.0 if label.lam == PERP_LABEL else 1.0
-        return coef * np.outer(np.cos(n * math.pi * t) - shift, label.y)
-    return coef * np.outer(np.sin(n * math.pi * t), label.x)
+        np.multiply((np.cos(n * math.pi * t) - shift)[:, None], label.y, out=out)
+    else:
+        np.multiply(np.sin(n * math.pi * t)[:, None], label.x, out=out)
+    out *= coef
+    return out
 
 
-def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath) -> np.ndarray:
+def shape_apply_raw(
+    data: CurvatureAdaptedData, path: DecomposedPath, out=None, scratch=None
+) -> np.ndarray:
     """Apply the path-space shape operator from its raw block formulas.
 
     For a decomposed path -Q' + x + y the image is
@@ -434,6 +460,7 @@ def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath) -> np.ndar
 
     with perp the projection onto the normal space of the base submanifold
     inside m.  The integral uses trapezoid quadrature on the given grid.
+    ``out`` and ``scratch`` must not share memory with ``path.q``.
     """
     alg = data.cd.algebra
     grid = path.grid
@@ -441,7 +468,10 @@ def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath) -> np.ndar
         raise DimensionError("grid must have at least 2 nodes")
     if path.q.shape != (grid, alg.dim):
         raise DimensionError("q has the wrong shape")
-    qn = np.linalg.norm(path.q, axis=1)
+    out = _grid_buffer(grid, alg.dim, out)
+    scratch = _grid_buffer(grid, alg.dim, scratch)
+    # np.linalg.norm(q, axis=1), spelled out to use scratch.
+    qn = np.sqrt(np.add.reduce(np.multiply(path.q, path.q, out=scratch), axis=1))
     scale = max(1.0, qn.max() if qn.size else 0.0)
     if max(np.linalg.norm(path.q[0]), np.linalg.norm(path.q[-1])) > BOUNDARY_TOL * scale:
         raise DomainError("primitive Q must vanish at both endpoints")
@@ -453,15 +483,20 @@ def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath) -> np.ndar
 
     t = np.linspace(0.0, 1.0, grid)
     admat = alg.ad_matrix(data.xi)
-    bracket_q = path.q @ admat.T
-    q_int = np.trapezoid(path.q, t, axis=0)
+    # np.trapezoid(q, t, axis=0) in numpy's operation order, in scratch.
+    pair_sums = np.add(path.q[1:], path.q[:-1], out=scratch[:-1])
+    pair_sums *= np.diff(t)[:, None]
+    pair_sums /= 2.0
+    q_int = np.add.reduce(pair_sums, axis=0)
     perp_int = data.perp_project(admat @ q_int)
 
     bx = admat @ path.x
     by = admat @ path.y
-    out = bracket_q - perp_int[None, :]
-    out += 0.5 * data.perp_project(bx)[None, :] - np.outer(t, bx)
-    out += ay[None, :] + np.outer(1.0 - t, by)
+    np.matmul(path.q, admat.T, out=out)
+    out -= perp_int
+    out += np.subtract(0.5 * data.perp_project(bx), np.multiply(t[:, None], bx, out=scratch),
+                       out=scratch)
+    out += np.add(ay, np.multiply((1.0 - t)[:, None], by, out=scratch), out=scratch)
     return out
 
 

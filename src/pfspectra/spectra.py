@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import DomainError, PoleError, StructureError
 
@@ -331,6 +330,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
         raise DomainError(f"hurwitz_zeta needs s > 1, got {s}")
     if a <= 0:
         raise DomainError(f"hurwitz_zeta needs a > 0, got {a}")
+    import scipy.special
+
     return float(scipy.special.zeta(s, a))
 
 

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .errors import ChartError, DimensionError, DomainError
 from .liecore import MAX_SO_N, CartanDecomposition
@@ -366,6 +365,8 @@ def _skew_log(a: np.ndarray) -> np.ndarray:
     angles = np.abs(np.angle(np.linalg.eigvals(a)))
     if angles.max() > math.pi - 1e-6:
         raise ChartError("group element has a rotation angle at the logarithm cut")
+    from scipy.linalg import logm
+
     log = logm(a)
     log = np.real(log)
     return 0.5 * (log - log.T)
@@ -385,6 +386,8 @@ def coset_log(cd: CartanDecomposition, a: np.ndarray) -> np.ndarray:
     p = cd.p_matrix
     a = np.asarray(a, dtype=float)
     xi = 0.5 * cd.m.project_coords(alg.from_matrix(_skew_log(a @ p @ a.T @ p)))
+    from scipy.linalg import expm
+
     rest = expm(-alg.to_matrices(xi)) @ a
     flip = 0.5 * (np.eye(alg.n) - p)  # projection onto the -1 eigenspace
     if not np.linalg.det(rest @ flip + np.eye(alg.n) - flip) > 0.0:

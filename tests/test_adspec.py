@@ -143,6 +143,28 @@ def test_rejects_zero_xi():
         paired_bases(cd, np.zeros(alg.dim))
 
 
+@pytest.mark.parametrize("size", [3e-160, 1.0, 3e153])
+def test_frequencies_scale_with_xi_at_any_norm(size):
+    # At |xi| ~ 3e-160 the squared bracket norms are subnormal; the blocks
+    # are computed at norm about 1 and the frequencies scaled back.
+    alg = build_so(5)
+    cd = cartan_decompose(alg, np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
+    unit = np.random.default_rng(3).standard_normal(cd.m.dim) @ cd.m.basis
+    unit /= alg.norm(unit)
+    ref = paired_bases(cd, unit)
+    xi = size * unit
+    eig = paired_bases(cd, xi)
+    np.testing.assert_array_equal(eig.xi, xi)
+    assert abs(eig.xi_norm - size) <= 1e-14 * size
+    assert [b.mult for b in eig.blocks] == [b.mult for b in ref.blocks]
+    for block, unit_block in zip(eig.blocks, ref.blocks):
+        assert abs(block.nu - size * unit_block.nu) <= 1e-12 * block.nu
+        images = alg.bracket(xi, block.x_basis) / block.nu
+        assert np.abs(images + block.y_basis).max() <= PAIRING_TOL
+    with pytest.raises(DomainError, match="not in m"):
+        paired_bases(cd, size * cd.k.basis[0])
+
+
 class TestSO9NormalDirections:
     """The rank-two family of normal directions of the 34-dimensional orbit.
 

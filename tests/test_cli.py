@@ -122,6 +122,26 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
         assert out
 
 
+def test_commands_import_scipy_and_jsonschema_only_where_they_run():
+    # Start-up cost: building the parser, decompose and the forms check run
+    # without scipy.linalg, scipy.special, scipy.sparse and jsonschema.
+    probe = """
+import contextlib, io, sys
+from pfspectra import cli
+cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["decompose", "--n", "6"]),
+             cli.main(["oracle", "--mode", "forms", "--l", "3", "--grid", "32", "--n-max", "1"])]
+heavy = ("scipy.linalg", "scipy.special", "scipy.sparse", "jsonschema")
+print(codes, [name for name in heavy if name in sys.modules])
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[0, 0] []"
+
+
 def test_spectrum_window_frozen_values(tmp_path, capsys):
     # Normal-only data: the window holds exactly the harmonic pairs nu/(n pi).
     path = write_json(tmp_path, "point.json", sphere_doc(1.0, (), 3, 3))
@@ -235,6 +255,20 @@ def test_decompose_refuses_an_involution_without_m(tmp_path, capsys, sign):
     code, out, err = run_cli(capsys, "decompose", "--input", path)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "m is {0}" in err
+
+
+def test_decompose_reports_a_tiny_xi_at_its_own_scale(tmp_path, capsys):
+    # The squared norms of this xi are subnormal; the report's frequency and
+    # xi_norm still read its norm.
+    unit = np.zeros((5, 5))
+    unit[0, 4], unit[1, 4], unit[2, 4] = 0.6, 0.0, 0.8  # norm 1 at ip_scale 0.5
+    path = write_json(tmp_path, "dec.json", {"n": 5, "xi": (3e-160 * (unit - unit.T)).tolist()})
+    code, out, err = run_cli(capsys, "decompose", "--input", path)
+    assert code == 0, err
+    rep = json.loads(out)
+    [(nu, mult)] = rep["frequencies"]
+    assert mult == 3 and nu == pytest.approx(3e-160, rel=1e-14)
+    assert rep["xi_norm"] == pytest.approx(3e-160, rel=1e-14)
 
 
 def test_decompose_refuses_an_xi_whose_norm_overflows(tmp_path, capsys):

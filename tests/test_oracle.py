@@ -313,6 +313,57 @@ def test_raw_and_closed_forms_agree_on_a_coarse_grid():
         assert resid <= COARSE_TOL, label.describe()
 
 
+def forms_geometries():
+    rng = np.random.default_rng(11)
+    return [sphere_geometry(5, [(0.4, 2), (-1.0, 1)], rng),
+            split_geometry(3, 4, rng, tangent0_lams=[0.5, -0.2], block_lams=[0.3, 0.7])]
+
+
+def test_buffered_forms_calls_equal_the_allocating_ones():
+    # Buffers start as NaN, so every entry must be written.
+    for geo in forms_geometries():
+        labels = geo.fourier_labels(2)
+        kinds = {(lb.profile, lb.mode, lb.lam == PERP_LABEL) for lb in labels}
+        for profile in ("sin", "cos"):
+            assert {(profile, n, perp) for n in (1, 2) for perp in (False, True)} <= kinds
+        assert ("const", None, False) in kinds
+        for label in labels:
+            check_buffered_label(geo, label, 65)
+
+
+def check_buffered_label(geo, label, grid):
+    q, raw, closed, scratch = np.full((4, grid, geo.cd.algebra.dim), np.nan)
+    path = label_decomposed_path(geo, label, grid, out=q, scratch=scratch)
+    fresh = label_decomposed_path(geo, label, grid)
+    assert path.q is q
+    for got, want in zip((path.q, path.x, path.y), (fresh.q, fresh.x, fresh.y)):
+        np.testing.assert_array_equal(got, want)
+    assert shape_apply_raw(geo, path, out=raw, scratch=scratch) is raw
+    np.testing.assert_array_equal(raw, shape_apply_raw(geo, fresh))
+    assert label_closed_form(geo, label, grid, out=closed) is closed
+    np.testing.assert_array_equal(closed, label_closed_form(geo, label, grid))
+
+
+def test_one_buffer_set_serves_a_whole_sweep():
+    # The forms check reuses its buffers from label to label.
+    geo = forms_geometries()[1]
+    alg, grid = geo.cd.algebra, 129
+    labels = geo.fourier_labels(2)
+    q, raw, closed, scratch = np.empty((4, grid, alg.dim))
+    reused = []
+    for label in labels:
+        path = label_decomposed_path(geo, label, grid, out=q, scratch=scratch)
+        shape_apply_raw(geo, path, out=raw, scratch=scratch)
+        label_closed_form(geo, label, grid, out=closed)
+        reused.append(grid_l2_norm(np.subtract(raw, closed, out=raw), alg))
+    fresh = [
+        grid_l2_norm(shape_apply_raw(geo, label_decomposed_path(geo, lb, grid))
+                     - label_closed_form(geo, lb, grid), alg)
+        for lb in labels
+    ]
+    assert reused == fresh
+
+
 def test_decomposed_primitive_vanishes_at_endpoints():
     rng = np.random.default_rng(6)
     geo = sphere_geometry(4, [(0.7, 1)], rng)
