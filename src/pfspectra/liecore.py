@@ -87,14 +87,21 @@ class MatrixLieAlgebra:
         return self._basis
 
     def from_matrix(self, mat) -> np.ndarray:
-        """Coordinates of a matrix, which must be skew-symmetric (to
-        CLOSURE_TOL relative to its largest entry)."""
+        """Coordinates of a matrix, or of each matrix of a (..., n, n) stack.
+
+        Each matrix must be skew-symmetric to CLOSURE_TOL relative to its
+        own largest entry; the error names the largest failing residual.
+        """
         mat = np.asarray(mat, dtype=float)
-        if mat.shape != (self.n, self.n):
+        if mat.shape[-2:] != (self.n, self.n):
             raise DimensionError(f"expected a {self.n}x{self.n} matrix, got {mat.shape}")
-        resid = 0.5 * np.abs(mat + mat.T).max()  # distance to the skew part
-        if resid > CLOSURE_TOL * max(1.0, np.abs(mat).max()):
-            raise DomainError(f"matrix is not in the algebra span (residual {resid:.3e})")
+        # Distance of each matrix to its skew part, against its own scale.
+        resid = 0.5 * np.abs(mat + mat.mT).max(axis=(-2, -1))
+        bad = resid > CLOSURE_TOL * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+        if bad.any():
+            raise DomainError(
+                f"matrix is not in the algebra span (residual {resid[bad].max():.3e})"
+            )
         return self._coords(mat)
 
     # -- algebra operations --------------------------------------------------------

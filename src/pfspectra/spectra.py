@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,9 @@ CLUSTER_TOL = 1e-9  # default eigenvalue clustering of the austere checks
 # form before anything is allocated.
 MAX_ENUMERATED_ROWS = 200_000
 MAX_TRACE_TERMS = 4_000_000
+# Below this many values the clusterer's in-order scan costs less than its
+# array form.
+_SCAN_MAX = 64
 
 
 def check_work(what: str, count: float, limit: int) -> None:
@@ -44,13 +49,14 @@ def check_work(what: str, count: float, limit: int) -> None:
         raise DomainError(f"{what} asks for {count:.3g} entries, more than the limit of {limit}")
 
 
-def mu(nu: float, lam: float, m: int) -> float:
+def mu(nu: float, lam: float, m):
     """Eigenvalue mu(nu, lambda, m) = nu / (arctan(nu/lambda) + m*pi).
 
     The arctangent is taken in the principal branch; for lambda = 0 the
     convention arctan(nu/0) := pi/2 applies.  Note that for lambda = 0 the
     negation symmetry acts by m -> -m - 1 on the index, while for
-    lambda != 0 it is -mu(nu, lam, m) == mu(nu, -lam, -m).
+    lambda != 0 it is -mu(nu, lam, m) == mu(nu, -lam, -m).  An integer array
+    m gives the array of values, each bit for bit the scalar one.
     """
     if nu <= 0:
         raise DomainError(f"frequency nu must be positive, got {nu}")
@@ -76,6 +82,50 @@ def kappa(nu: float, lam: float):
 # ---------------------------------------------------------------------------
 
 
+def _group_starts(v: np.ndarray, tol: float):
+    """Start positions of the groups of the ascending values v.
+
+    A value joins the current group while v - head <= tol * max(1, |head|),
+    head being the group's first value; v is ascending, so the difference
+    is nonnegative.  Short or non-finite inputs are scanned in order.
+    Longer ones find every value's group end with one searchsorted on
+    v + bound, move each end to where the rule itself changes (searchsorted
+    compares with the rounded sum, the rule with the rounded difference)
+    and then step from group start to group start.  The starts come as a
+    list from the scan and as an index array from the array form.
+    """
+    n = len(v)
+    if n <= _SCAN_MAX or not (math.isfinite(v[0]) and math.isfinite(v[-1])):
+        starts = []
+        for i, x in enumerate(v.tolist()):
+            if not starts or not x - head <= tol * max(1.0, abs(head)):
+                head = x
+                starts.append(i)
+        return starts
+    bound = tol * np.maximum(1.0, np.abs(v))
+    ends = np.searchsorted(v, v + bound, side="right")
+    first = np.arange(1, n + 1)  # every group holds its head
+    while True:
+        grow = (ends < n) & (v[np.minimum(ends, n - 1)] - v <= bound)
+        shrink = (ends > first) & ~(v[ends - 1] - v <= bound)
+        if not (grow.any() or shrink.any()):
+            break
+        ends += grow
+        ends -= shrink
+    # Where no value before k reaches past k, the group holding k - 1 ends
+    # at k, so k starts a group.  When each run between such cuts is one
+    # group, the cuts are all the starts and no stepping is needed.
+    cuts = np.flatnonzero(np.maximum.accumulate(ends) == first) + 1
+    starts = np.concatenate(([0], cuts[:-1]))
+    if (ends[starts] == cuts).all():
+        return starts
+    starts, ends, i = [], ends.tolist(), 0
+    while i < n:
+        starts.append(i)
+        i = ends[i]
+    return starts
+
+
 def cluster_indices(values, tol: float):
     """Index groups of nearly equal values, in ascending value order.
 
@@ -85,14 +135,10 @@ def cluster_indices(values, tol: float):
     group's representative themselves.
     """
     vals = np.asarray(values, dtype=float)
-    groups = []
-    for i in np.argsort(vals, kind="stable"):
-        if groups and abs(vals[i] - head) <= tol * max(1.0, abs(head)):
-            groups[-1].append(i)
-        else:
-            head = vals[i]
-            groups.append([i])
-    return groups
+    order = np.argsort(vals, kind="stable")
+    bounds = [*_group_starts(vals[order], tol), len(vals)]
+    order = order.tolist()
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -106,22 +152,33 @@ class EigenMultiset:
         """Cluster (value, mult) pairs; no multiplicity is expanded.
 
         Values group by ``cluster_indices`` and each group's multiplicities
-        add up.  A group of equal values (a single pair included) keeps that
-        value exactly; any other group takes the multiplicity-weighted mean.
+        add up, as exact integers.  A group of equal values (a single pair
+        included) keeps that value exactly; any other group takes the
+        multiplicity-weighted mean.
         """
-        pairs = [(float(v), int(m)) for v, m in pairs]
-        if any(m < 1 for _, m in pairs):
+        columns = tuple(zip(*pairs))
+        if not columns:
+            return cls(())
+        values, mults = columns
+        mults = list(map(int, mults))
+        if min(mults) < 1:
             raise DomainError("multiplicities must be positive")
-        vals = np.array([v for v, _ in pairs])
-        entries = []
-        for g in cluster_indices(vals, tol):
-            v = vals[g]
+        vals = np.array(values, dtype=float)
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+        starts = np.asarray(_group_starts(v, tol))
+        stops = np.append(starts[1:], len(v))
+        # int64 sums while no sum can overflow, Python ints beyond that.
+        exact = np.int64 if max(mults) * len(mults) < 2**63 else object
+        m = np.array(mults, dtype=exact)[order]
+        value = v[starts]
+        mixed = np.flatnonzero(value != v[stops - 1])
+        for g, a, b in zip(mixed.tolist(), starts[mixed].tolist(), stops[mixed].tolist()):
             # Weights scaled to at most 1 cannot overflow, and equal weights
             # give the plain mean bit for bit.
-            w = np.array([pairs[i][1] for i in g], dtype=float)
-            value = v[0] if (v == v[0]).all() else np.average(v, weights=w / w.max())
-            entries.append((float(value), sum(pairs[i][1] for i in g)))
-        return cls(tuple(entries))
+            w = m[a:b].astype(float)
+            value[g] = np.average(v[a:b], weights=w / w.max())
+        return cls(tuple(zip(value.tolist(), np.add.reduceat(m, starts).tolist())))
 
     def to_json(self) -> dict:
         return {"entries": [[v, m] for v, m in self.entries]}
@@ -440,8 +497,7 @@ def mu_eigenfunction_coeffs(nu: float, lam: float, m: int, n_max: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     family: str
     index: int | None
     value: float
@@ -459,15 +515,19 @@ def enumerate_rows(spectrum: PrincipalSpectrum, n_max: int, m_max: int):
     count = (1 + len(spectrum.lambdas) + 2 * n_max * len(spectrum.harmonics)
              + (2 * m_max + 1) * len(spectrum.mus))
     check_work("enumeration window", count, MAX_ENUMERATED_ROWS)
+    ns = np.concatenate((np.arange(-n_max, 0), np.arange(1, n_max + 1)))
+    ms = np.arange(-m_max, m_max + 1)
     rows = [SpectrumRow("lambda", None, lam, mult) for lam, mult in spectrum.lambdas]
     for nu, mult in spectrum.harmonics:
-        for n in range(-n_max, n_max + 1):
-            if n != 0:
-                rows.append(SpectrumRow("harmonic", n, nu / (n * math.pi), mult))
+        values = nu / (ns * math.pi)
+        rows += map(SpectrumRow, repeat("harmonic"), ns.tolist(), values.tolist(), repeat(mult))
     for nu, lam, mult in spectrum.mus:
-        for m in range(-m_max, m_max + 1):
-            rows.append(SpectrumRow("mu", m, mu(nu, lam, m), mult))
-    rows.sort(key=lambda r: (-abs(r.value), r.family, r.index if r.index is not None else 0))
+        rows += map(SpectrumRow, repeat("mu"), ms.tolist(), mu(nu, lam, ms).tolist(), repeat(mult))
+    if rows:
+        # A stable sort on the key (-|value|, family, index or 0).
+        families, indices, values, _ = zip(*rows)
+        order = np.lexsort(([i or 0 for i in indices], families, -np.abs(values)))
+        rows = [rows[k] for k in order.tolist()]
     rows.append(SpectrumRow("zero", None, 0.0, "inf"))
     return rows
 
@@ -478,7 +538,10 @@ def enumerate_by_floor(spectrum: PrincipalSpectrum, value_floor: float):
     A magnitude window is symmetric under negation, so restricting a
     negation-invariant spectrum this way stays negation-invariant -- unlike
     index windows, whose boundary rows can lack partners (the lambda = 0 mu
-    family pairs m with -m-1).
+    family pairs m with -m-1).  Pairs come family by family: lambdas,
+    harmonics (n = 1, 2, ... with +n before -n), then each mu family from
+    m = 0 upwards and from m = -1 downwards, each run ending at its first
+    value below the floor.
     """
     if value_floor <= 0:
         raise DomainError("value_floor must be positive")
@@ -491,12 +554,16 @@ def enumerate_by_floor(spectrum: PrincipalSpectrum, value_floor: float):
     check_work("value floor", count, MAX_ENUMERATED_ROWS)
     pairs = [(lam, mult) for lam, mult in spectrum.lambdas if abs(lam) >= value_floor]
     for nu, mult in spectrum.harmonics:
-        for n in range(1, math.floor(nu / (math.pi * value_floor)) + 1):
-            pairs.append((nu / (n * math.pi), mult))
-            pairs.append((nu / (-n * math.pi), mult))
+        n = np.arange(1, math.floor(nu / (math.pi * value_floor)) + 1)
+        plus = nu / (n * math.pi)
+        # nu / (-n pi) is the exact negative of nu / (n pi).
+        pairs += zip(np.column_stack((plus, -plus)).ravel().tolist(), repeat(mult))
     for nu, lam, mult in spectrum.mus:
-        for m, step in ((0, 1), (-1, -1)):
-            while abs(value := mu(nu, lam, m)) >= value_floor:
-                pairs.append((value, mult))
-                m += step
+        # |theta + m pi| > (|m| - 1) pi: at |m| = reach the value is a whole
+        # step below the floor, so both runs stop inside these indices.
+        reach = math.floor(nu / (math.pi * value_floor)) + 3
+        for m in (np.arange(0, reach + 1), np.arange(-1, -reach - 1, -1)):
+            values = mu(nu, lam, m)
+            run = int(np.argmin(np.abs(values) >= value_floor))
+            pairs += zip(values[:run].tolist(), repeat(mult))
     return pairs

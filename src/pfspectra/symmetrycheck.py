@@ -35,10 +35,13 @@ from .spectra import (
 MAX_SO9_GRID = 10_000  # samples on the normal circle of the SO(9) orbit
 # product_sphere_austere work: normals * dim^2 * m for dim = m (n - 1) tangent
 # directions (dim^2 second differences, each along m factor curves); it also
-# bounds the m^2 n (n - 1) entries of the tangent frame.  Xeon: 30-60 us per
-# unit, so the limit is 1.5-3 s; --m 3 --n 3 --samples 8 is 864 units.
+# bounds the m^2 n (n - 1) entries of the tangent frame.  Xeon, one BLAS
+# thread: 0.3-7 us per unit, the least for many small factors, so a check at
+# the limit takes 15-300 ms (the most at --m 2 --n 80); --m 3 --n 3
+# --samples 8 is 864 units and takes 4 ms.
 MAX_PRODUCT_SPHERE_WORK = 50_000
 FD_STEP = 1e-4  # step of the finite-difference second derivatives
+_FD_BLOCK = 1 << 16  # numbers per velocity stack of the sphere-product oracle
 # Eigenvalue clustering of the sphere-product check: coarser than
 # CLUSTER_TOL, as its eigenvalues carry finite-difference noise near 1e-7.
 PRODUCT_CLUSTER_TOL = 1e-5
@@ -101,12 +104,26 @@ def _check_product_dims(m: int, n: int) -> None:
         raise DimensionError(f"need m >= 2 factors of dimension n - 1 >= 1, got ({m}, {n})")
 
 
-def _factor_curve(p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Great-circle curve on a unit sphere factor with c(0)=p, c'(0)=v."""
-    s = np.linalg.norm(v)
-    if s == 0.0:
-        return p.copy()
-    return math.cos(s * t) * p + math.sin(s * t) * (v / s)
+def _curve_dot_xi(vel: np.ndarray, p: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """<c_V''(0), xi> for each velocity V of a (k, m, n) stack.
+
+    c_V runs on every factor along the great circle with c(0) = p and
+    c'(0) = V_i (constant at p where V_i = 0).  The second derivative is a
+    Richardson-extrapolated central second difference.
+    """
+    speed = np.sqrt(np.vecdot(vel, vel))[..., None]
+    # A zero speed gives cos 1 and sin 0, so that factor stays at p.
+    unit = np.divide(vel, speed, out=np.zeros_like(vel), where=speed != 0.0)
+
+    def curve(t: float) -> np.ndarray:
+        return np.cos(speed * t) * p + np.sin(speed * t) * unit
+
+    def central(h: float) -> np.ndarray:
+        return np.sum((curve(h) - 2.0 * curve(0.0) + curve(-h)) * xi, axis=(1, 2)) / (h * h)
+
+    d1 = central(FD_STEP)
+    d2 = central(FD_STEP / 2.0)
+    return (4.0 * d2 - d1) / 3.0  # Richardson: O(h^4) truncation
 
 
 def product_sphere_shape(m: int, n: int, normal_coeffs) -> np.ndarray:
@@ -117,7 +134,9 @@ def product_sphere_shape(m: int, n: int, normal_coeffs) -> np.ndarray:
     a finite-difference second-fundamental-form oracle: for tangent V the
     quadratic form <A_xi V, V> equals <c_V''(0), xi> along the per-factor
     great-circle curve c_V, differentiated by Richardson-extrapolated
-    central second differences.  No closed-form eigenvalue data enters.
+    central second differences.  The diagonal takes V = e_i, the entry
+    (i, j) polarises with V = e_i + e_j and e_i - e_j; the curves of all
+    these velocities run as stacks.  No closed-form eigenvalue data enters.
     """
     _check_product_dims(m, n)
     a = np.asarray(normal_coeffs, dtype=float)
@@ -132,39 +151,24 @@ def product_sphere_shape(m: int, n: int, normal_coeffs) -> np.ndarray:
 
     # Base point (e_1, ..., e_1); the tangent frame of each factor is one
     # orthonormal completion of e_1.
-    pts = [np.eye(n)[0]] * m
-    basis = np.linalg.svd(np.eye(n) - np.outer(pts[0], pts[0]))[0][:, : n - 1]
-    frame = []
+    p = np.eye(n)[0]
+    basis = np.linalg.svd(np.eye(n) - np.outer(p, p))[0][:, : n - 1]
+    dim = m * (n - 1)
+    frame = np.zeros((dim, m, n))
     for i in range(m):
-        for c in range(n - 1):
-            vec = np.zeros((m, n))
-            vec[i] = basis[:, c]
-            frame.append(vec)
-    dim = len(frame)
+        frame[i * (n - 1) : (i + 1) * (n - 1), i] = basis.T
+    xi = a[:, None] * p
 
-    xi = np.array([a[i] * pts[i] for i in range(m)])
-
-    def curve(vel: np.ndarray, t: float) -> np.ndarray:
-        return np.array([_factor_curve(pts[i], vel[i], t) for i in range(m)])
-
-    def second_derivative_dot_xi(vel: np.ndarray) -> float:
-        def central(h: float) -> float:
-            cp = curve(vel, h)
-            cm = curve(vel, -h)
-            c0 = curve(vel, 0.0)
-            return float(np.sum((cp - 2.0 * c0 + cm) * xi)) / (h * h)
-
-        d1 = central(FD_STEP)
-        d2 = central(FD_STEP / 2.0)
-        return (4.0 * d2 - d1) / 3.0  # Richardson: O(h^4) truncation
-
-    mat = np.zeros((dim, dim))
-    for i in range(dim):
-        mat[i, i] = second_derivative_dot_xi(frame[i])
-        for j in range(i + 1, dim):
-            plus = second_derivative_dot_xi(frame[i] + frame[j])
-            minus = second_derivative_dot_xi(frame[i] - frame[j])
-            mat[i, j] = mat[j, i] = (plus - minus) / 4.0
+    mat = np.diag(_curve_dot_xi(frame, p, xi))
+    # Blocks of pairs, so that no stack holds more than about _FD_BLOCK
+    # numbers whatever the size.
+    rows, cols = np.triu_indices(dim, 1)
+    step = max(1, _FD_BLOCK // (m * n))
+    for lo in range(0, len(rows), step):
+        i, j = rows[lo : lo + step], cols[lo : lo + step]
+        plus = _curve_dot_xi(frame[i] + frame[j], p, xi)
+        minus = _curve_dot_xi(frame[i] - frame[j], p, xi)
+        mat[i, j] = mat[j, i] = (plus - minus) / 4.0
     return 0.5 * (mat + mat.T)
 
 
@@ -403,12 +407,9 @@ def so9_build() -> SO9Example:
 
 def subspace_preserved(alg, basis_rows: np.ndarray, conj: np.ndarray) -> float:
     """Max residual of conjugated basis vectors against the subspace span."""
-    worst = 0.0
-    for row in basis_rows:
-        coords = alg.from_matrix(conj @ alg.to_matrices(row) @ conj.T)
-        resid = coords - alg.inner(basis_rows, coords) @ basis_rows
-        worst = max(worst, float(alg.norm(resid)))
-    return worst
+    coords = alg.from_matrix(conj @ alg.to_matrices(basis_rows) @ conj.T)
+    resid = coords - alg.inner(coords, basis_rows) @ basis_rows
+    return float(alg.norm(resid).max(initial=0.0))
 
 
 def arid_orbit_candidate_check(alg, xi: np.ndarray, conjugations, preserve_residuals):

@@ -143,10 +143,11 @@ def test_rejects_zero_xi():
         paired_bases(cd, np.zeros(alg.dim))
 
 
-@pytest.mark.parametrize("size", [3e-160, 1.0, 3e153])
+@pytest.mark.parametrize("size", [1e-170, 3e-160, 1.0, 3e153])
 def test_frequencies_scale_with_xi_at_any_norm(size):
-    # At |xi| ~ 3e-160 the squared bracket norms are subnormal; the blocks
-    # are computed at norm about 1 and the frequencies scaled back.
+    # At |xi| ~ 3e-160 the squared bracket norms are subnormal, and at 1e-170
+    # the squared norm of xi itself underflows; the blocks are computed at
+    # norm about 1 and the frequencies scaled back.
     alg = build_so(5)
     cd = cartan_decompose(alg, np.diag([1.0, 1.0, -1.0, -1.0, -1.0]))
     unit = np.random.default_rng(3).standard_normal(cd.m.dim) @ cd.m.basis

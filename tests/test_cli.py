@@ -122,24 +122,33 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
         assert out
 
 
-def test_commands_import_scipy_and_jsonschema_only_where_they_run():
+def test_commands_import_scipy_and_jsonschema_only_where_they_run(tmp_path):
     # Start-up cost: building the parser, decompose and the forms check run
-    # without scipy.linalg, scipy.special, scipy.sparse and jsonschema.
-    probe = """
+    # without scipy.linalg, scipy.special, scipy.sparse and jsonschema; the
+    # austere check, the CSV spectrum and the sphere-product check read
+    # documents, so they may load jsonschema, but none of the three scipy
+    # modules.
+    data = write_json(tmp_path, "data.json", sphere_doc(1.0, [(0.5, 1), (-0.5, 1)], 2, 0))
+    probe = f"""
 import contextlib, io, sys
 from pfspectra import cli
 cli.build_parser()
+heavy = ("scipy.linalg", "scipy.special", "scipy.sparse", "jsonschema")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["decompose", "--n", "6"]),
              cli.main(["oracle", "--mode", "forms", "--l", "3", "--grid", "32", "--n-max", "1"])]
-heavy = ("scipy.linalg", "scipy.special", "scipy.sparse", "jsonschema")
 print(codes, [name for name in heavy if name in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["austere", "--data", {str(data)!r}, "--value-floor", "1e-2"]),
+             cli.main(["spectrum", "--data", {str(data)!r}, "--format", "csv"]),
+             cli.main(["product-sphere", "--m", "2", "--n", "3", "--samples", "2"])]
+print(codes, [name for name in heavy[:3] if name in sys.modules])
 """
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "[0, 0] []"
+    assert proc.stdout.split("\n")[:2] == ["[0, 0] []", "[0, 0, 0] []"]
 
 
 def test_spectrum_window_frozen_values(tmp_path, capsys):
@@ -269,6 +278,24 @@ def test_decompose_reports_a_tiny_xi_at_its_own_scale(tmp_path, capsys):
     [(nu, mult)] = rep["frequencies"]
     assert mult == 3 and nu == pytest.approx(3e-160, rel=1e-14)
     assert rep["xi_norm"] == pytest.approx(3e-160, rel=1e-14)
+
+
+def test_decompose_takes_an_xi_whose_squared_norm_underflows(tmp_path, capsys):
+    # Entries of 1e-170 square to 0.  The frequencies and xi_norm scale like
+    # those of the same direction at 3e-160.
+    unit = np.zeros((5, 5))
+    unit[0, 4], unit[1, 4], unit[2, 4] = 0.6, 0.0, 0.8  # norm 1 at ip_scale 0.5
+    reports = []
+    for size in (3e-160, 1e-170):
+        path = write_json(tmp_path, "dec.json", {"n": 5, "xi": (size * (unit - unit.T)).tolist()})
+        code, out, err = run_cli(capsys, "decompose", "--input", path)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    (nu_ref, mult_ref), = reports[0]["frequencies"]
+    (nu, mult), = reports[1]["frequencies"]
+    assert mult == mult_ref == 3
+    assert nu / 1e-170 == pytest.approx(nu_ref / 3e-160, rel=1e-14)
+    assert reports[1]["xi_norm"] == pytest.approx(1e-170, rel=1e-14)
 
 
 def test_decompose_refuses_an_xi_whose_norm_overflows(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pfspectra import (
     DomainError,
+    EigenMultiset,
     PoleError,
     PrincipalSpectrum,
     StructureError,
@@ -26,6 +27,7 @@ from pfspectra import (
     r_trace,
     zeta_trace,
 )
+from pfspectra.spectra import cluster_indices
 
 IDENTITY_TOL = 1e-12
 
@@ -204,6 +206,145 @@ def test_enumeration_by_floor_respects_threshold():
     # the floor enumeration of a symmetric spectrum is itself symmetric
     vals = sorted(v for v, m in pairs for _ in range(m))
     np.testing.assert_allclose(vals, sorted(-v for v in vals), atol=1e-12)
+
+
+# Sequential references: the loops the array forms replaced, kept verbatim
+# in behaviour so that the array forms can be held to them bit for bit.
+
+
+def sequential_clusters(values, tol):
+    vals = np.asarray(values, dtype=float)
+    groups = []
+    for i in np.argsort(vals, kind="stable"):
+        if groups and abs(vals[i] - head) <= tol * max(1.0, abs(head)):
+            groups[-1].append(int(i))
+        else:
+            head = vals[i]
+            groups.append([int(i)])
+    return groups
+
+
+def sequential_multiset(pairs, tol):
+    pairs = [(float(v), int(m)) for v, m in pairs]
+    vals = np.array([v for v, _ in pairs])
+    entries = []
+    for g in sequential_clusters(vals, tol):
+        v = vals[g]
+        w = np.array([pairs[i][1] for i in g], dtype=float)
+        value = v[0] if (v == v[0]).all() else np.average(v, weights=w / w.max())
+        entries.append((float(value), sum(pairs[i][1] for i in g)))
+    return tuple(entries)
+
+
+def sequential_rows(spectrum, n_max, m_max):
+    rows = [("lambda", None, lam, mult) for lam, mult in spectrum.lambdas]
+    for nu, mult in spectrum.harmonics:
+        for n in range(-n_max, n_max + 1):
+            if n != 0:
+                rows.append(("harmonic", n, nu / (n * math.pi), mult))
+    for nu, lam, mult in spectrum.mus:
+        for m in range(-m_max, m_max + 1):
+            rows.append(("mu", m, mu(nu, lam, m), mult))
+    rows.sort(key=lambda r: (-abs(r[2]), r[0], r[1] if r[1] is not None else 0))
+    return rows + [("zero", None, 0.0, "inf")]
+
+
+def sequential_floor(spectrum, value_floor):
+    pairs = [(lam, mult) for lam, mult in spectrum.lambdas if abs(lam) >= value_floor]
+    for nu, mult in spectrum.harmonics:
+        for n in range(1, math.floor(nu / (math.pi * value_floor)) + 1):
+            pairs.append((nu / (n * math.pi), mult))
+            pairs.append((nu / (-n * math.pi), mult))
+    for nu, lam, mult in spectrum.mus:
+        for m, step in ((0, 1), (-1, -1)):
+            while abs(value := mu(nu, lam, m)) >= value_floor:
+                pairs.append((value, mult))
+                m += step
+    return pairs
+
+
+@st.composite
+def clusterable_pairs(draw):
+    """(pairs, tol): values near a few anchors, offset by up to three
+    tolerance bounds (so chains longer than tol split) or by exactly 0, 1/2,
+    1 or 2 bounds (ties and boundaries), a third of them nudged by one ulp,
+    with negatives and some multiplicities of 10**20.  Up to 150 values, so
+    that both the scan and the array form run; numpy draws the values from
+    a seed, as drawing them one by one is slow."""
+    tol = 10.0 ** draw(st.floats(-12.0, -3.0))
+    scale = draw(st.sampled_from([1e-3, 0.5, 1.0, 1e3]))
+    size = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchor = rng.integers(-4, 5, size) * scale
+    exact = rng.choice([0.0, 0.5, 1.0, -1.0, 2.0], size)
+    offset = np.where(rng.random(size) < 0.5, exact, rng.uniform(-3.0, 3.0, size))
+    values = anchor + offset * tol * np.maximum(1.0, np.abs(anchor))
+    nudge = rng.integers(-1, 2, size)
+    nudged = np.nextafter(values, np.where(nudge > 0, np.inf, -np.inf))
+    values = np.where(nudge == 0, values, nudged)
+    mults = [10**20 if huge else int(m)
+             for m, huge in zip(rng.integers(1, 4, size), rng.random(size) < 0.05)]
+    return list(zip(values.tolist(), mults)), tol
+
+
+@given(clusterable_pairs())
+@settings(max_examples=300, deadline=None)
+def test_clusterer_and_multiset_equal_the_sequential_loop(case):
+    pairs, tol = case
+    values = [v for v, _ in pairs]
+    assert cluster_indices(values, tol) == sequential_clusters(values, tol)
+    entries = EigenMultiset.from_pairs(pairs, tol).entries
+    # repr tells every float apart, signed zeros included, and shows that
+    # multiplicities are Python ints, 10**20 sums exact.
+    assert repr(entries) == repr(sequential_multiset(pairs, tol))
+
+
+def test_multiset_keeps_huge_multiplicities_exact():
+    pairs = [(0.5, 10**20), (0.5, 10**20 + 1), (-0.25, 2**63 - 1), (-0.25, 2**63 - 1)]
+    assert EigenMultiset.from_pairs(pairs).entries == (
+        (-0.25, 2**64 - 2), (0.5, 2 * 10**20 + 1))
+
+
+@st.composite
+def enumerable_spectra(draw):
+    """A spectrum with lambda = 0, negative and positive lambdas, and a floor
+    that is sometimes exactly one of its family values."""
+    lam = st.sampled_from([0.0, 0.5, -0.5]) | lam_floats
+    spectrum = PrincipalSpectrum(
+        tuple(draw(st.lists(st.tuples(lam, st.integers(1, 3)), max_size=3))),
+        tuple(draw(st.lists(st.tuples(nu_floats, st.integers(1, 3)), max_size=2))),
+        tuple(draw(st.lists(st.tuples(nu_floats, lam, st.integers(1, 3)), max_size=4))),
+    )
+    # Floors below 0.05 would ask for more rows than the enumeration allows.
+    family_values = [value for value in (
+        [abs(lam) for lam, _ in spectrum.lambdas]
+        + [nu / (n * math.pi) for nu, _ in spectrum.harmonics for n in (1, 2, 7)]
+        + [abs(mu(nu, lam, m)) for nu, lam, _ in spectrum.mus for m in (-3, -1, 0, 2)]
+    ) if value >= 0.05]
+    if family_values and draw(st.booleans()):
+        floor = draw(st.sampled_from(family_values))
+    else:
+        floor = draw(st.floats(0.05, 5.0))
+    return spectrum, floor
+
+
+@given(enumerable_spectra(), st.integers(0, 12), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_enumerations_equal_the_sequential_loops(case, n_max, m_max):
+    spectrum, floor = case
+    assert repr(enumerate_by_floor(spectrum, floor)) == repr(sequential_floor(spectrum, floor))
+    rows = [tuple(r) for r in enumerate_rows(spectrum, n_max, m_max)]
+    assert repr(rows) == repr(sequential_rows(spectrum, n_max, m_max))
+
+
+def test_floor_equal_to_a_family_value_is_kept():
+    # lambda = 0 pairs m with -m - 1; lambda < 0 starts its runs at theta - pi.
+    for lam in (0.0, -0.7, 0.7):
+        spectrum = PrincipalSpectrum((), ((1.3, 1),), ((1.1, lam, 2),))
+        for floor in (abs(mu(1.1, lam, 0)), abs(mu(1.1, lam, -2)), 1.3 / (2 * math.pi)):
+            pairs = enumerate_by_floor(spectrum, floor)
+            assert repr(pairs) == repr(sequential_floor(spectrum, floor))
+            assert any(abs(v) == floor for v, _ in pairs)
 
 
 def test_enumeration_rejects_bad_windows():

@@ -1,5 +1,7 @@
 """Austerity, aridity, and chamber-strata checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,8 @@ from pfspectra import (
     subspace_preserved,
     weyl_strata,
 )
-from pfspectra.symmetrycheck import CLUSTER_TOL
+from pfspectra import symmetrycheck
+from pfspectra.symmetrycheck import CLUSTER_TOL, FD_STEP
 
 FD_EIGEN_TOL = 1e-5
 PRESERVE_TOL = 1e-9
@@ -174,6 +177,62 @@ def test_product_sphere_shape_eigenvalues():
     w = np.sort(np.linalg.eigvalsh(mat))
     r = 1.0 / np.sqrt(2.0)
     np.testing.assert_allclose(w, [-r, -r, r, r], atol=FD_EIGEN_TOL)
+
+
+def sequential_sphere_shape(m, n, normal_coeffs):
+    """The per-pair scalar oracle that the stacked one replaced: every
+    velocity's curve evaluated factor by factor."""
+    a = np.asarray(normal_coeffs, dtype=float)
+    a = a / np.linalg.norm(a)
+    pts = [np.eye(n)[0]] * m
+    basis = np.linalg.svd(np.eye(n) - np.outer(pts[0], pts[0]))[0][:, : n - 1]
+    frame = []
+    for i in range(m):
+        for c in range(n - 1):
+            vec = np.zeros((m, n))
+            vec[i] = basis[:, c]
+            frame.append(vec)
+    xi = np.array([a[i] * pts[i] for i in range(m)])
+
+    def factor_curve(p, v, t):
+        s = np.linalg.norm(v)
+        if s == 0.0:
+            return p.copy()
+        return math.cos(s * t) * p + math.sin(s * t) * (v / s)
+
+    def second_derivative_dot_xi(vel):
+        def central(h):
+            cp, cm, c0 = (np.array([factor_curve(pts[i], vel[i], t) for i in range(m)])
+                          for t in (h, -h, 0.0))
+            return float(np.sum((cp - 2.0 * c0 + cm) * xi)) / (h * h)
+
+        return (4.0 * central(FD_STEP / 2.0) - central(FD_STEP)) / 3.0
+
+    dim = len(frame)
+    mat = np.zeros((dim, dim))
+    for i in range(dim):
+        mat[i, i] = second_derivative_dot_xi(frame[i])
+        for j in range(i + 1, dim):
+            plus = second_derivative_dot_xi(frame[i] + frame[j])
+            minus = second_derivative_dot_xi(frame[i] - frame[j])
+            mat[i, j] = mat[j, i] = (plus - minus) / 4.0
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 4), (5, 3)])
+def test_stacked_sphere_shape_equals_the_per_pair_oracle(m, n):
+    for a in sample_product_normals(m, 3, np.random.default_rng(10 * m + n)):
+        np.testing.assert_array_equal(product_sphere_shape(m, n, a),
+                                      sequential_sphere_shape(m, n, a))
+
+
+def test_sphere_shape_blocks_do_not_change_a_bit(monkeypatch):
+    # A budget below one velocity's numbers puts every pair in its own block.
+    a = sample_product_normals(3, 1, np.random.default_rng(5))[0]
+    whole = product_sphere_shape(3, 4, a)
+    monkeypatch.setattr(symmetrycheck, "_FD_BLOCK", 7)
+    np.testing.assert_array_equal(product_sphere_shape(3, 4, a), whole)
+    np.testing.assert_array_equal(whole, sequential_sphere_shape(3, 4, a))
 
 
 def test_sampled_normals_live_on_the_trace_free_sphere():
