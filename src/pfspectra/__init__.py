@@ -108,6 +108,7 @@ from .transport import (
     equivariance_residual,
     equivariance_residuals,
     fiber_tangent_residual,
+    fiber_tangent_residuals,
     gauge_act,
     phi_k,
     random_algebra_path,

@@ -165,10 +165,8 @@ def csv_table(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [format_real(v) if isinstance(v, float) else v for v in row]
-        )
+    writer.writerows([format_real(v) if isinstance(v, float) else v for v in row]
+                     for row in rows)
     return buf.getvalue()
 
 

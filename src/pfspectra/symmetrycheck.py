@@ -378,7 +378,11 @@ def so9_build() -> SO9Example:
                 mat = np.zeros((9, 9))
                 mat[3 * blk + i, 3 * blk + j] = 1.0
                 mat[3 * blk + j, 3 * blk + i] = -1.0
-                kp.append(alg.from_matrix(mat))
+                kp.append(mat)
+    # gram_schmidt sums in the memory order of its input, and a stacked
+    # from_matrix returns column-major coordinates: C order keeps the bits
+    # of one conversion per matrix.
+    kp = np.ascontiguousarray(alg.from_matrix(np.stack(kp)))
     # Second subalgebra: conjugated copy of the matrices with zero first row.
     kk = []
     for i in range(1, 9):
@@ -386,9 +390,10 @@ def so9_build() -> SO9Example:
             mat = np.zeros((9, 9))
             mat[i, j] = 1.0
             mat[j, i] = -1.0
-            kk.append(alg.from_matrix(q @ mat @ q.T))
+            kk.append(q @ mat @ q.T)
+    kk = np.ascontiguousarray(alg.from_matrix(np.stack(kk)))
 
-    h_basis = gram_schmidt(alg, kp + kk)
+    h_basis = gram_schmidt(alg, np.vstack([kp, kk]))
     if h_basis.shape[0] != 34:
         raise StructureError(f"orbit tangent space has dim {h_basis.shape[0]}, expected 34")
     kk_basis = gram_schmidt(alg, kk)
@@ -450,12 +455,12 @@ def so9_arid_verify(grid_size: int = 64):
     # reference alongside the full tangent-space check.
     k_pres = [subspace_preserved(alg, ex.kk_basis, s) for s in ex.swaps]
 
+    angles = [2.0 * math.pi * idx / grid_size for idx in range(grid_size)]
+    points = [(math.cos(ang), math.sin(ang)) for ang in angles]
+    xis = alg.from_matrix(np.stack([so9_normal_matrix(x, y) for x, y in points]))
     samples = []
     all_ok = True
-    for idx in range(grid_size):
-        ang = 2.0 * math.pi * idx / grid_size
-        x, y = math.cos(ang), math.sin(ang)
-        xi = alg.from_matrix(so9_normal_matrix(x, y))
+    for (x, y), xi in zip(points, xis):
         found = arid_orbit_candidate_check(alg, xi, ex.swaps, h_pres)
         ok = found is not None
         all_ok &= ok

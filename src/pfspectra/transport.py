@@ -21,6 +21,11 @@ as exp(xi) * (element of exp(k)) with xi in m; the m-logarithm xi serves
 as a coordinate on the quotient by the subgroup.  The Cartan embedding
 a -> a P a^T P maps such an element to exp(2 xi), so the chart is half a
 principal logarithm, in closed form.
+
+Exponentials are Taylor polynomials with scaling and squaring, batched
+over a stack and free of linear solves; the logarithm comes from the
+Cayley transform and one Hermitian eigendecomposition.  Neither needs
+scipy.
 """
 
 from __future__ import annotations
@@ -59,9 +64,18 @@ def _max_abs(residual: np.ndarray) -> float:
     return float(np.abs(residual, out=residual).max())
 
 
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """Contiguous copy of the transpose of a matrix or of each matrix of a
+    stack.  NumPy computes x.mT @ x by a symmetric rank-k update per
+    matrix, which on stacks of small matrices takes about twice as long as
+    the product with this copy; at the sizes the tests check the two give
+    the same bits."""
+    return np.ascontiguousarray(x.mT)
+
+
 def _orthogonality_drift(frames: np.ndarray) -> float:
     """max |E^T E - I| over a matrix or a stack of matrices."""
-    gram = frames.mT @ frames
+    gram = _transposed(frames) @ frames
     gram -= np.eye(frames.shape[-1])
     return _max_abs(gram)
 
@@ -122,12 +136,6 @@ class PathGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.nodes)
-
-    @classmethod
-    def sample(cls, fn, nodes: int, kind: str) -> "PathGrid":
-        """Evaluate a matrix-valued callable at the uniform nodes."""
-        ts = np.linspace(0.0, 1.0, nodes)
-        return cls(_frozen(np.array([fn(t) for t in ts], dtype=float)), kind)
 
     @classmethod
     def constant(cls, matrix: np.ndarray, nodes: int, kind: str) -> "PathGrid":
@@ -203,7 +211,7 @@ def gauge_act(g: PathGrid, u: PathGrid) -> PathGrid:
         raise DomainError("gauge_act needs a group path acting on an algebra path")
     _require_same_grid(g, u)
     gp = differentiate_path(g)
-    gt = g.values.mT
+    gt = _transposed(g.values)
     out = g.values @ u.values @ gt - gp @ gt
     out = 0.5 * (out - out.mT)
     return PathGrid(_frozen(out), "algebra")
@@ -213,7 +221,7 @@ def _newton_polar(x: np.ndarray, eye15: np.ndarray) -> np.ndarray:
     """Two Newton steps toward the orthogonal polar factor of x (or of
     each matrix of a stack); eye15 is 1.5 times the identity."""
     for _ in range(2):
-        t = x.mT @ x
+        t = _transposed(x) @ x
         t *= -0.5
         t += eye15
         x = x @ t
@@ -361,14 +369,24 @@ def equivariance_residual(g: PathGrid, u: PathGrid) -> float:
 
 
 def _skew_log(a: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a near-identity orthogonal matrix."""
-    angles = np.abs(np.angle(np.linalg.eigvals(a)))
-    if angles.max() > math.pi - 1e-6:
-        raise ChartError("group element has a rotation angle at the logarithm cut")
-    from scipy.linalg import logm
+    """Principal logarithm of a near-identity orthogonal matrix.
 
-    log = logm(a)
-    log = np.real(log)
+    The Cayley transform C = (a - I)(a + I)^-1 is skew, with eigenvalues
+    i tan(angle/2) over the rotation angles of a.  One Hermitian eigh of
+    -iC gives those tangents and unitary eigenvectors V, and the logarithm
+    is V diag(i angle) V^H with angle = 2 arctan(tangent).  The identity
+    maps to zero exactly.
+    """
+    eye = np.eye(len(a))
+    try:
+        cayley = np.linalg.solve(a + eye, a - eye)  # a - I and a + I commute
+        tangents, vecs = np.linalg.eigh(0.5j * (cayley.T - cayley))
+        angles = 2.0 * np.arctan(tangents)
+    except np.linalg.LinAlgError:  # a + I is singular: an angle of exactly pi
+        angles = np.array([math.pi])
+    if not np.abs(angles).max() <= math.pi - 1e-6:
+        raise ChartError("group element has a rotation angle at the logarithm cut")
+    log = -((vecs * angles) @ vecs.conj().T).imag
     return 0.5 * (log - log.T)
 
 
@@ -386,9 +404,7 @@ def coset_log(cd: CartanDecomposition, a: np.ndarray) -> np.ndarray:
     p = cd.p_matrix
     a = np.asarray(a, dtype=float)
     xi = 0.5 * cd.m.project_coords(alg.from_matrix(_skew_log(a @ p @ a.T @ p)))
-    from scipy.linalg import expm
-
-    rest = expm(-alg.to_matrices(xi)) @ a
+    rest = _expm_stack(alg.to_matrices(-xi)[None])[0] @ a
     flip = 0.5 * (np.eye(alg.n) - p)  # projection onto the -1 eigenspace
     if not np.linalg.det(rest @ flip + np.eye(alg.n) - flip) > 0.0:
         raise ChartError("group element is outside the coset chart: its subgroup "
@@ -398,8 +414,36 @@ def coset_log(cd: CartanDecomposition, a: np.ndarray) -> np.ndarray:
 
 def phi_k(u: PathGrid, cd: CartanDecomposition) -> np.ndarray:
     """Chart coordinate (in m) of the endpoint of the frame ODE, that is,
-    the endpoint reduced modulo the subgroup of k."""
-    return coset_log(cd, transport_endpoint(u))
+    the endpoint reduced modulo the subgroup of k; for a stack of paths,
+    one row per path."""
+    ends = transport_endpoint(u)
+    if ends.ndim == 2:
+        return coset_log(cd, ends)
+    return np.array([coset_log(cd, end) for end in ends])
+
+
+def fiber_tangent_residuals(z: PathGrid, cd: CartanDecomposition,
+                            enforce_boundary) -> list:
+    """fiber_tangent_residual of each path of a stack z, with
+    enforce_boundary[s] for path s.  The directions -z' of the whole stack
+    are integrated in one transport call."""
+    if z.kind != "algebra":
+        raise DomainError("fiber directions are algebra-valued paths")
+    if z.values.ndim != 4:
+        raise DimensionError(f"expected a (paths, nodes, n, n) stack, got {z.values.shape}")
+    alg = cd.algebra
+    for path, enforce in zip(z.values, enforce_boundary, strict=True):
+        start_drift = np.abs(path[0]).max()
+        if start_drift > BOUNDARY_TOL:
+            raise DomainError(f"path must start at zero (drift {start_drift:.3e})")
+        if enforce:
+            leak = alg.norm(cd.m.project_coords(alg.from_matrix(path[-1])))
+            if leak > BOUNDARY_TOL:
+                raise DomainError(
+                    f"path must end inside the k factor (m-component {leak:.3e})"
+                )
+    scaled = PathGrid(_frozen(-FIBER_EPS * differentiate_path(z)), "algebra")
+    return (alg.norm(phi_k(scaled, cd)) / FIBER_EPS).tolist()
 
 
 def fiber_tangent_residual(z: PathGrid, cd: CartanDecomposition,
@@ -414,20 +458,8 @@ def fiber_tangent_residual(z: PathGrid, cd: CartanDecomposition,
     ratio into a negative control: non-fiber directions give order-one
     values.
     """
-    if z.kind != "algebra":
-        raise DomainError("fiber directions are algebra-valued paths")
-    alg = cd.algebra
-    start_drift = np.abs(z.values[0]).max()
-    if start_drift > BOUNDARY_TOL:
-        raise DomainError(f"path must start at zero (drift {start_drift:.3e})")
-    if enforce_boundary:
-        leak = alg.norm(cd.m.project_coords(alg.from_matrix(z.values[-1])))
-        if leak > BOUNDARY_TOL:
-            raise DomainError(
-                f"path must end inside the k factor (m-component {leak:.3e})"
-            )
-    scaled = PathGrid(-FIBER_EPS * differentiate_path(z), "algebra")
-    return float(alg.norm(phi_k(scaled, cd))) / FIBER_EPS
+    return fiber_tangent_residuals(PathGrid(z.values[None], z.kind), cd,
+                                   [enforce_boundary])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +483,12 @@ def random_algebra_path(n: int, nodes: int, rng: np.random.Generator,
     return PathGrid(vals, "algebra")
 
 
-# Higham's [13/13] Pade coefficients b_0..b_13, divided by b_0 so that
-# V(0) = I exactly; theta_13 bounds the 1-norm it takes unscaled.
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-]) / 64764752532480000.0
-_THETA13 = 5.371920351148152
+# Taylor coefficients 1/k!, k = 0..19, in Paterson-Stockmeyer blocks: row j
+# holds those of x^(4j) .. x^(4j+3), and the rows are summed by Horner's rule
+# in x^4.  For a 1-norm at most _TAYLOR_THETA the terms left out sum to at
+# most theta^20/20! / (1 - theta/21) = 8.3e-17 in norm, before squaring.
+_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(20)]).reshape(5, 4)
+_TAYLOR_THETA = 1.3
 # Nodes per block of the batched exponential, so its temporaries stay small.
 _EXPM_BLOCK = 128
 
@@ -466,25 +496,28 @@ _EXPM_BLOCK = 128
 def _expm_stack(acc: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix of a (count, n, n) stack, in place.
 
-    Scaling and squaring with the [13/13] Pade approximant (Higham 2005),
-    with one scaling 2^-s for the whole stack, set by its largest 1-norm.
-    A zero matrix maps to the identity exactly.
+    Scaling and squaring with the degree-19 Taylor polynomial, evaluated
+    by Paterson-Stockmeyer in 7 products and no solve, with one scaling
+    2^-s for the whole stack, set by its largest 1-norm.  A zero matrix
+    maps to the identity exactly.
     """
-    b = _PADE13
     norm = float(np.abs(acc).sum(axis=-2).max())
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    eye = np.eye(acc.shape[-1])
+    s = math.ceil(math.log2(norm / _TAYLOR_THETA)) if norm > _TAYLOR_THETA else 0
+    rows = len(_TAYLOR_BLOCKS)
     for lo in range(0, len(acc), _EXPM_BLOCK):
         x = acc[lo:lo + _EXPM_BLOCK]
         x *= 2.0 ** -s
-        x2 = x @ x
-        x4 = x2 @ x2
-        x6 = x2 @ x4
-        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-             + b[6] * x6 + b[4] * x4 + b[2] * x2 + eye)
-        r = np.linalg.solve(v - u, v + u)
+        powers = np.empty((4,) + x.shape)  # x^0 .. x^3
+        powers[0] = np.eye(x.shape[-1])
+        powers[1] = x
+        np.matmul(x, x, out=powers[2])
+        np.matmul(powers[2], x, out=powers[3])
+        x4 = powers[2] @ powers[2]
+        blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape((rows,) + x.shape)
+        r = blocks[-1]
+        for block in blocks[-2::-1]:
+            r = r @ x4
+            r += block
         for _ in range(s):
             r = r @ r
         x[...] = r

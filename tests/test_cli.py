@@ -127,7 +127,7 @@ def test_commands_import_scipy_and_jsonschema_only_where_they_run(tmp_path):
     # without scipy.linalg, scipy.special, scipy.sparse and jsonschema; the
     # austere check, the CSV spectrum and the sphere-product check read
     # documents, so they may load jsonschema, but none of the three scipy
-    # modules.
+    # modules; nor do the fiber and equivariance transport checks.
     data = write_json(tmp_path, "data.json", sphere_doc(1.0, [(0.5, 1), (-0.5, 1)], 2, 0))
     probe = f"""
 import contextlib, io, sys
@@ -143,12 +143,17 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.main(["spectrum", "--data", {str(data)!r}, "--format", "csv"]),
              cli.main(["product-sphere", "--m", "2", "--n", "3", "--samples", "2"])]
 print(codes, [name for name in heavy[:3] if name in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["transport", "--check", "fiber", "--n", "4", "--grid", "64"]),
+             cli.main(["transport", "--check", "equivariance", "--n", "3", "--grid", "64",
+                       "--samples", "1"])]
+print(codes, [name for name in heavy[:3] if name in sys.modules])
 """
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[0, 0] []", "[0, 0, 0] []"]
+    assert proc.stdout.split("\n")[:3] == ["[0, 0] []", "[0, 0, 0] []", "[0, 0] []"]
 
 
 def test_spectrum_window_frozen_values(tmp_path, capsys):

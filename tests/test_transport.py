@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from pfspectra import transport
 from pfspectra import (
@@ -18,6 +18,7 @@ from pfspectra import (
     equivariance_residual,
     equivariance_residuals,
     fiber_tangent_residual,
+    fiber_tangent_residuals,
     gauge_act,
     phi_k,
     random_algebra_path,
@@ -55,8 +56,9 @@ def random_fiber_group_path(cd, nodes, rng):
     alg = cd.algebra
     coeffs = [0.5 * skew(rng, alg.n) for _ in range(3)]
     coeffs[2] = coeffs[2] - alg.to_matrices(cd.m.project_coords(alg.from_matrix(sum(coeffs))))
-    return PathGrid.sample(
-        lambda t: expm(sum(t ** (d + 1) * c for d, c in enumerate(coeffs))), nodes, "group"
+    return PathGrid(
+        [expm(sum(t ** (d + 1) * c for d, c in enumerate(coeffs)))
+         for t in np.linspace(0.0, 1.0, nodes)], "group"
     )
 
 
@@ -82,14 +84,6 @@ def test_path_grid_geometry_helpers():
     assert grid.matrix_dim == 3
     assert grid.step == pytest.approx(0.25)
     np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-def test_path_grid_sample():
-    x = skew(np.random.default_rng(0), 3)
-    grid = PathGrid.sample(lambda t: np.sin(t) * x, 9, "algebra")
-    assert grid.kind == "algebra" and grid.nodes == 9
-    for t, value in zip(grid.times, grid.values):
-        np.testing.assert_array_equal(value, np.sin(t) * x)
 
 
 def test_path_grid_values_are_read_only():
@@ -311,10 +305,15 @@ def test_batched_exponential_agrees_with_scipy():
         return scale * np.stack([skew(rng, n) for _ in range(count)])
 
     big = skews(40, 4, 20.0)
-    assert np.abs(big).sum(axis=-2).max() > 8.0 * transport._THETA13  # s >= 3
+    assert np.abs(big).sum(axis=-2).max() > 8.0 * transport._TAYLOR_THETA  # s >= 3
     for stack in (big, skews(40, 3, 0.5), skews(7, 1, 3.0), skews(7, 2, 3.0)):
         got = transport._expm_stack(stack.copy())
         assert np.abs(got - expm(stack)).max() <= 1e-12
+    # unscaled 1 x 1 inputs up to the threshold: a positive one attains the
+    # truncation bound, which skew inputs of the same 1-norm stay far below
+    xs = np.linspace(-transport._TAYLOR_THETA, transport._TAYLOR_THETA, 27)
+    got = transport._expm_stack(xs[:, None, None].copy())[:, 0, 0]
+    assert np.max(np.abs(got - np.exp(xs)) / np.exp(xs)) <= 1e-15
     zeros = transport._expm_stack(np.zeros((3, 5, 5)))
     np.testing.assert_array_equal(zeros, np.broadcast_to(np.eye(5), (3, 5, 5)))
     # a zero slice stays exactly the identity beside a large one
@@ -369,6 +368,19 @@ def test_transport_work_is_bounded_before_allocation():
         check_transport_work(2 * 10, 10_000_001, 4)
     with pytest.raises(DomainError, match="RK4 steps"):
         check_transport_work(2, 200_001, 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (40, 1, 1), (64, 2, 5, 5), (64, 10, 8, 8),
+                                   (1025, 8, 8)])
+def test_contiguous_transposes_keep_the_bits_of_the_strided_products(shape):
+    # x.mT @ x goes to a symmetric rank-k update, a product with the
+    # contiguous copy to a general one; at these sizes their sums agree
+    rng = np.random.default_rng(27)
+    x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+    xt = transport._transposed(x)
+    assert xt.flags.c_contiguous
+    np.testing.assert_array_equal(xt @ x, x.mT @ x)
+    np.testing.assert_array_equal(y @ xt, y @ x.mT)
 
 
 def test_polar_projection_restores_orthogonality():
@@ -459,6 +471,38 @@ def test_coset_log_accepts_subgroup_rotations_by_pi():
     np.testing.assert_allclose(coset_log(cd, a), x, rtol=0.0, atol=1e-12)
 
 
+def test_skew_log_agrees_with_scipy_logm():
+    # orthogonal q diag(rotations) q^T with angles up to pi - 1e-3: the
+    # logarithm's conditioning grows like 1/(pi - angle), which sets the
+    # bound against logm; the exact logarithm q diag(angles) q^T is closer
+    rng = np.random.default_rng(28)
+    top = np.pi - 1e-3
+    for n in range(2, 13):
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            exact = np.zeros((n, n))
+            for k, angle in enumerate([top, *rng.uniform(-top, top, n // 2 - 1)]):
+                exact[2 * k + 1, 2 * k], exact[2 * k, 2 * k + 1] = angle, -angle
+            exact = q @ exact @ q.T
+            a = expm(exact)
+            got = transport._skew_log(a)
+            assert np.abs(got - np.real(logm(a))).max() <= 1e-11
+            assert np.abs(got - exact).max() <= 1e-12
+            assert np.abs(got + got.T).max() == 0.0
+        np.testing.assert_array_equal(transport._skew_log(np.eye(n)), np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("angle", [None, np.pi, np.pi - 1e-7])
+def test_skew_log_refuses_angles_at_the_cut(angle):
+    if angle is None:  # an exact eigenvalue -1: a + I is singular
+        a = np.diag([-1.0, -1.0, 1.0])
+    else:
+        c, s = np.cos(angle), np.sin(angle)
+        a = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ChartError, match="logarithm cut"):
+        transport._skew_log(a)
+
+
 def test_coset_log_refuses_a_rank_two_point_past_the_chart():
     # rotation angles (2.0, 0.3) in two commuting planes of m: the first
     # is past pi/2, so no xi in the chart reaches the point
@@ -534,6 +578,26 @@ def test_fiber_path_must_start_at_zero():
     shifted = PathGrid.constant(xk, NODES, "algebra")
     with pytest.raises(DomainError, match="start at zero"):
         fiber_tangent_residual(shifted, cd)
+
+
+def test_fiber_stack_equals_single_path_solves():
+    alg, cd = so4_cd()
+    t = np.linspace(0.0, 1.0, NODES)
+    z = np.sin(np.pi * t)[:, None, None] * alg.to_matrices(cd.k.basis[0])
+    control = t[:, None, None] * alg.to_matrices(cd.m.basis[0])
+    stack = PathGrid(np.stack([z, control]), "algebra")
+    eps = transport.FIBER_EPS
+    singles = [
+        float(alg.norm(phi_k(PathGrid(-eps * differentiate_path(PathGrid(path, "algebra")),
+                                      "algebra"), cd))) / eps
+        for path in (z, control)
+    ]
+    assert fiber_tangent_residuals(stack, cd, [True, False]) == singles
+    assert fiber_tangent_residual(PathGrid(z, "algebra"), cd) == singles[0]
+    with pytest.raises(DomainError, match="end inside the k factor"):
+        fiber_tangent_residuals(stack, cd, [True, True])
+    with pytest.raises(DimensionError):
+        fiber_tangent_residuals(PathGrid(z, "algebra"), cd, [True])
 
 
 # ----------------------------------------------------- orbit-level identities
