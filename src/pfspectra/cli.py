@@ -84,6 +84,46 @@ def _real(flag: str, positive: bool = False):
     return parse
 
 
+# For each subcommand with several checks: the flag that picks the check,
+# and the flags each check reads with their defaults.  A check refuses the
+# other flags of its table; flags every check reads are not listed.
+_CHECK_FLAGS = {
+    "oracle": ("mode", {
+        # exact families and the group oracle are absolute; the raw-form
+        # route carries quadrature error and gets a looser default
+        "mu": {"nu": 1.0, "lam": 0.0, "cutoff": 400, "m_max": 2, "n_max": 3,
+               "tol_rel": 1e-2, "tol_abs": 1e-12, "residual_tol": 5e-3},
+        "group": {"l": 4, "samples": 20, "seed": 0, "tol_abs": 1e-8},
+        "forms": {"l": 4, "grid": 1024, "n_max": 3, "seed": 0, "tol_abs": 1e-6},
+    }),
+    "transport": ("check", {
+        "order": {},
+        "equivariance": {"grid": 256, "samples": 10, "tol": 1e-6},
+        "fiber": {"grid": 256, "tol": 1e-6},
+    }),
+}
+
+
+def _fill_check_flags(args) -> None:
+    """Fill in the defaults of the flags the chosen check reads; refuse the
+    flags of the table that it ignores."""
+    picker, table = _CHECK_FLAGS[args.command]
+    check = getattr(args, picker)
+    for flag in dict.fromkeys(f for reads in table.values() for f in reads):
+        if getattr(args, flag) is None:
+            setattr(args, flag, table[check].get(flag))
+        elif flag not in table[check]:
+            name = "lambda" if flag == "lam" else flag.replace("_", "-")
+            raise DomainError(f"{args.command} --{picker} {check} takes no --{name}")
+
+
+def _matrix(doc: dict, field: str) -> np.ndarray:
+    """A matrix field of a document; rows of unequal length are refused."""
+    if len({len(row) for row in doc[field]}) > 1:
+        raise FormatError(f"{field} has rows of unequal length")
+    return np.array(doc[field], dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -95,12 +135,12 @@ def _cmd_decompose(args):
         n = doc["n"]
         alg = build_so(n, doc.get("ip_scale", 0.5))
         if "p" in doc:
-            p = np.array(doc["p"], dtype=float)
+            p = _matrix(doc, "p")
         else:
             p = np.diag([1.0] * (n - 1) + [-1.0])
         cd = cartan_decompose(alg, p)
         if "xi" in doc:
-            xi = alg.from_matrix(np.array(doc["xi"], dtype=float))
+            xi = alg.from_matrix(_matrix(doc, "xi"))
         else:
             xi = oracle.random_m_direction(cd, np.random.default_rng(args.seed))
     else:
@@ -156,6 +196,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_oracle(args):
+    _fill_check_flags(args)
     if args.mode == "mu":
         return _oracle_mu(args)
     if args.l < 2:  # the sphere S^l needs a rank-one pair so(l+1), so(l)
@@ -343,9 +384,6 @@ def _cmd_trace(args):
 _TRANSPORT_MIN_N = {"equivariance": 1, "order": 2, "fiber": 3}
 # The order check runs its own grids, one constant path on each.
 _ORDER_INTERVALS = (32, 64, 128)
-# The size flags each check reads, with their defaults; it refuses the others.
-_TRANSPORT_FLAGS = {"order": {}, "equivariance": {"grid": 256, "samples": 10},
-                    "fiber": {"grid": 256}}
 
 
 def _transport_sizes(args) -> None:
@@ -358,12 +396,7 @@ def _transport_sizes(args) -> None:
     min_grid = transport.MIN_TRANSPORT_NODES - 1
     if args.grid is not None and args.grid < min_grid:
         raise DomainError(f"transport needs --grid >= {min_grid}, got {args.grid}")
-    reads = _TRANSPORT_FLAGS[args.check]
-    for flag in ("grid", "samples"):
-        if getattr(args, flag) is None:
-            setattr(args, flag, reads.get(flag))
-        elif flag not in reads:
-            raise DomainError(f"transport --check {args.check} takes no --{flag}")
+    _fill_check_flags(args)
     # every path the check integrates: order one per grid (counted at the
     # largest), equivariance a gauged and a plain path per sample, fiber two
     if args.check == "order":
@@ -449,7 +482,7 @@ def _cmd_transport(args):
 def _cmd_weyl(args):
     if args.roots_file:
         doc = formats.load_document(args.roots_file, "weyl_roots")
-        roots = doc["roots"]
+        roots = _matrix(doc, "roots")
         name = args.roots_file
     else:
         roots = symmetrycheck.BUILTIN_ROOT_SYSTEMS[args.system]
@@ -543,19 +576,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="independent numerical cross-checks")
     p.add_argument("--mode", choices=["mu", "group", "forms"], default="mu")
-    p.add_argument("--nu", type=_real("--nu"), default=1.0)
-    p.add_argument("--lambda", dest="lam", type=_real("--lambda"), default=0.0)
-    p.add_argument("--cutoff", type=int, default=400)
-    p.add_argument("--m-max", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--tol-rel", type=_real("--tol-rel", positive=True), default=1e-2)
-    p.add_argument("--tol-abs", type=_real("--tol-abs", positive=True), default=None)
-    p.add_argument("--residual-tol", type=_real("--residual-tol", positive=True),
-                   default=5e-3)
-    p.add_argument("--l", type=int, default=4, help="sphere size for group/forms")
-    p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    # Defaults by mode in _CHECK_FLAGS.
+    p.add_argument("--nu", type=_real("--nu"))
+    p.add_argument("--lambda", dest="lam", type=_real("--lambda"))
+    p.add_argument("--cutoff", type=int)
+    p.add_argument("--m-max", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--tol-rel", type=_real("--tol-rel", positive=True))
+    p.add_argument("--tol-abs", type=_real("--tol-abs", positive=True))
+    p.add_argument("--residual-tol", type=_real("--residual-tol", positive=True))
+    p.add_argument("--l", type=int, help="sphere size for group/forms")
+    p.add_argument("--grid", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     _add_format(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -579,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help="intervals (equivariance, fiber; default 256)")
     p.add_argument("--n", type=int, default=4, help="matrix size")
     p.add_argument("--samples", type=int, help="path pairs (equivariance; default 10)")
-    p.add_argument("--tol", type=_real("--tol", positive=True), default=1e-6)
+    p.add_argument("--tol", type=_real("--tol", positive=True),
+                   help="(equivariance, fiber; default 1e-6)")
     p.add_argument("--seed", type=int, default=7)
     _add_format(p, ("json",))
     p.set_defaults(fn=_cmd_transport)
@@ -612,10 +646,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "tol_abs", 0) is None:
-            # exact families and the group oracle are absolute; the raw-form
-            # route carries quadrature error and gets a looser default
-            args.tol_abs = {"mu": 1e-12, "group": 1e-8, "forms": 1e-6}[args.mode]
         samples = getattr(args, "samples", None)
         if samples is not None and samples < 1:
             raise DomainError(f"--samples must be at least 1, got {samples}")

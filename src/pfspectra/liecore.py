@@ -28,6 +28,11 @@ PROBES = 3  # randomised probes per algebra and per Cartan decomposition
 # --n 40 takes about 0.16 s and 45 MB above the interpreter's 66 MB; the
 # group oracle's sample at --l 39 (so(40)) takes 0.45 s.
 MAX_SO_N = 40
+# Accepted ip_scale.  The probes and the Cartan relations scale their
+# roundoff with ip_scale or its inverse; for n = 2..40 (last-axis, half-half
+# and randomly rotated involutions) they passed from 1e-10 to 5.6e6.  This
+# range keeps at least a decade inside that.
+IP_SCALE_RANGE = (1e-9, 1e5)
 
 
 class MatrixLieAlgebra:
@@ -36,8 +41,9 @@ class MatrixLieAlgebra:
     def __init__(self, n: int, ip_scale: float):
         if not 2 <= n <= MAX_SO_N:
             raise DimensionError(f"so(n) needs 2 <= n <= {MAX_SO_N}, got {n}")
-        if ip_scale <= 0:
-            raise DomainError(f"ip_scale must be positive, got {ip_scale}")
+        lo, hi = IP_SCALE_RANGE
+        if not lo <= ip_scale <= hi:
+            raise DomainError(f"ip_scale must be between {lo:g} and {hi:g}, got {ip_scale}")
         self.n = int(n)
         self.dim = self.n * (self.n - 1) // 2
         self.ip_scale = float(ip_scale)
@@ -150,7 +156,8 @@ def gram_schmidt(algebra: MatrixLieAlgebra, vectors) -> np.ndarray:
     largest input norm is dropped, so a roundoff-only input never becomes a
     basis vector.
     """
-    vecs = np.array(vectors, dtype=float).reshape(-1, algebra.dim)
+    # C order: the sums, and so the bits, do not depend on the input's layout.
+    vecs = np.array(vectors, dtype=float, order="C").reshape(-1, algebra.dim)
     cut = 1e-12 * algebra.norm(vecs).max(initial=0.0)
     out = np.empty_like(vecs)
     k = 0
@@ -196,8 +203,10 @@ class Subspace:
         return self.algebra.inner(coords, self.basis)
 
     def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+        """Whether a vector, or every row of a stack, lies in the span."""
         alg = self.algebra
-        return alg.norm(x - self.project_coords(x)) <= tol * max(1.0, alg.norm(x))
+        resid = alg.norm(x - self.project_coords(x))
+        return bool(np.all(resid <= tol * np.maximum(1.0, alg.norm(x))))
 
 
 @dataclass(frozen=True)

@@ -247,12 +247,14 @@ class CurvatureAdaptedData:
         ]
 
         tangent0_rows = rows(ys for _, ys in self.tangent0)
-        all_tangent = rows([tangent0_rows, *(ys for _, _, ys in self.tangent)])
-        self._tangent_space = Subspace(alg, all_tangent)  # raises unless orthonormal
+        frames = [*self.tangent0, *((lam, ys) for _, lam, ys in self.tangent)]
+        self._tangent_space = Subspace(alg, rows(ys for _, ys in frames))  # checks orthonormality
+        # The base eigenvalue of each tangent_space row.
+        self._tangent_lams = np.array([lam for lam, ys in frames for _ in ys])
 
         m0_span = Subspace(alg, ad.m0_basis)
         for lam, ys in self.tangent0:
-            if not all(m0_span.contains(y, BLOCK_MEMBERSHIP_TOL) for y in ys):
+            if not m0_span.contains(ys, BLOCK_MEMBERSHIP_TOL):
                 raise StructureError(f"kernel tangent vector for lambda={lam:.6g} is not in m_0")
             if np.abs(alg.inner(ys, xi)).max(initial=0.0) > TANGENT_TOL * alg.norm(xi):
                 raise DomainError("tangent vectors must be orthogonal to xi")
@@ -262,7 +264,7 @@ class CurvatureAdaptedData:
             span = block_spans.get(nu)
             if span is None:
                 raise DomainError(f"no frequency block at nu={nu:.6g}")
-            if not all(span.contains(y, BLOCK_MEMBERSHIP_TOL) for y in ys):
+            if not span.contains(ys, BLOCK_MEMBERSHIP_TOL):
                 raise StructureError(
                     f"tangent vector for (nu={nu:.6g}, lambda={lam:.6g}) "
                     "does not lie in its frequency block"
@@ -301,19 +303,16 @@ class CurvatureAdaptedData:
         return self._normal_space.project_coords(coords)
 
     def base_shape_apply(self, y: np.ndarray) -> np.ndarray:
-        """Shape operator of the base submanifold: lambda on each block."""
-        alg = self.cd.algebra
-        out = np.zeros(alg.dim)
-        recon = np.zeros(alg.dim)
-        for lam, ys in [*self.tangent0, *((lam, ys) for _, lam, ys in self.tangent)]:
-            for e in ys:
-                w = alg.inner(e, y)
-                out += lam * w * e
-                recon += w * e
-        leak = alg.norm(y - recon)
-        if leak > TANGENT_TOL * max(1.0, alg.norm(y)):
-            raise DomainError(f"vector is not tangent (normal residual {leak:.3e})")
-        return out
+        """Shape operator of the base submanifold, lambda on each block, on a
+        tangent vector or on each row of a stack of them."""
+        alg, basis = self.cd.algebra, self._tangent_space.basis
+        w = alg.inner(y, basis)
+        leak = alg.norm(y - w @ basis)
+        bad = leak > TANGENT_TOL * np.maximum(1.0, alg.norm(y))
+        if bad.any():
+            worst = np.max(leak, where=bad, initial=0.0)
+            raise DomainError(f"vector is not tangent (normal residual {worst:.3e})")
+        return (w * self._tangent_lams) @ basis
 
     def spectral_data(self) -> SubmanifoldSpectralData:
         freq_mult = self.ad.frequency_multiplicities()
@@ -550,22 +549,14 @@ def group_shape_matrix(data: CurvatureAdaptedData) -> np.ndarray:
     plus (1/2) P_k([xi, y]).  The assembled matrix is symmetric because the
     inner product is ad-invariant.
     """
-    alg = data.cd.algebra
-    k_rows = data.cd.k.basis
-    t_rows = data.tangent_space.basis
-    basis = np.vstack([k_rows, t_rows]) if t_rows.size else k_rows
-    dim_k = k_rows.shape[0]
-    admat = alg.ad_matrix(data.xi)
-
-    images = []
-    for i, row in enumerate(basis):
-        br = admat @ row
-        if i < dim_k:
-            img = -0.5 * data.tangent_space.project_coords(br)
-        else:
-            img = data.base_shape_apply(row) + 0.5 * data.cd.k.project_coords(br)
-        images.append(img)
-    mat = alg.inner(basis, np.array(images))  # mat[a, b] = <e_a, A e_b>
+    alg, k, tn = data.cd.algebra, data.cd.k, data.tangent_space
+    basis = np.vstack([k.basis, tn.basis])
+    br = basis @ alg.ad_matrix(data.xi).T  # row a: [xi, e_a]
+    images = np.vstack([
+        -0.5 * tn.project_coords(br[:k.dim]),
+        data.base_shape_apply(tn.basis) + 0.5 * k.project_coords(br[k.dim:]),
+    ])
+    mat = alg.inner(basis, images)  # mat[a, b] = <e_a, A e_b>
     asym = np.abs(mat - mat.T).max() if mat.size else 0.0
     if asym > 1e-9:
         raise StructureError(f"group-level assembly is not symmetric ({asym:.3e})")

@@ -142,12 +142,14 @@ def product_sphere_shape(m: int, n: int, normal_coeffs) -> np.ndarray:
     a = np.asarray(normal_coeffs, dtype=float)
     if a.shape != (m,):
         raise DimensionError(f"normal needs {m} coefficients, got shape {a.shape}")
-    if abs(a.sum()) > 1e-10:
-        raise DomainError(f"normal coefficients must sum to zero (got {a.sum():.3e})")
-    nrm = np.linalg.norm(a)
-    if nrm < 1e-12:
+    if not a.any():
         raise DomainError("normal direction is zero (all coefficients vanish)")
-    a = a / nrm
+    # Scaled exactly by a power of two to a largest entry in [0.5, 1): the
+    # sum test is relative, and the norm cannot overflow (above about 1.3e154).
+    a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
+    if abs(a.sum()) > 1e-10:
+        raise DomainError(f"normal coefficients must sum to zero (scaled sum {a.sum():.3e})")
+    a = a / np.linalg.norm(a)
 
     # Base point (e_1, ..., e_1); the tangent frame of each factor is one
     # orthonormal completion of e_1.
@@ -285,15 +287,9 @@ def isolated_directions(fundamental_roots):
 def stratum_membership(roots, w, active) -> bool:
     """Does w lie in the stratum where exactly ``active`` roots are positive
     (beyond STRATUM_TOL, and the others vanish to within it)?"""
-    roots = np.asarray(roots, dtype=float)
-    vals = roots @ np.asarray(w, dtype=float)
-    for i, v in enumerate(vals):
-        if i in active:
-            if v <= STRATUM_TOL:
-                return False
-        elif abs(v) > STRATUM_TOL:
-            return False
-    return True
+    vals = np.asarray(roots, dtype=float) @ np.asarray(w, dtype=float)
+    on = np.isin(np.arange(len(vals)), list(active))
+    return bool((vals[on] > STRATUM_TOL).all() and (np.abs(vals[~on]) <= STRATUM_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -303,29 +299,17 @@ def stratum_membership(roots, w, active) -> bool:
 
 def so9_conjugation_matrix() -> np.ndarray:
     """The orthogonal 9x9 block matrix aligning the subgroup pair."""
-    e = np.eye(3)
     root2, root3 = math.sqrt(2.0), math.sqrt(3.0)
-    q = np.zeros((9, 9))
-    q[0:3, 0:3] = root2 * e
-    q[0:3, 3:6] = root3 * e
-    q[0:3, 6:9] = e
-    q[3:6, 0:3] = root2 * e
-    q[3:6, 3:6] = -root3 * e
-    q[3:6, 6:9] = e
-    q[6:9, 0:3] = root2 * e
-    q[6:9, 6:9] = -2.0 * e
-    return q / math.sqrt(6.0)
+    blocks = np.array([[root2, root3, 1.0], [root2, -root3, 1.0], [root2, 0.0, -2.0]])
+    return np.kron(blocks, np.eye(3)) / math.sqrt(6.0)
 
 
 def so9_normal_matrix(x: float, y: float) -> np.ndarray:
     """Skew matrix of the two-parameter normal family of the orbit."""
-    u = np.diag([-2.0 * x, 0.0, 0.0])
-    v = np.diag([-x - y, 0.0, 0.0])
-    w = np.diag([x - y, 0.0, 0.0])
     out = np.zeros((9, 9))
-    out[0:3, 3:6] = u
-    out[0:3, 6:9] = v
-    out[3:6, 6:9] = w
+    out[0, 3] = -2.0 * x
+    out[0, 6] = -x - y
+    out[3, 6] = x - y
     return out - out.T
 
 
@@ -333,12 +317,9 @@ def so9_swap_matrix(i: int, j: int) -> np.ndarray:
     """Orthogonal matrix swapping 3x3 coordinate blocks i and j (1-based)."""
     if not (1 <= i < j <= 3):
         raise DomainError(f"block indices must satisfy 1 <= i < j <= 3, got ({i}, {j})")
-    perm = list(range(3))
-    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    out = np.zeros((9, 9))
-    for a, b in enumerate(perm):
-        out[3 * a : 3 * a + 3, 3 * b : 3 * b + 3] = np.eye(3)
-    return out
+    perm = np.eye(3)
+    perm[[i - 1, j - 1]] = perm[[j - 1, i - 1]]
+    return np.kron(perm, np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -370,28 +351,13 @@ def so9_build() -> SO9Example:
     if np.abs(q @ q.T - np.eye(9)).max() > 1e-14:
         raise StructureError("conjugation matrix is not orthogonal")
 
-    # First subalgebra: three diagonal so(3) blocks.
-    kp = []
-    for blk in range(3):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                mat = np.zeros((9, 9))
-                mat[3 * blk + i, 3 * blk + j] = 1.0
-                mat[3 * blk + j, 3 * blk + i] = -1.0
-                kp.append(mat)
-    # gram_schmidt sums in the memory order of its input, and a stacked
-    # from_matrix returns column-major coordinates: C order keeps the bits
-    # of one conversion per matrix.
-    kp = np.ascontiguousarray(alg.from_matrix(np.stack(kp)))
-    # Second subalgebra: conjugated copy of the matrices with zero first row.
-    kk = []
-    for i in range(1, 9):
-        for j in range(i + 1, 9):
-            mat = np.zeros((9, 9))
-            mat[i, j] = 1.0
-            mat[j, i] = -1.0
-            kk.append(q @ mat @ q.T)
-    kk = np.ascontiguousarray(alg.from_matrix(np.stack(kk)))
+    # First subalgebra: three diagonal so(3) blocks, the E_ij with i, j in
+    # one 3x3 block.
+    rows, cols = np.triu_indices(9, 1)
+    kp = np.eye(alg.dim)[rows // 3 == cols // 3]
+    # Second subalgebra: conjugated copy of the E_ij with zero first row,
+    # the basis after the 8 E_0j.
+    kk = alg.from_matrix(q @ alg.basis[8:] @ q.T)
 
     h_basis = gram_schmidt(alg, np.vstack([kp, kk]))
     if h_basis.shape[0] != 34:

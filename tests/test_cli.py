@@ -313,6 +313,47 @@ def test_decompose_refuses_an_xi_whose_norm_overflows(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, doc, field", [
+    ("decompose", {"n": 3, "p": [[1, 0, 0], [0, 1], [0, 0, -1]]}, "p"),
+    ("decompose", {"n": 3, "xi": [[0, 0, 1], [0, 0], [-1, 0, 0]]}, "xi"),
+    ("weyl", {"roots": [[1, 0], [0]]}, "roots"),
+])
+def test_ragged_matrices_are_input_errors(tmp_path, capsys, command, doc, field):
+    path = write_json(tmp_path, "doc.json", doc)
+    flag = "--input" if command == "decompose" else "--roots-file"
+    code, out, err = run_cli(capsys, command, flag, path)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and f"{field} has rows of unequal length" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_decompose_refuses_ip_scale_outside_its_range(tmp_path, capsys):
+    from pfspectra.liecore import IP_SCALE_RANGE
+
+    lo, hi = IP_SCALE_RANGE
+    # so(2) has no frequency; on the other rank-one pairs nu = 1/sqrt(2 ip_scale).
+    for n, scale in ((2, lo), (3, lo), (40, lo), (2, hi), (3, hi), (40, hi), (4, 1e-8), (4, 1e4)):
+        path = write_json(tmp_path, "dec.json", {"n": n, "ip_scale": scale})
+        code, out, err = run_cli(capsys, "decompose", "--input", path)
+        assert code == 0, err
+        want = [[pytest.approx(1.0 / math.sqrt(2.0 * scale), rel=1e-9), n - 2]] if n > 2 else []
+        assert json.loads(out)["frequencies"] == want
+    for scale in (1e-300, 1e-20, lo / 2.0, 2.0 * hi, 1e8, 1e300):
+        path = write_json(tmp_path, "dec.json", {"n": 4, "ip_scale": scale})
+        code, out, err = run_cli(capsys, "decompose", "--input", path)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ip_scale") and len(err.strip().splitlines()) == 1
+
+
+def test_product_sphere_takes_a_normal_of_any_size(capsys):
+    code, out, _ = run_cli(capsys, "product-sphere", "--normal", "1,-1", "--format", "table")
+    assert code == 0
+    assert run_cli(capsys, "product-sphere", "--normal=1e200,-1e200", "--format", "table") == (
+        0, out, "")
+    code, out, err = run_cli(capsys, "product-sphere", "--normal", "0,0")
+    assert code == 2 and "normal direction is zero" in err
+
+
 def test_oracle_mu_mode_quick(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -456,6 +497,16 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("oracle", "--mode", "forms", "--l", "1000"), "oracle --mode forms needs --l <= 39"),
         (("oracle", "--mode", "group", "--l", "40", "--samples", "1"),
          "oracle --mode group needs --l <= 39"),
+        (("transport", "--check", "order", "--tol", "1e-3"),
+         "transport --check order takes no --tol"),
+        (("oracle", "--mode", "mu", "--l", "7"), "oracle --mode mu takes no --l"),
+        (("oracle", "--mode", "mu", "--seed", "3"), "oracle --mode mu takes no --seed"),
+        (("oracle", "--mode", "group", "--nu", "-1"), "oracle --mode group takes no --nu"),
+        (("oracle", "--mode", "group", "--lambda", "0.5"), "oracle --mode group takes no --lambda"),
+        (("oracle", "--mode", "group", "--grid", "0"), "oracle --mode group takes no --grid"),
+        (("oracle", "--mode", "forms", "--samples", "5"), "oracle --mode forms takes no --samples"),
+        (("oracle", "--mode", "forms", "--tol-rel", "0.1"),
+         "oracle --mode forms takes no --tol-rel"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

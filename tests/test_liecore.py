@@ -217,6 +217,30 @@ def test_gram_schmidt_drops_roundoff_relative_to_the_batch():
     assert gram_schmidt(alg, [np.zeros(alg.dim)]).shape == (0, alg.dim)
 
 
+def test_gram_schmidt_bits_do_not_depend_on_memory_order():
+    # The 28 generators of the conjugated so(8) in the SO(9) orbit: a
+    # stacked from_matrix returns them column-major.
+    from pfspectra.symmetrycheck import so9_conjugation_matrix
+
+    alg = build_so(9)
+    q = so9_conjugation_matrix()
+    gens = alg.from_matrix(q @ alg.basis[8:] @ q.T)
+    assert gens.shape == (28, alg.dim)
+    c_basis = gram_schmidt(alg, np.ascontiguousarray(gens))
+    np.testing.assert_array_equal(gram_schmidt(alg, np.asfortranarray(gens)), c_basis)
+    np.testing.assert_array_equal(gram_schmidt(alg, gens), c_basis)
+
+
+def test_subspace_contains_takes_a_stack():
+    alg = build_so(5)
+    sub = Subspace(alg, gram_schmidt(alg, np.random.default_rng(8).standard_normal((3, alg.dim))))
+    inside = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]]) @ sub.basis
+    outside = np.eye(alg.dim)[0] - sub.project_coords(np.eye(alg.dim)[0])
+    assert sub.contains(inside) and all(sub.contains(row) for row in inside)
+    assert not sub.contains(np.vstack([inside, outside])) and not sub.contains(outside)
+    assert sub.contains(np.zeros((0, alg.dim)))
+
+
 def test_subspace_projection_is_idempotent():
     alg = build_so(4)
     rng = np.random.default_rng(4)

@@ -398,7 +398,58 @@ def test_grid_l2_norm_of_plain_waves():
     assert grid_l2_norm(wave, alg) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
+def test_base_shape_apply_on_a_stack_equals_row_by_row_calls():
+    rng = np.random.default_rng(6)
+    geos = [sphere_geometry(6, [(0.4, 2), (-1.0, 2)], rng),
+            split_geometry(3, 4, rng, tangent0_lams=[0.5, -0.2], block_lams=[0.3, 0.7])]
+    for geo in geos:
+        basis = geo.tangent_space.basis
+        stack = np.vstack([basis, rng.standard_normal((4, len(basis))) @ basis])
+        rows = np.array([geo.base_shape_apply(y) for y in stack])
+        np.testing.assert_allclose(geo.base_shape_apply(stack), rows, rtol=0, atol=1e-15)
+        with pytest.raises(DomainError, match="not tangent"):
+            geo.base_shape_apply(np.vstack([stack, geo.xi]))
+
+
 # ------------------------------------------------------------- group oracle
+
+
+def _group_shape_matrix_by_rows(data):
+    """group_shape_matrix as one bracket and one projection per basis row,
+    with the base shape operator summed vector by vector."""
+    alg = data.cd.algebra
+    frames = [*data.tangent0, *((lam, ys) for _, lam, ys in data.tangent)]
+
+    def base_shape(y):
+        out = np.zeros(alg.dim)
+        for lam, ys in frames:
+            for e in ys:
+                out += lam * alg.inner(e, y) * e
+        return out
+
+    k_rows, t_rows = data.cd.k.basis, data.tangent_space.basis
+    basis = np.vstack([k_rows, t_rows]) if t_rows.size else k_rows
+    admat = alg.ad_matrix(data.xi)
+    images = []
+    for i, row in enumerate(basis):
+        br = admat @ row
+        if i < len(k_rows):
+            images.append(-0.5 * data.tangent_space.project_coords(br))
+        else:
+            images.append(base_shape(row) + 0.5 * data.cd.k.project_coords(br))
+    mat = alg.inner(basis, np.array(images))
+    return 0.5 * (mat + mat.T)
+
+
+def test_group_shape_matrix_equals_the_per_row_loop():
+    rng = np.random.default_rng(12)
+    geos = [sphere_geometry(5, [(0.6, 1), (-0.8, 2)], rng),
+            sphere_geometry(4, [], rng),
+            split_geometry(2, 3, rng, tangent0_lams=[0.3], block_lams=[-0.7]),
+            split_geometry(3, 4, rng, tangent0_lams=[0.5, -0.2], block_lams=[0.3, 0.7])]
+    for geo in geos:
+        np.testing.assert_allclose(group_shape_matrix(geo), _group_shape_matrix_by_rows(geo),
+                                   rtol=0, atol=1e-14)
 
 
 def test_group_shape_matrix_is_symmetric():

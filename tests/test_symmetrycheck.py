@@ -170,6 +170,22 @@ def test_product_sphere_normals_validate():
         product_sphere_shape(2, 2, [1.0, -0.5, -0.5])
 
 
+def test_product_sphere_normal_of_any_size():
+    # Above about 1.3e154 the plain norm of a normal overflows; the scaled
+    # one gives the report of the unit normal.
+    unit = product_sphere_austere(2, 3, normals=[np.array([1.0, -1.0])])
+    assert product_sphere_austere(2, 3, normals=[np.array([1e200, -1e200])]) == (
+        unit[0], [{**unit[1][0], "normal": [1e200, -1e200]}])
+    for scale in (1e-200, 1.7e308):
+        austere, [detail] = product_sphere_austere(2, 3, normals=[[scale, -scale]])
+        assert austere == unit[0]
+        np.testing.assert_allclose(detail["eigenvalues"], unit[1][0]["eigenvalues"], rtol=1e-12)
+    with pytest.raises(DomainError, match="zero"):
+        product_sphere_shape(2, 3, [0.0, 0.0])
+    with pytest.raises(DomainError, match="sum to zero"):
+        product_sphere_shape(3, 2, [1e200, 1e200, -1e200])
+
+
 def test_product_sphere_shape_eigenvalues():
     # Second-fundamental form along a = (1,-1)/sqrt(2): one curvature -a_i
     # per factor, each with multiplicity n-1 = 2.
@@ -300,7 +316,82 @@ def test_weyl_strata_validate_input():
         weyl_strata([[1.0, 0.0], [2.0, 0.0]])
 
 
+def test_membership_equals_the_root_by_root_loop():
+    def by_roots(roots, w, active):
+        for i, v in enumerate(np.asarray(roots) @ np.asarray(w)):
+            if i in active:
+                if v <= symmetrycheck.STRATUM_TOL:
+                    return False
+            elif abs(v) > symmetrycheck.STRATUM_TOL:
+                return False
+        return True
+
+    rng = np.random.default_rng(4)
+    for roots in BUILTIN_ROOT_SYSTEMS.values():
+        points = [s.representative for s in weyl_strata(roots)]
+        points += list(rng.standard_normal((20, 2))) + [np.zeros(2)]
+        for w in points:
+            for active in ((), (0,), (1,), (0, 1)):
+                assert stratum_membership(roots, w, active) == by_roots(roots, w, active)
+
+
 # ------------------------------------------------------------ so(9) orbit
+
+
+def _so9_by_blocks():
+    """The conjugation, swap and normal matrices of the SO(9) orbit, and
+    its two generator sets, assembled block by block and matrix by matrix."""
+    e, root2, root3 = np.eye(3), math.sqrt(2.0), math.sqrt(3.0)
+    q = np.zeros((9, 9))
+    q[0:3, 0:3], q[0:3, 3:6], q[0:3, 6:9] = root2 * e, root3 * e, e
+    q[3:6, 0:3], q[3:6, 3:6], q[3:6, 6:9] = root2 * e, -root3 * e, e
+    q[6:9, 0:3], q[6:9, 6:9] = root2 * e, -2.0 * e
+    q /= math.sqrt(6.0)
+    swaps = []
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        perm = list(range(3))
+        perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+        out = np.zeros((9, 9))
+        for a, b in enumerate(perm):
+            out[3 * a : 3 * a + 3, 3 * b : 3 * b + 3] = e
+        swaps.append(out)
+
+    def normal(x, y):
+        out = np.zeros((9, 9))
+        out[0:3, 3:6] = np.diag([-2.0 * x, 0.0, 0.0])
+        out[0:3, 6:9] = np.diag([-x - y, 0.0, 0.0])
+        out[3:6, 6:9] = np.diag([x - y, 0.0, 0.0])
+        return out - out.T
+
+    def unit(i, j):
+        mat = np.zeros((9, 9))
+        mat[i, j], mat[j, i] = 1.0, -1.0
+        return mat
+
+    kp = [unit(3 * b + i, 3 * b + j) for b in range(3) for i in range(3) for j in range(i + 1, 3)]
+    kk = [q @ unit(i, j) @ q.T for i in range(1, 9) for j in range(i + 1, 9)]
+    return q, swaps, normal, kp, kk
+
+
+def test_kronecker_matrices_equal_the_block_constructions():
+    q, swaps, normal, _, _ = _so9_by_blocks()
+    np.testing.assert_array_equal(so9_conjugation_matrix(), q)
+    for (i, j), swap in zip(((1, 2), (1, 3), (2, 3)), swaps):
+        np.testing.assert_array_equal(so9_swap_matrix(i, j), swap)
+    for x, y in ((1.0, 0.0), (0.3, -0.9), (-2.5, 1e-7)):
+        np.testing.assert_array_equal(so9_normal_matrix(x, y), normal(x, y))
+
+
+def test_indexed_generators_equal_the_matrix_by_matrix_ones():
+    from pfspectra import gram_schmidt
+
+    _, _, _, kp, kk = _so9_by_blocks()
+    alg = build_so(9)
+    kp = np.array([alg.from_matrix(m) for m in kp])
+    kk = np.array([alg.from_matrix(m) for m in kk])
+    ex = so9_build()
+    np.testing.assert_array_equal(ex.h_basis, gram_schmidt(alg, np.vstack([kp, kk])))
+    np.testing.assert_array_equal(ex.kk_basis, gram_schmidt(alg, kk))
 
 
 class TestSO9:
