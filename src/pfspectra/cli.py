@@ -51,6 +51,8 @@ def _non_finite(obj, path: str):
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
         items = enumerate(obj)
+    elif hasattr(obj, "__dataclass_fields__"):  # a record: its fields, as canonical_json
+        items = vars(obj).items()
     else:
         return None
     for key, value in items:
@@ -82,6 +84,18 @@ def _real(flag: str, positive: bool = False):
         return value
 
     return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy's generators
+    need; anything else is a FormatError, as in ``_real``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise FormatError(f"--seed needs a non-negative integer, got {text!r}")
+    return value
 
 
 # For each subcommand with several checks: the flag that picks the check,
@@ -167,10 +181,10 @@ def _cmd_decompose(args):
 
 def _cmd_spectrum(args):
     doc = formats.load_document(args.data, "spectral_data")
-    data = spectra.SubmanifoldSpectralData.from_json(doc)
+    data = spectra.SubmanifoldSpectralData.from_maps(**doc)
     if args.group:
         group = spectra.assemble_group_spectrum(data)
-        report = {"kind": "group", "spectrum": group.to_json()}
+        report = {"kind": "group", "spectrum": group}
         rows_fn = lambda: (
             ["value", "multiplicity"],
             [(v, m) for v, m in group.entries],
@@ -234,7 +248,7 @@ def _oracle_mu(args):
         "nu": args.nu,
         "lambda": args.lam,
         "cutoff": args.cutoff,
-        "blocks": [r.to_json() for r in reports],
+        "blocks": reports,
         "eigenfunction_residuals": residuals,
         "residual_tol": args.residual_tol,
         "passed": bool(passed),
@@ -261,7 +275,7 @@ def _oracle_group(args):
         data = oracle.sphere_geometry(args.l, lam_mults, rng)
         rep = oracle.finite_group_oracle(data, tol=args.tol_abs)
         passed &= rep.passed
-        runs.append(rep.to_json())
+        runs.append(rep)
     report = {
         "mode": "group",
         "l": args.l,
@@ -332,7 +346,7 @@ def _random_lam_mults(rng, max_vals: int, max_mult: int, max_dims: int):
 
 def _cmd_austere(args):
     doc = formats.load_document(args.data, "spectral_data")
-    data = spectra.SubmanifoldSpectralData.from_json(doc)
+    data = spectra.SubmanifoldSpectralData.from_maps(**doc)
     spec = spectra.assemble_pf_spectrum(data)
     group = spectra.assemble_group_spectrum(data)
     by_family = symmetrycheck.austere_check_pf(spec)
@@ -351,7 +365,7 @@ def _cmd_austere(args):
 
 def _cmd_trace(args):
     doc = formats.load_document(args.data, "spectral_data")
-    data = spectra.SubmanifoldSpectralData.from_json(doc)
+    data = spectra.SubmanifoldSpectralData.from_maps(**doc)
     spec = spectra.assemble_pf_spectrum(data)
     partial, limit = spectra.r_trace(spec, args.m_cut)
     probes = list(args.probes)
@@ -492,7 +506,7 @@ def _cmd_weyl(args):
     report = {
         "system": name,
         "count": len(strata),
-        "strata": [st.to_json() for st in strata],
+        "strata": strata,
         "isolated_directions": [list(v) for v in isolated],
     }
     return report, lambda: (
@@ -562,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="frequency decomposition of ad(xi)")
     p.add_argument("--input", help="JSON input (schema decompose_input)")
     p.add_argument("--n", type=int, default=5, help="orthogonal algebra size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_format(p)
     p.set_defaults(fn=_cmd_decompose)
 
@@ -588,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, help="sphere size for group/forms")
     p.add_argument("--grid", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     _add_format(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -614,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="path pairs (equivariance; default 10)")
     p.add_argument("--tol", type=_real("--tol", positive=True),
                    help="(equivariance, fiber; default 1e-6)")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     _add_format(p, ("json",))
     p.set_defaults(fn=_cmd_transport)
 
@@ -634,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2, help="number of factors")
     p.add_argument("--n", type=int, default=2, help="ambient factor dimension")
     p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--normal", help="comma-separated coefficients of one normal")
     _add_format(p)
     p.set_defaults(fn=_cmd_product_sphere)

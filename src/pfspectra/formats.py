@@ -151,8 +151,11 @@ def load_document(path: str, kind: str):
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, fixed separators, newline end.
+
+    A dataclass record is written as the JSON object of its fields.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=vars) + "\n"
 
 
 def format_real(x: float) -> str:

@@ -513,7 +513,7 @@ def grid_l2_norm(values: np.ndarray, alg) -> float:
 @dataclass(frozen=True)
 class MultisetMatch:
     predicted: float
-    predicted_mult: int
+    mult: int
     computed: tuple
     max_abs_err: float
     ok: bool
@@ -524,22 +524,6 @@ class OracleReport:
     matches: tuple
     passed: bool
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "detail": self.detail,
-            "matches": [
-                {
-                    "predicted": m.predicted,
-                    "mult": m.predicted_mult,
-                    "computed": list(m.computed),
-                    "max_abs_err": m.max_abs_err,
-                    "ok": m.ok,
-                }
-                for m in self.matches
-            ],
-        }
 
 
 def group_shape_matrix(data: CurvatureAdaptedData) -> np.ndarray:
@@ -647,23 +631,6 @@ class MatchReport:
     block: str
     entries: tuple
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "block": self.block,
-            "passed": self.passed,
-            "entries": [
-                {
-                    "descriptor": e.descriptor,
-                    "predicted": e.predicted,
-                    "computed": e.computed,
-                    "abs_err": e.abs_err,
-                    "rel_err": e.rel_err,
-                    "ok": e.ok,
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def compare_spectra(

@@ -180,9 +180,6 @@ class EigenMultiset:
             value[g] = np.average(v[a:b], weights=w / w.max())
         return cls(tuple(zip(value.tolist(), np.add.reduceat(m, starts).tolist())))
 
-    def to_json(self) -> dict:
-        return {"entries": [[v, m] for v, m in self.entries]}
-
 
 @dataclass(frozen=True)
 class SubmanifoldSpectralData:
@@ -266,27 +263,6 @@ class SubmanifoldSpectralData:
             perp=[(0.0, 1), (nu, codim - 1)],
             dim_m0=1,
             dim_k0=dim_k0,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "freq_mult": [[n, m] for n, m in self.freq_mult],
-            "mult0": [[l, m] for l, m in self.mult0],
-            "mult": [[n, l, m] for n, l, m in self.mult],
-            "perp": [[n, m] for n, m in self.perp],
-            "dim_m0": self.dim_m0,
-            "dim_k0": self.dim_k0,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SubmanifoldSpectralData":
-        return cls.from_maps(
-            data["freq_mult"],
-            data["mult0"],
-            data["mult"],
-            data["perp"],
-            data["dim_m0"],
-            data["dim_k0"],
         )
 
 
@@ -441,13 +417,16 @@ def zeta_trace(spectrum: PrincipalSpectrum, s_probes):
         if s <= 1:
             raise DomainError(f"zeta trace probes need s > 1, got {s}")
         total = 0.0
-        for lam, mult in spectrum.lambdas:
-            if lam != 0.0:
-                total += math.copysign(abs(lam) ** s, lam) * mult
-        for nu, lam, mult in spectrum.mus:
-            frac = _mu_theta(nu, lam) / math.pi
-            diff = hurwitz_zeta(s, frac) - hurwitz_zeta(s, 1.0 - frac)
-            total += mult * (nu / math.pi) ** s * diff
+        try:
+            for lam, mult in spectrum.lambdas:
+                if lam != 0.0:
+                    total += math.copysign(abs(lam) ** s, lam) * mult
+            for nu, lam, mult in spectrum.mus:
+                frac = _mu_theta(nu, lam) / math.pi
+                diff = hurwitz_zeta(s, frac) - hurwitz_zeta(s, 1.0 - frac)
+                total += mult * (nu / math.pi) ** s * diff
+        except OverflowError:
+            raise DomainError(f"zeta trace probe s={s!r} overflows a float") from None
         values.append(total)
     return values
 
@@ -459,6 +438,13 @@ def extrapolate_to_one(s_probes, values) -> float:
     n = len(tab)
     if n == 0:
         raise DomainError("need at least one probe")
+    # Neville divides by differences of s - 1: equal probes share it, and so
+    # can distinct ones above 2**53, where s - 1 rounds.
+    seen = {}
+    for s, x in zip(s_probes, xs):
+        if x in seen:
+            raise DomainError(f"trace probes s={seen[x]!r} and s={s!r} give the same s - 1")
+        seen[x] = s
     for level in range(1, n):
         for i in range(n - level):
             tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
@@ -515,6 +501,10 @@ def enumerate_rows(spectrum: PrincipalSpectrum, n_max: int, m_max: int):
     count = (1 + len(spectrum.lambdas) + 2 * n_max * len(spectrum.harmonics)
              + (2 * m_max + 1) * len(spectrum.mus))
     check_work("enumeration window", count, MAX_ENUMERATED_ROWS)
+    # Index ranges only for the families present: a window on an absent
+    # family costs nothing, however wide.
+    n_max *= bool(spectrum.harmonics)
+    m_max *= bool(spectrum.mus)
     ns = np.concatenate((np.arange(-n_max, 0), np.arange(1, n_max + 1)))
     ms = np.arange(-m_max, m_max + 1)
     rows = [SpectrumRow("lambda", None, lam, mult) for lam, mult in spectrum.lambdas]

@@ -242,14 +242,7 @@ class WeylStratum:
 
     active: tuple  # sorted indices into the fundamental system
     dim: int
-    representative: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "active": list(self.active),
-            "dim": self.dim,
-            "representative": list(self.representative),
-        }
+    representative: tuple  # floats
 
 
 def weyl_strata(fundamental_roots):
@@ -270,7 +263,7 @@ def weyl_strata(fundamental_roots):
     for mask in range(1 << count):
         active = tuple(i for i in range(count) if mask & (1 << i))
         rep = duals[:, list(active)].sum(axis=1) if active else np.zeros(rank)
-        strata.append(WeylStratum(active, len(active), rep))
+        strata.append(WeylStratum(active, len(active), tuple(rep.tolist())))
     return strata
 
 
@@ -279,7 +272,7 @@ def isolated_directions(fundamental_roots):
     out = []
     for st in weyl_strata(fundamental_roots):
         if st.dim == 1:
-            rep = st.representative
+            rep = np.array(st.representative)
             out.append(rep / np.linalg.norm(rep))
     return out
 

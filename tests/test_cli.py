@@ -38,7 +38,7 @@ def write_json(tmp_path, name, doc):
 
 def sphere_doc(nu=1.0, lam_mults=(), codim=3, dim_k0=3):
     data = SubmanifoldSpectralData.sphere_like(nu, list(lam_mults), codim, dim_k0)
-    return data.to_json()
+    return json.loads(canonical_json(data))
 
 
 # ------------------------------------------------------------------ formats
@@ -172,6 +172,23 @@ def test_spectrum_window_frozen_values(tmp_path, capsys):
     assert all(r[3] == "2" for r in rows if r[0] == "harmonic")
 
 
+@pytest.mark.parametrize("flag, doc", [
+    # codim 1: the only normal row is nu = 0, so there is no harmonic family
+    ("--n-max", sphere_doc(1.0, [(0.5, 1)], 1, 0)),
+    # ad-kernel eigenvalues only: no mu family
+    ("--m-max", {"freq_mult": [], "mult0": [[0.5, 1]], "mult": [], "perp": [[0.0, 1]],
+                 "dim_m0": 2, "dim_k0": 0}),
+])
+def test_spectrum_window_of_an_absent_family_costs_nothing(tmp_path, capsys, flag, doc):
+    path = write_json(tmp_path, "data.json", doc)
+    code, small, err = run_cli(capsys, "spectrum", "--data", path, flag, "1", "--format", "csv")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "spectrum", "--data", path, flag, str(10**20),
+                             "--format", "csv")
+    assert code == 0, err
+    assert out == small
+
+
 def test_spectrum_report_lists_every_family(tmp_path, capsys):
     # Zero first, then lambda, harmonic and mu families in sorted data order;
     # rows of multiplicity 0 and the nu = 0 normal row give no family.
@@ -204,6 +221,63 @@ def test_spectrum_group_mode(tmp_path, capsys):
     plus = (0.5 + math.sqrt(0.25 + 1.0)) / 2.0
     assert any(abs(v - plus) < 1e-12 for v in values)
     assert any(v == 0.0 for v in values)
+
+
+# Report records are written as the JSON objects of their fields, so a field
+# rename changes the wire format.  These layouts pin it.
+WIRE_DOC = {"freq_mult": [[2.0, 3], [1.0, 2]], "mult0": [[0.25, 2]],
+            "mult": [[2.0, 0.75, 2], [1.0, -0.5, 1]],
+            "perp": [[0.0, 1], [2.0, 1], [1.0, 1]], "dim_m0": 3, "dim_k0": 1}
+
+
+def _key_paths(obj, path=""):
+    if isinstance(obj, dict):
+        return set().union(*({f"{path}.{k}"} | _key_paths(v, f"{path}.{k}")
+                             for k, v in obj.items()))
+    if isinstance(obj, list):
+        return set().union(set(), *(_key_paths(v, f"{path}[]") for v in obj))
+    return set()
+
+
+def test_report_wire_formats_are_pinned(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "weyl", "--system", "B2")
+    assert code == 0
+    assert out == canonical_json({
+        "count": 4,
+        "isolated_directions": [[1.0, 0.0], [0.7071067811865475, 0.7071067811865475]],
+        "strata": [
+            {"active": [], "dim": 0, "representative": [0.0, 0.0]},
+            {"active": [0], "dim": 1, "representative": [1.0, 0.0]},
+            {"active": [1], "dim": 1, "representative": [1.0, 1.0]},
+            {"active": [0, 1], "dim": 2, "representative": [2.0, 1.0]},
+        ],
+        "system": "B2",
+    })
+    path = write_json(tmp_path, "data.json", WIRE_DOC)
+    code, out, _ = run_cli(capsys, "spectrum", "--data", path, "--group")
+    assert code == 0
+    assert out == canonical_json({"kind": "group", "spectrum": {"entries": [
+        [-0.8090169943749475, 1], [-0.6930004681646913, 2], [0.0, 3], [0.25, 2],
+        [0.30901699437494745, 1], [1.4430004681646913, 2],
+    ]}})
+    entry = ("abs_err", "computed", "descriptor", "ok", "predicted", "rel_err")
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "mu", "--cutoff", "50",
+                           "--n-max", "1", "--m-max", "1")
+    assert code == 0
+    assert _key_paths(json.loads(out)) == {
+        ".blocks", ".blocks[].block", ".blocks[].entries", ".blocks[].passed",
+        *(f".blocks[].entries[].{k}" for k in entry),
+        ".cutoff", ".eigenfunction_residuals", ".eigenfunction_residuals.-1",
+        ".eigenfunction_residuals.0", ".eigenfunction_residuals.1",
+        ".lambda", ".mode", ".nu", ".passed", ".residual_tol",
+    }
+    match = ("computed", "max_abs_err", "mult", "ok", "predicted")
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "group", "--l", "2", "--samples", "1")
+    assert code == 0
+    assert _key_paths(json.loads(out)) == {
+        ".l", ".mode", ".passed", ".samples", ".runs", ".runs[].detail", ".runs[].matches",
+        ".runs[].passed", *(f".runs[].matches[].{k}" for k in match),
+    }
 
 
 def test_spectrum_csv_has_full_precision(tmp_path, capsys):
@@ -260,6 +334,26 @@ def test_decompose_input_with_a_rotated_involution(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["dim_m0"] == 10
     assert sum(mult for _, mult in rep["frequencies"]) + rep["dim_m0"] == 100
+
+
+# Frequencies shrink as 1 / sqrt(2 ip_scale).  A cluster tolerance absolute
+# below 1 merged two distinct frequencies of these splits ("pairing failed");
+# relative to the largest one, the blocks are the same at every ip_scale.
+@pytest.mark.parametrize("n, ip_scale, seed", [(34, 0.5, "3"), (20, 1e4, "1"), (20, 1e4, "2")])
+def test_decompose_keeps_close_frequencies_apart(tmp_path, capsys, n, ip_scale, seed):
+    p = np.diag([1.0] * (n - n // 2) + [-1.0] * (n // 2)).tolist()
+    reports = []
+    for scale in (ip_scale, 1e-9):
+        path = write_json(tmp_path, "dec.json", {"n": n, "ip_scale": scale, "p": p})
+        code, out, err = run_cli(capsys, "decompose", "--input", path, "--seed", seed)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    got, ref = reports
+    assert [m for _, m in got["frequencies"]] == [m for _, m in ref["frequencies"]]
+    np.testing.assert_allclose([nu for nu, _ in got["frequencies"]],
+                               [nu * math.sqrt(1e-9 / ip_scale) for nu, _ in ref["frequencies"]],
+                               rtol=1e-9)
+    assert (got["dim_k0"], got["dim_m0"]) == (ref["dim_k0"], ref["dim_m0"])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -381,6 +475,25 @@ def test_trace_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
+
+
+# lambda = 1e300 as an ad-kernel eigenvalue, and as a mu family at nu = 1e300:
+# (1e300)**1.1 overflows a float in either family's term.
+OVERFLOWING_TRACE_DOCS = {
+    "mult0": {"freq_mult": [], "mult0": [[1e300, 1]], "mult": [], "perp": [[0.0, 1]],
+              "dim_m0": 2, "dim_k0": 0},
+    "mult": {"freq_mult": [[1e300, 1]], "mult0": [], "mult": [[1e300, 1e300, 1]],
+             "perp": [[0.0, 1]], "dim_m0": 1, "dim_k0": 0},
+}
+
+
+@pytest.mark.parametrize("field", sorted(OVERFLOWING_TRACE_DOCS))
+def test_trace_refuses_a_probe_that_overflows(tmp_path, capsys, field):
+    path = write_json(tmp_path, "data.json", OVERFLOWING_TRACE_DOCS[field])
+    code, out, err = run_cli(capsys, "trace", "--data", path)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: zeta trace probe s=1.1 overflows a float\n"
 
 
 def test_transport_checks(capsys):
@@ -507,6 +620,21 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("oracle", "--mode", "forms", "--samples", "5"), "oracle --mode forms takes no --samples"),
         (("oracle", "--mode", "forms", "--tol-rel", "0.1"),
          "oracle --mode forms takes no --tol-rel"),
+        (("decompose", "--seed", "-1"), "--seed needs a non-negative integer, got '-1'"),
+        (("decompose", "--seed", "x"), "--seed needs a non-negative integer, got 'x'"),
+        (("oracle", "--mode", "group", "--l", "3", "--seed", "-2"),
+         "--seed needs a non-negative integer"),
+        (("oracle", "--mode", "forms", "--seed", "-2"), "--seed needs a non-negative integer"),
+        (("transport", "--check", "order", "--seed", "-3"), "--seed needs a non-negative integer"),
+        (("transport", "--check", "equivariance", "--seed", "-3"),
+         "--seed needs a non-negative integer"),
+        (("transport", "--check", "fiber", "--seed", "-3"), "--seed needs a non-negative integer"),
+        (("product-sphere", "--seed", "-5"), "--seed needs a non-negative integer"),
+        (("trace", "--data", DATA, "--probes", "1.5", "1.5"),
+         "trace probes s=1.5 and s=1.5 give the same s - 1"),
+        # distinct probes, but s - 1 rounds to the same float above 2**53
+        (("trace", "--data", DATA, "--probes", "9007199254740996", "9007199254740998"),
+         "s=9007199254740996.0 and s=9007199254740998.0 give the same s - 1"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

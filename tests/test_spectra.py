@@ -1,5 +1,6 @@
 """Closed-form eigenvalue families, assembly, and regularized traces."""
 
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from pfspectra import (
     r_trace,
     zeta_trace,
 )
+from pfspectra.formats import canonical_json
 from pfspectra.spectra import cluster_indices
 
 IDENTITY_TOL = 1e-12
@@ -158,7 +160,7 @@ def test_data_rejects_blocks_without_a_frequency(mult, perp):
 
 def test_data_json_round_trip():
     data = SubmanifoldSpectralData.sphere_like(2.0, [(0.3, 1), (-0.4, 2)], 2, 1)
-    back = SubmanifoldSpectralData.from_json(data.to_json())
+    back = SubmanifoldSpectralData.from_maps(**json.loads(canonical_json(data)))
     assert back == data
 
 
