@@ -34,7 +34,6 @@ from .liecore import (
     build_so,
     cartan_decompose,
     gram_schmidt,
-    so_pair_index,
 )
 from .oracle import (
     PERP_LABEL,
@@ -43,7 +42,6 @@ from .oracle import (
     FourierBasisLabel,
     MatchReport,
     OracleReport,
-    SpectralWindow,
     TruncatedOperator,
     build_harmonic_block,
     build_mu_block,

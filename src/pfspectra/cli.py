@@ -223,20 +223,15 @@ def _cmd_oracle(args):
 
 
 def _oracle_mu(args):
-    spectrum = spectra.PrincipalSpectrum(
-        harmonics=((args.nu, 1),), mus=((args.nu, args.lam, 1),)
-    )
-    window = oracle.SpectralWindow(
-        m_max=args.m_max, n_max=args.n_max, tol_abs=args.tol_abs, tol_rel=args.tol_rel
-    )
-    mu_block = oracle.build_mu_block(args.nu, args.lam, args.cutoff)
-    reports = [oracle.compare_spectra(mu_block, spectrum, window)]
-    for n in range(1, args.n_max + 1):
-        reports.append(
-            oracle.compare_spectra(
-                oracle.build_harmonic_block(args.nu, n), spectrum, window
-            )
+    if not 0 <= args.n_max <= oracle.MAX_MU_CUTOFF:
+        raise DomainError(
+            f"oracle --mode mu needs 0 <= --n-max <= {oracle.MAX_MU_CUTOFF}, got {args.n_max}"
         )
+    window = (args.m_max, args.tol_abs, args.tol_rel)
+    mu_block = oracle.build_mu_block(args.nu, args.lam, args.cutoff)
+    reports = [oracle.compare_spectra(mu_block, *window)]
+    for n in range(1, args.n_max + 1):
+        reports.append(oracle.compare_spectra(oracle.build_harmonic_block(args.nu, n), *window))
     residuals = {
         str(m): oracle.mu_block_residual(mu_block, m) for m in range(-1, 2)
     }

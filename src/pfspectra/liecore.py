@@ -2,9 +2,9 @@
 
 Every algebra here is so(n), the real skew-symmetric n x n matrices.  An
 element is a plain float array of its coordinates: the strict upper-triangle
-entries X[i, j], i < j, in row-major order (see ``so_pair_index``), so the
-coordinate basis is E_ij = e_i e_j^T - e_j e_i^T.  A (k, dim) array is a
-stack of k elements.  The inner product is ``<X, Y> = -ip_scale * tr(XY)``;
+entries X[i, j], i < j, in row-major order (that of ``np.triu_indices(n, 1)``),
+so the coordinate basis is E_ij = e_i e_j^T - e_j e_i^T.  A (k, dim) array is
+a stack of k elements.  The inner product is ``<X, Y> = -ip_scale * tr(XY)``;
 in these coordinates its Gram matrix is ``2 * ip_scale * I``.  Brackets are
 matrix commutators, O(n^3) each.
 """
@@ -139,13 +139,6 @@ def build_so(n: int, ip_scale: float = 0.5) -> MatrixLieAlgebra:
     With the default scale 1/2 this basis is orthonormal.
     """
     return MatrixLieAlgebra(n, ip_scale)
-
-
-def so_pair_index(n: int, i: int, j: int) -> int:
-    """Index of E_ij (i < j) in the build_so(n) basis ordering."""
-    if not (0 <= i < j < n):
-        raise DomainError(f"need 0 <= i < j < {n}, got ({i}, {j})")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
 def gram_schmidt(algebra: MatrixLieAlgebra, vectors) -> np.ndarray:

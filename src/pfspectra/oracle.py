@@ -25,7 +25,6 @@ from .adspec import AdEigenstructure, paired_bases
 from .errors import DimensionError, DomainError, StructureError
 from .liecore import Subspace, build_so, cartan_decompose, gram_schmidt
 from .spectra import (
-    PrincipalSpectrum,
     SubmanifoldSpectralData,
     assemble_group_spectrum,
     mu,
@@ -37,10 +36,10 @@ TANGENT_TOL = 1e-8
 BLOCK_MEMBERSHIP_TOL = 1e-8
 BOUNDARY_TOL = 1e-8  # |Q| at the endpoints, relative to max(1, max |Q|)
 PERP_LABEL = "perp"
-# Largest mu-block cutoff (and mu/harmonic window).  The sparse block has
-# 4 cutoff + 1 entries, but a window wide enough to take the dense route
-# (see DENSE_SHARE) solves all (2 cutoff + 1)^2 entries: 32 MB at the limit,
-# where that `oracle --mode mu` run takes about 1 s and peaks near 190 MB.
+# Largest mu-block cutoff, m_max and `oracle --mode mu --n-max`.  The sparse
+# block has 4 cutoff + 1 entries, but a window wide enough to take the dense
+# route (see DENSE_SHARE) solves all (2 cutoff + 1)^2 entries: 32 MB at the
+# limit, where that `oracle --mode mu` run takes about 1 s and peaks near 190 MB.
 MAX_MU_CUTOFF = 1000
 # eigenvalues(count) solves densely once DENSE_SHARE * count > size.  At
 # size 2001 (Xeon, one BLAS thread) ARPACK took 0.21 s for 255 eigenvalues
@@ -208,11 +207,12 @@ def mu_block_residual(op: TruncatedOperator, m: int) -> float:
     lam, rescaled to the orthonormal mode basis.
     """
     nu, lam = op.labels[0].nu, op.labels[0].lam
-    c, a, b = mu_eigenfunction_coeffs(nu, lam, m, op.cutoff)
-    v = np.concatenate(([c], a / math.sqrt(2.0), b / math.sqrt(2.0)))
-    val = mu(nu, lam, m)
-    resid = op.matrix @ v - val * v
-    with np.errstate(over="ignore"):  # an overflow reaches the report as inf
+    # an overflow reaches the report as inf or nan, which the report refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, a, b = mu_eigenfunction_coeffs(nu, lam, m, op.cutoff)
+        v = np.concatenate(([c], a / math.sqrt(2.0), b / math.sqrt(2.0)))
+        val = mu(nu, lam, m)
+        resid = op.matrix @ v - val * v
         return float(np.linalg.norm(resid) / np.linalg.norm(v))
 
 
@@ -602,21 +602,6 @@ def finite_group_oracle(data: CurvatureAdaptedData, tol: float = 1e-8) -> Oracle
 
 
 @dataclass(frozen=True)
-class SpectralWindow:
-    m_max: int = 2
-    n_max: int = 3
-    tol_abs: float = 1e-10
-    tol_rel: float = 1e-2
-
-    def __post_init__(self):
-        if not (0 <= self.m_max <= MAX_MU_CUTOFF and 0 <= self.n_max <= MAX_MU_CUTOFF):
-            raise DomainError(
-                f"window m_max and n_max must be between 0 and {MAX_MU_CUTOFF}, "
-                f"got {self.m_max} and {self.n_max}"
-            )
-
-
-@dataclass(frozen=True)
 class MatchEntry:
     descriptor: str
     predicted: float
@@ -634,44 +619,29 @@ class MatchReport:
 
 
 def compare_spectra(
-    op: TruncatedOperator, spectrum: PrincipalSpectrum, window: SpectralWindow
+    op: TruncatedOperator, m_max: int, tol_abs: float, tol_rel: float
 ) -> MatchReport:
-    """Match a truncated block's eigenvalues against the predicted family.
+    """Match a truncated block's eigenvalues against the family it approximates.
 
-    Predicted values come from the spectrum family matching the block's
-    labels (mu families over |m| <= m_max, harmonic pairs at the block's
-    mode).  Matching is greedy from the largest |predicted| down, each
-    computed eigenvalue consumed at most once, ties resolved toward the
-    smaller index.  Only the eigenvalues of largest magnitude are computed,
-    as many as it takes to certify that the picks are those over the whole
-    spectrum.  Mu entries pass at tol_rel relative error, exact families at
-    tol_abs absolute error.
+    The block's first label names the family: a harmonic pair +-nu/(n pi)
+    at its mode, or mu(nu, lam, m) over |m| <= m_max.  Matching is greedy
+    from the largest |predicted| down, each computed eigenvalue consumed at
+    most once, ties resolved toward the smaller index.  Only the eigenvalues
+    of largest magnitude are computed, as many as it takes to certify that
+    the picks are those over the whole spectrum.  Mu entries pass at
+    tol_rel relative error, exact families at tol_abs absolute error.
     """
+    if not 0 <= m_max <= MAX_MU_CUTOFF:
+        raise DomainError(f"m_max must be between 0 and {MAX_MU_CUTOFF}, got {m_max}")
     first = op.labels[0]
-    predicted = []
     if first.lam == PERP_LABEL:
         n = first.mode
-        nus = [
-            nu
-            for nu, _ in spectrum.harmonics
-            if abs(nu - first.nu) <= 1e-9 * max(1.0, first.nu)
-        ]
-        if not nus:
-            raise DomainError("spectrum has no harmonic family at this block's nu")
-        for sign in (1, -1):
-            predicted.append((f"harmonic n={sign * n}", nus[0] / (sign * n * math.pi), True))
+        predicted = [(f"harmonic n={s * n}", first.nu / (s * n * math.pi), True) for s in (1, -1)]
         block = f"harmonic nu={first.nu:.6g} n={n}"
     else:
-        rows = [
-            (nu, lam)
-            for nu, lam, _ in spectrum.mus
-            if abs(nu - first.nu) <= 1e-9 * max(1.0, first.nu)
-            and abs(lam - first.lam) <= 1e-9 * max(1.0, abs(first.lam))
+        predicted = [
+            (f"mu m={m}", mu(first.nu, first.lam, m), False) for m in range(-m_max, m_max + 1)
         ]
-        if not rows:
-            raise DomainError("spectrum has no mu family at this block's (nu, lambda)")
-        for m in range(-window.m_max, window.m_max + 1):
-            predicted.append((f"mu m={m}", mu(*rows[0], m), False))
         block = f"mu nu={first.nu:.6g} lambda={first.lam:.6g}"
 
     predicted.sort(key=lambda p: -abs(p[1]))
@@ -705,7 +675,7 @@ def compare_spectra(
         got = float(computed[best])
         abs_err = abs(got - value)
         rel_err = abs_err / max(abs(value), 1e-300)
-        ok = abs_err <= window.tol_abs if exact else rel_err <= window.tol_rel
+        ok = abs_err <= tol_abs if exact else rel_err <= tol_rel
         ok_all &= ok
         entries.append(MatchEntry(desc, value, got, abs_err, rel_err, ok))
     return MatchReport(block, tuple(entries), bool(ok_all))

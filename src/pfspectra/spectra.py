@@ -39,6 +39,10 @@ CLUSTER_TOL = 1e-9  # default eigenvalue clustering of the austere checks
 # form before anything is allocated.
 MAX_ENUMERATED_ROWS = 200_000
 MAX_TRACE_TERMS = 4_000_000
+# Most zeta trace probes; extrapolate_to_one's Neville table costs
+# O(probes^2) in Python.  Xeon, one BLAS thread, `trace` on a one-family
+# document: 1000 probes take 0.08 s, 3000 take 0.75 s.
+MAX_TRACE_PROBES = 1000
 # Below this many values the clusterer's in-order scan costs less than its
 # array form.
 _SCAN_MAX = 64
@@ -412,6 +416,8 @@ def zeta_trace(spectrum: PrincipalSpectrum, s_probes):
     to nu*cot(theta) = lambda by the digamma reflection formula.  With that
     theta the index m is ``mu()``'s m - 1 when lambda < 0.
     """
+    if len(s_probes) > MAX_TRACE_PROBES:
+        raise DomainError(f"trace takes at most {MAX_TRACE_PROBES} probes, got {len(s_probes)}")
     values = []
     for s in s_probes:
         if s <= 1:
@@ -469,7 +475,9 @@ def mu_eigenfunction_coeffs(nu: float, lam: float, m: int, n_max: int):
     val = mu(nu, lam, m)
     if val == 0.0:
         raise DomainError(f"mu({nu:.3g}, {lam:.3g}, {m}) underflows to 0; it has no eigenfunction")
-    r = nu / (math.pi * val)
+    # r = theta/pi + m is moderate, but pi * mu can overflow near the float limit
+    scaled = math.pi * val
+    r = nu / scaled if math.isfinite(scaled) else nu / math.pi / val
     if abs(r - round(r)) < 1e-12:
         raise PoleError(f"resonant index r = {r} (integer); coefficients blow up")
     n = np.arange(1, n_max + 1, dtype=float)

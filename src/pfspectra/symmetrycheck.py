@@ -249,14 +249,21 @@ def weyl_strata(fundamental_roots):
     """All 2^|F| strata of the closed chamber of a fundamental system F.
 
     F must be linearly independent and span its space (rank = |F|).  The
-    stratum for a subset keeps its roots positive and kills the rest; its
-    dimension is rank - |F \\ subset|.
+    strata depend only on the root directions, so independence is judged on
+    the roots scaled to unit length.  The stratum for a subset keeps its
+    roots positive and kills the rest; its dimension is rank - |F \\ subset|.
     """
     roots = np.asarray(fundamental_roots, dtype=float)
     if roots.ndim != 2:
         raise DimensionError("fundamental system must be a matrix of row vectors")
     count, rank = roots.shape
-    if count != rank or abs(np.linalg.det(roots)) < 1e-12:
+    # a power of two per row brings its largest entry into [0.5, 1) exactly,
+    # so the unit rows come without overflow or underflow
+    top = np.abs(roots).max(axis=1, initial=0.0)
+    scaled = np.ldexp(roots, -np.frexp(top)[1][:, None])
+    norms = np.linalg.norm(scaled, axis=1)
+    independent = count == rank and norms.all()
+    if not (independent and abs(np.linalg.det(scaled / norms[:, None])) >= 1e-12):
         raise DomainError("fundamental system must be a linearly independent basis")
     duals = np.linalg.inv(roots)  # columns: <alpha_i, omega_j> = delta_ij
     strata = []
@@ -273,6 +280,7 @@ def isolated_directions(fundamental_roots):
     for st in weyl_strata(fundamental_roots):
         if st.dim == 1:
             rep = np.array(st.representative)
+            rep = np.ldexp(rep, -np.frexp(np.abs(rep).max())[1])  # exact, as in weyl_strata
             out.append(rep / np.linalg.norm(rep))
     return out
 

@@ -133,10 +133,6 @@ class PathGrid:
     def step(self) -> float:
         return 1.0 / (self.nodes - 1)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.nodes)
-
     @classmethod
     def constant(cls, matrix: np.ndarray, nodes: int, kind: str) -> "PathGrid":
         mat = np.array(matrix, dtype=float)

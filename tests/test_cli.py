@@ -522,6 +522,16 @@ def test_weyl_roots_file(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("roots", [[[1e308, 0.0], [0.0, 1e308]], [[1e200, 0.0], [0.0, 1e-200]]])
+def test_weyl_roots_at_extreme_scales(tmp_path, capsys, roots):
+    # independence is judged on the root directions, so neither root length
+    # overflows or underflows on the way to the report
+    path = write_json(tmp_path, "roots.json", {"roots": roots})
+    code, out, _ = run_cli(capsys, "weyl", "--roots-file", path)
+    assert code == 0
+    assert json.loads(out)["isolated_directions"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_so9_command(capsys):
     code, out, _ = run_cli(capsys, "so9", "--grid", "8")
     assert code == 0
@@ -573,7 +583,7 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("so9", "--grid", "100000000"), "between 4 and 10000 samples"),
         (("trace", "--data", DATA, "--m-cut", "1000000000"), "trace sum asks for"),
         (("oracle", "--cutoff", "100000"), "cutoff must be between 1 and 1000"),
-        (("oracle", "--m-max", "-1"), "window m_max and n_max must be between 0 and 1000"),
+        (("oracle", "--m-max", "-1"), "m_max must be between 0 and 1000"),
         (("decompose", "--n", "41"), "so(n) needs 2 <= n <= 40"),
         (("transport", "--check", "equivariance", "--tol", "nan"),
          "--tol needs a positive finite number"),
@@ -635,6 +645,14 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         # distinct probes, but s - 1 rounds to the same float above 2**53
         (("trace", "--data", DATA, "--probes", "9007199254740996", "9007199254740998"),
          "s=9007199254740996.0 and s=9007199254740998.0 give the same s - 1"),
+        (("oracle", "--n-max", "1001"), "oracle --mode mu needs 0 <= --n-max <= 1000"),
+        # pi * mu(nu, lambda, 0) overflows at 1e308, but r = nu / (pi * mu) is 1/4
+        (("oracle", "--nu", "1e307", "--lambda", "1e307"),
+         "residuals']['-1'] is not a finite number"),
+        (("oracle", "--nu", "1e308", "--lambda", "1e308"),
+         "residuals']['-1'] is not a finite number"),
+        (("trace", "--data", DATA, "--probes", *(repr(1.001 + 1e-4 * k) for k in range(3000))),
+         "trace takes at most 1000 probes, got 3000"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

@@ -13,7 +13,6 @@ from pfspectra import (
     build_so,
     cartan_decompose,
     gram_schmidt,
-    so_pair_index,
 )
 from pfspectra.liecore import MAX_SO_N
 
@@ -64,23 +63,14 @@ def test_basis_is_orthonormal():
 
 
 def test_pair_index_round_trip():
+    # basis element k is E_ij for the k-th pair i < j in row-major order
     n = 6
     alg = build_so(n)
-    seen = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx = so_pair_index(n, i, j)
-            seen.add(idx)
-            mat = alg.basis[idx]
-            assert mat[i, j] == 1.0 and mat[j, i] == -1.0
-    assert seen == set(range(alg.dim))
-
-
-def test_pair_index_rejects_bad_pairs():
-    with pytest.raises(DomainError):
-        so_pair_index(4, 2, 2)
-    with pytest.raises(DomainError):
-        so_pair_index(4, 1, 4)
+    rows, cols = np.triu_indices(n, 1)
+    assert len(rows) == alg.dim
+    for idx, (i, j) in enumerate(zip(rows, cols)):
+        mat = alg.basis[idx]
+        assert mat[i, j] == 1.0 and mat[j, i] == -1.0
 
 
 def test_element_round_trip_through_matrix():

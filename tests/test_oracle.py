@@ -12,12 +12,8 @@ from pfspectra import (
     DimensionError,
     DomainError,
     PERP_LABEL,
-    PrincipalSpectrum,
-    SpectralWindow,
     StructureError,
-    SubmanifoldSpectralData,
     TruncatedOperator,
-    assemble_pf_spectrum,
     build_harmonic_block,
     build_mu_block,
     compare_spectra,
@@ -95,34 +91,33 @@ def test_mu_block_residual_decreases_with_cutoff():
 
 
 def test_compare_spectra_passes_on_consistent_data():
-    data = SubmanifoldSpectralData.sphere_like(1.0, [(0.5, 1)], 2, 0)
-    spec = assemble_pf_spectrum(data)
-    window = SpectralWindow(m_max=1, n_max=2, tol_abs=1e-10, tol_rel=1e-2)
-    rep = compare_spectra(build_mu_block(1.0, 0.5, 200), spec, window)
+    rep = compare_spectra(build_mu_block(1.0, 0.5, 200), 1, 1e-10, 1e-2)
     assert rep.passed
-    rep = compare_spectra(build_harmonic_block(1.0, 1), spec, window)
+    rep = compare_spectra(build_harmonic_block(1.0, 1), 1, 1e-10, 1e-2)
     assert rep.passed
 
 
 def test_compare_spectra_detects_wrong_lambda():
-    # Relabel a lambda=0.5 block as lambda=0.9 so the predicted family exists
-    # but the computed eigenvalues belong to a different operator.
-    data = SubmanifoldSpectralData.sphere_like(1.0, [(0.9, 1)], 2, 0)
-    spec = assemble_pf_spectrum(data)
-    window = SpectralWindow(m_max=1, n_max=1, tol_abs=1e-10, tol_rel=1e-3)
+    # Relabel a lambda=0.5 block as lambda=0.9: the labels name the predicted
+    # family, but the computed eigenvalues belong to a different operator.
     honest = build_mu_block(1.0, 0.9, 200)
     impostor = build_mu_block(1.0, 0.5, 200)
     relabeled = TruncatedOperator(honest.labels, impostor.matrix, honest.cutoff)
-    rep = compare_spectra(relabeled, spec, window)
+    rep = compare_spectra(relabeled, 1, 1e-10, 1e-3)
     assert not rep.passed
 
 
-def test_compare_spectra_requires_matching_family():
-    data = SubmanifoldSpectralData.sphere_like(2.0, [], 2, 0)
-    spec = assemble_pf_spectrum(data)
-    window = SpectralWindow(m_max=1, n_max=1, tol_abs=1e-10, tol_rel=1e-3)
-    with pytest.raises(DomainError):
-        compare_spectra(build_mu_block(1.0, 0.5, 50), spec, window)
+def test_compare_spectra_predicts_the_family_its_labels_name():
+    nu, lam = 1.3, -0.4
+    rep = compare_spectra(build_mu_block(nu, lam, 100), 2, 1e-10, 1e-2)
+    assert rep.block == "mu nu=1.3 lambda=-0.4"
+    assert sorted(e.predicted for e in rep.entries) == sorted(mu(nu, lam, m) for m in range(-2, 3))
+    rep = compare_spectra(build_harmonic_block(nu, 3), 2, 1e-10, 1e-2)
+    assert rep.block == "harmonic nu=1.3 n=3"
+    assert [e.predicted for e in rep.entries] == [nu / (3 * math.pi), nu / (-3 * math.pi)]
+    for m_max in (-1, 1001):
+        with pytest.raises(DomainError, match="m_max must be between 0 and 1000"):
+            compare_spectra(build_harmonic_block(nu, 3), m_max, 1e-10, 1e-2)
 
 
 class DenseReference(TruncatedOperator):
@@ -147,15 +142,14 @@ def test_top_of_spectrum_matches_dense_reference(nu, lam, cutoff, m_max, scale):
     # solve leaves out and the certificate has to ask for more.
     labels = build_mu_block(nu, lam, cutoff).labels
     op = TruncatedOperator(labels, build_mu_block(scale * nu, lam, cutoff).matrix, cutoff)
-    spec = PrincipalSpectrum(mus=((nu, lam, 1),))
-    window = SpectralWindow(m_max=m_max, n_max=1, tol_rel=1e-2)
+    window = (m_max, 1e-10, 1e-2)
     try:
-        ref = compare_spectra(DenseReference(labels, op.matrix, cutoff), spec, window)
+        ref = compare_spectra(DenseReference(labels, op.matrix, cutoff), *window)
     except DomainError:  # mu() has no value once nu/lambda rounds to 0
         with pytest.raises(DomainError):
-            compare_spectra(op, spec, window)
+            compare_spectra(op, *window)
         return
-    got = compare_spectra(op, spec, window)
+    got = compare_spectra(op, *window)
     assert got.passed == ref.passed
     assert [(e.descriptor, e.predicted, e.ok) for e in got.entries] == [
         (e.descriptor, e.predicted, e.ok) for e in ref.entries
@@ -176,16 +170,15 @@ def test_certificate_asks_for_more_only_when_needed(monkeypatch):
         return vals
 
     monkeypatch.setattr(TruncatedOperator, "eigenvalues", spy)
-    spec = PrincipalSpectrum(mus=((1.0, 0.5, 1),))
-    window = SpectralWindow(m_max=2, n_max=1, tol_rel=1e-2)
+    window = (2, 1e-10, 1e-2)
     honest = build_mu_block(1.0, 0.5, 400)
-    assert compare_spectra(honest, spec, window).passed
+    assert compare_spectra(honest, *window).passed
     assert calls == [(7, 7)]
     # a block of frequency 4 under these labels: the targets sit inside its
     # spectrum, below the seven largest magnitudes
     calls.clear()
     impostor = TruncatedOperator(honest.labels, build_mu_block(4.0, 0.5, 400).matrix, 400)
-    assert not compare_spectra(impostor, spec, window).passed
+    assert not compare_spectra(impostor, *window).passed
     assert calls[0] == (7, 7) and len(calls) > 1
     assert all(b == 2 * a for (a, _), (b, _) in zip(calls, calls[1:]))
 

@@ -301,6 +301,14 @@ def test_b2_representatives_are_the_dual_basis():
     np.testing.assert_allclose(strata[(0, 1)].representative, [2.0, 1.0], atol=1e-12)
 
 
+def test_weyl_strata_judge_independence_by_direction():
+    # A1 x A1 with roots of length 1e-7: det(roots) is 1e-14, yet the
+    # directions are orthogonal
+    strata = weyl_strata([[1e-7, 0.0], [0.0, 1e-7]])
+    assert [(s.active, s.dim) for s in strata] == [((), 0), ((0,), 1), ((1,), 1), ((0, 1), 2)]
+    np.testing.assert_allclose(strata[3].representative, [1e7, 1e7], rtol=1e-15)
+
+
 def test_membership_rejects_wrong_walls():
     roots = BUILTIN_ROOT_SYSTEMS["A2"]
     strata = {s.active: s for s in weyl_strata(roots)}
