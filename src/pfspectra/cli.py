@@ -24,6 +24,14 @@ from .liecore import MAX_SO_N, build_so, cartan_decompose
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through ``parser_class`` its subparsers,
+    whose parse errors are one-line input errors rather than usage text."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def _emit(report: dict, fmt: str, rows_fn) -> None:
     """Print a report as JSON, or as CSV/table when rows are available.
 
@@ -282,9 +290,6 @@ def _oracle_group(args):
 
 
 def _oracle_forms(args):
-    rng = np.random.default_rng(args.seed)
-    lam_mults = _random_lam_mults(rng, max_vals=2, max_mult=2, max_dims=args.l - 2)
-    data = oracle.sphere_geometry(args.l, lam_mults, rng)
     if args.grid < 1:
         raise DomainError(f"the forms check needs --grid >= 1, got {args.grid}")
     if args.n_max < 0:
@@ -292,8 +297,11 @@ def _oracle_forms(args):
     grid = args.grid + 1
     # fourier_labels gives n_max labels per algebra direction, one more per
     # tangent direction; each label path has grid * dim entries.
-    dim = data.cd.algebra.dim
+    dim = (args.l + 1) * args.l // 2  # of so(l+1)
     spectra.check_work("a forms label path", grid * dim, oracle.MAX_FORMS_LABEL_ENTRIES)
+    rng = np.random.default_rng(args.seed)
+    lam_mults = _random_lam_mults(rng, max_vals=2, max_mult=2, max_dims=args.l - 2)
+    data = oracle.sphere_geometry(args.l, lam_mults, rng)
     labels = args.n_max * dim + data.tangent_space.dim
     spectra.check_work("the forms check", labels * grid * dim, oracle.MAX_FORMS_ENTRIES)
     worst = 0.0
@@ -561,7 +569,7 @@ def _cmd_product_sphere(args):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pfspectra",
         description="Principal curvature spectra of parallel-transport "
         "preimages: assembly, oracles, and symmetry checks.",

@@ -151,7 +151,9 @@ class TruncatedOperator:
             vals = eigsh(unit, k=count, which="LM", v0=np.ones(size), return_eigenvectors=False)
         except ArpackError:  # e.g. a block whose entries all underflow to 0
             return np.linalg.eigvalsh(mat.toarray())
-        return np.sort(np.ldexp(vals, exp))
+        # an overflow reaches the report as inf, which the report refuses
+        with np.errstate(over="ignore"):
+            return np.sort(np.ldexp(vals, exp))
 
 
 def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
@@ -224,80 +226,57 @@ def mu_block_residual(op: TruncatedOperator, m: int) -> float:
 class CurvatureAdaptedData:
     """Base-submanifold data aligned with the frequency blocks of ad(xi).
 
-    ``tangent0`` lists (lambda, ys) inside the ad-kernel of m; ``tangent``
-    lists (nu, lambda, ys) with each row of ys in the frequency block m_nu.
-    Each ys is a (k, dim) array of orthonormal rows.  The remaining
-    directions of every block are normal.  The x-partner of each tangent or
-    normal y is (1/nu)[xi, y], which lands in k_nu.
+    The ad-kernel m_0 of m is the block nu = 0.  ``tangent`` lists
+    (nu, lambda, ys) with each row of ys in the block m_nu, orthogonal to
+    xi; ``perp`` lists (nu, ys) for the remaining, normal directions of
+    every block, m_0 first.  Each ys is a (k, dim) array of orthonormal
+    rows.  The x-partner of a y in a frequency block is (1/nu)[xi, y],
+    which lands in k_nu.
     """
 
-    def __init__(self, ad: AdEigenstructure, tangent0, tangent):
+    def __init__(self, ad: AdEigenstructure, tangent):
         self.ad = ad
         self.cd = ad.cd
+        self.xi = ad.xi
         alg = self.cd.algebra
-        xi = ad.xi
 
         def rows(frames):
             """One (k, dim) array of the rows of every frame."""
             return np.concatenate([np.zeros((0, alg.dim)), *frames])
 
-        self.tangent0 = [(float(lam), np.reshape(ys, (len(ys), alg.dim))) for lam, ys in tangent0]
         self.tangent = [
             (float(nu), float(lam), np.reshape(ys, (len(ys), alg.dim))) for nu, lam, ys in tangent
         ]
-
-        tangent0_rows = rows(ys for _, ys in self.tangent0)
-        frames = [*self.tangent0, *((lam, ys) for _, lam, ys in self.tangent)]
-        self._tangent_space = Subspace(alg, rows(ys for _, ys in frames))  # checks orthonormality
+        # Subspace checks orthonormality.
+        self.tangent_space = Subspace(alg, rows(ys for _, _, ys in self.tangent))
         # The base eigenvalue of each tangent_space row.
-        self._tangent_lams = np.array([lam for lam, ys in frames for _ in ys])
+        self._tangent_lams = np.array([lam for _, lam, ys in self.tangent for _ in ys])
 
-        m0_span = Subspace(alg, ad.m0_basis)
-        for lam, ys in self.tangent0:
-            if not m0_span.contains(ys, BLOCK_MEMBERSHIP_TOL):
-                raise StructureError(f"kernel tangent vector for lambda={lam:.6g} is not in m_0")
-            if np.abs(alg.inner(ys, xi)).max(initial=0.0) > TANGENT_TOL * alg.norm(xi):
-                raise DomainError("tangent vectors must be orthogonal to xi")
-
-        block_spans = {b.nu: Subspace(alg, b.y_basis) for b in ad.blocks}
+        blocks = {0.0: ad.m0_basis, **{b.nu: b.y_basis for b in ad.blocks}}
+        spans = {nu: Subspace(alg, basis) for nu, basis in blocks.items()}
         for nu, lam, ys in self.tangent:
-            span = block_spans.get(nu)
-            if span is None:
+            if nu not in spans:
                 raise DomainError(f"no frequency block at nu={nu:.6g}")
-            if not span.contains(ys, BLOCK_MEMBERSHIP_TOL):
+            if not spans[nu].contains(ys, BLOCK_MEMBERSHIP_TOL):
                 raise StructureError(
                     f"tangent vector for (nu={nu:.6g}, lambda={lam:.6g}) "
                     "does not lie in its frequency block"
                 )
+            if np.abs(alg.inner(ys, self.xi)).max(initial=0.0) > TANGENT_TOL * alg.norm(self.xi):
+                raise DomainError("tangent vectors must be orthogonal to xi")
 
-        # Per-block normal complements (within m_0 and within each m_nu).
-        # The unit tangent vectors go first, so gram_schmidt's drop tolerance
-        # (relative to the largest input) discards the roundoff left in a
-        # block they fill.
-        def complement(block_ys, tangent_ys):
-            return gram_schmidt(alg, rows([tangent_ys, block_ys]))[len(tangent_ys):]
+        # The normal complement within each block.  The unit tangent vectors
+        # go first, so gram_schmidt's drop tolerance (relative to the largest
+        # input) discards the roundoff left in a block they fill.
+        def complement(nu, basis):
+            tangent_ys = rows(ys for n, _, ys in self.tangent if n == nu)
+            return gram_schmidt(alg, rows([tangent_ys, basis]))[len(tangent_ys):]
 
-        self.perp0 = complement(ad.m0_basis, tangent0_rows)
-        self.perp = [
-            (b.nu, complement(b.y_basis, rows(ys for nu, _, ys in self.tangent if nu == b.nu)))
-            for b in ad.blocks
-        ]
+        self.perp = [(nu, complement(nu, basis)) for nu, basis in blocks.items()]
 
-        self._xi = xi
-        self._normal_space = Subspace(alg, rows([self.perp0, *(ys for _, ys in self.perp)]))
-        if self._tangent_space.dim + self._normal_space.dim != self.cd.m.dim:
+        self._normal_space = Subspace(alg, rows(ys for _, ys in self.perp))
+        if self.tangent_space.dim + self._normal_space.dim != self.cd.m.dim:
             raise StructureError("tangent and normal spaces do not fill m")
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self._xi
-
-    @property
-    def tangent_space(self) -> Subspace:
-        return self._tangent_space
-
-    def x_partner(self, nu: float, y: np.ndarray) -> np.ndarray:
-        return self.cd.algebra.bracket(self._xi, y) / nu
 
     def perp_project(self, coords: np.ndarray) -> np.ndarray:
         return self._normal_space.project_coords(coords)
@@ -305,7 +284,7 @@ class CurvatureAdaptedData:
     def base_shape_apply(self, y: np.ndarray) -> np.ndarray:
         """Shape operator of the base submanifold, lambda on each block, on a
         tangent vector or on each row of a stack of them."""
-        alg, basis = self.cd.algebra, self._tangent_space.basis
+        alg, basis = self.cd.algebra, self.tangent_space.basis
         w = alg.inner(y, basis)
         leak = alg.norm(y - w @ basis)
         bad = leak > TANGENT_TOL * np.maximum(1.0, alg.norm(y))
@@ -315,13 +294,14 @@ class CurvatureAdaptedData:
         return (w * self._tangent_lams) @ basis
 
     def spectral_data(self) -> SubmanifoldSpectralData:
-        freq_mult = self.ad.frequency_multiplicities()
-        mult0 = [(lam, len(ys)) for lam, ys in self.tangent0 if len(ys)]
         mult = [(nu, lam, len(ys)) for nu, lam, ys in self.tangent if len(ys)]
-        perp = [(0.0, len(self.perp0))]
-        perp += [(nu, len(ys)) for nu, ys in self.perp]
         return SubmanifoldSpectralData.from_maps(
-            freq_mult, mult0, mult, perp, self.ad.dim_m0, self.ad.dim_k0
+            self.ad.frequency_multiplicities(),
+            [(lam, m) for nu, lam, m in mult if nu == 0.0],
+            [(nu, lam, m) for nu, lam, m in mult if nu != 0.0],
+            [(nu, len(ys)) for nu, ys in self.perp],
+            self.ad.dim_m0,
+            self.ad.dim_k0,
         )
 
     # -- tangent Fourier labels and their decomposed paths ------------------------
@@ -332,21 +312,21 @@ class CurvatureAdaptedData:
         Each label carries its (x, y) pair.  A frequency-block y has the
         partner x = (1/nu)[xi, y]; kernel labels have x or y zero.
         """
-        zero = np.zeros(self.cd.algebra.dim)
+        alg = self.cd.algebra
+        zero = np.zeros(alg.dim)
         modes = range(1, n_max + 1)
         labels = []
         for i, x in enumerate(self.ad.k0_basis):
             labels += [FourierBasisLabel("k0_sin", i, mode=n, x=x, y=zero) for n in modes]
-        kernel = [(lam, y) for lam, ys in self.tangent0 for y in ys]
-        kernel += [(PERP_LABEL, y) for y in self.perp0]
+        rows = [*self.tangent, *((nu, PERP_LABEL, ys) for nu, ys in self.perp)]
+        kernel = [(lam, y) for nu, lam, ys in rows if nu == 0.0 for y in ys]
         for j, (lam, y) in enumerate(kernel):
             if lam != PERP_LABEL:
                 labels.append(FourierBasisLabel("m_const", j, lam=lam, x=zero, y=y))
             labels += [FourierBasisLabel("m_cos", j, lam=lam, mode=n, x=zero, y=y) for n in modes]
-        blocks = [*self.tangent, *((nu, PERP_LABEL, ys) for nu, ys in self.perp)]
-        for nu, lam, ys in blocks:
+        for nu, lam, ys in (row for row in rows if row[0] != 0.0):
             for i, y in enumerate(ys):
-                x = self.x_partner(nu, y)
+                x = alg.bracket(self.xi, y) / nu
                 if lam != PERP_LABEL:
                     labels.append(FourierBasisLabel("m_nu_const", i, nu, lam, x=x, y=y))
                 for n in modes:
@@ -556,12 +536,15 @@ def _nearest_unused(computed: np.ndarray, targets):
     """
     used = np.zeros(len(computed), dtype=bool)
     picks = []
-    for value in targets:
-        cand = np.flatnonzero(~used)
-        best = cand[np.argmin(np.abs(computed[cand] - value))] if cand.size else None
-        if best is not None:
-            used[best] = True
-        picks.append(best)
+    # values near the float limit give inf or nan distances, and the report
+    # refuses what they lead to
+    with np.errstate(over="ignore", invalid="ignore"):
+        for value in targets:
+            cand = np.flatnonzero(~used)
+            best = cand[np.argmin(np.abs(computed[cand] - value))] if cand.size else None
+            if best is not None:
+                used[best] = True
+            picks.append(best)
     return picks, used
 
 
@@ -703,30 +686,13 @@ def random_m_direction(cd, rng: np.random.Generator) -> np.ndarray:
 def sphere_geometry(l: int, lam_mults, rng: np.random.Generator) -> CurvatureAdaptedData:
     """Random curvature-adapted data on the rank-one pair (so(l+1), so(l)).
 
-    Draws a random unit normal direction xi and a random orthonormal
-    tangent frame orthogonal to xi, assigning ``lam_mults`` = [(lambda,
-    mult), ...] eigenvalues of the base shape operator.  The total tangent
-    dimension must be at most l - 1.
+    ``lam_mults`` = [(lambda, mult), ...] assigns base eigenvalues to
+    directions of the one frequency block, which has l - 1 of them.
     """
-    cd = sphere_pair(l)
-    dims = sum(m for _, m in lam_mults)
-    if dims > l - 1:
-        raise DomainError(f"tangent dimension {dims} exceeds l - 1 = {l - 1}")
-    ad = paired_bases(cd, random_m_direction(cd, rng))
-    if len(ad.blocks) != 1:
+    data = _adapted_geometry(sphere_pair(l), rng, (), [lam_mults])
+    if len(data.ad.blocks) != 1:
         raise StructureError("rank-one pair should produce exactly one frequency")
-    block = ad.blocks[0]
-
-    # Random orthonormal tangent frame inside the block's y-span.
-    mix = rng.standard_normal((block.mult, block.mult))
-    qmat, _ = np.linalg.qr(mix)
-    frame = qmat[:dims] @ block.y_basis
-    tangent = []
-    pos = 0
-    for lam, m in lam_mults:
-        tangent.append((block.nu, lam, frame[pos:pos + m]))
-        pos += m
-    return CurvatureAdaptedData(ad, tangent0=[], tangent=tangent)
+    return data
 
 
 def split_pair(p: int, q: int):
@@ -752,33 +718,38 @@ def split_geometry(
     assigns one eigenvalue to a single direction of each of the first
     len(block_lams) frequency blocks.  Everything unassigned is normal.
     """
-    cd = split_pair(p, q)
-    alg = cd.algebra
-    xi = random_m_direction(cd, rng)
-    ad = paired_bases(cd, xi)
+    blocks = [[(lam, 1)] for lam in block_lams]
+    return _adapted_geometry(split_pair(p, q), rng, tangent0_lams, blocks)
 
-    if len(tangent0_lams) > ad.dim_m0 - 1:
-        raise DomainError(
-            f"at most {ad.dim_m0 - 1} kernel tangent directions exist, "
-            f"got {len(tangent0_lams)}"
-        )
+
+def _adapted_geometry(cd, rng: np.random.Generator, kernel_lams, block_lams):
+    """Random curvature-adapted data on a Cartan pair.
+
+    Draws a random unit normal direction xi, then one random orthonormal
+    frame (a QR-mixed basis) per block it assigns to: the dim m_0 - 1
+    directions of m_0 orthogonal to xi, which take one ``kernel_lams`` entry
+    each, and the i-th frequency block, whose directions take the
+    ``block_lams[i]`` = [(lambda, mult), ...] entries in turn.  A block
+    asked for more directions than it has is refused.  Everything
+    unassigned is normal.
+    """
+    ad = paired_bases(cd, random_m_direction(cd, rng))
     if len(block_lams) > len(ad.blocks):
-        raise DomainError(
-            f"only {len(ad.blocks)} frequency blocks exist, got {len(block_lams)}"
-        )
-
-    tangent0 = []
-    if tangent0_lams:
-        unit = (1.0 / alg.norm(xi)) * xi
-        onb = gram_schmidt(alg, ad.m0_basis - np.outer(alg.inner(ad.m0_basis, unit), unit))
-        mix = rng.standard_normal((len(onb), len(onb)))
-        qmat, _ = np.linalg.qr(mix)
-        frame = qmat @ onb
-        for i, lam in enumerate(tangent0_lams):
-            tangent0.append((lam, frame[i:i + 1]))
-
+        raise DomainError(f"only {len(ad.blocks)} frequency blocks exist, got {len(block_lams)}")
+    frames = [(b.nu, lam_mults, b.y_basis) for lam_mults, b in zip(block_lams, ad.blocks)]
+    if kernel_lams:  # xi is a unit vector
+        alg, xi = cd.algebra, ad.xi
+        kernel = gram_schmidt(alg, ad.m0_basis - np.outer(alg.inner(ad.m0_basis, xi), xi))
+        frames.insert(0, (0.0, [(lam, 1) for lam in kernel_lams], kernel))
     tangent = []
-    for lam, block in zip(block_lams, ad.blocks):
-        vec = rng.standard_normal(block.mult) @ block.y_basis
-        tangent.append((block.nu, lam, ((1.0 / alg.norm(vec)) * vec)[None]))
-    return CurvatureAdaptedData(ad, tangent0=tangent0, tangent=tangent)
+    for nu, lam_mults, basis in frames:
+        dims = sum(m for _, m in lam_mults)
+        if dims > len(basis):
+            raise DomainError(
+                f"tangent dimension {dims} exceeds the dimension {len(basis)} of block nu={nu:.6g}"
+            )
+        qmat, _ = np.linalg.qr(rng.standard_normal((len(basis), len(basis))))
+        frame = qmat[:dims] @ basis
+        ends = np.cumsum([m for _, m in lam_mults], dtype=int)
+        tangent += [(nu, lam, frame[end - m:end]) for (lam, m), end in zip(lam_mults, ends)]
+    return CurvatureAdaptedData(ad, tangent)

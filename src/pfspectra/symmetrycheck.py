@@ -46,6 +46,10 @@ _FD_BLOCK = 1 << 16  # numbers per velocity stack of the sphere-product oracle
 # CLUSTER_TOL, as its eigenvalues carry finite-difference noise near 1e-7.
 PRODUCT_CLUSTER_TOL = 1e-5
 STRATUM_TOL = 1e-10
+# weyl_strata lists all 2^rank strata.  In one process, identity systems of
+# rank 14 took 0.9 s and 90 MB, rank 18 took 20 s and 1.1 GB; rank 12 is
+# 4096 strata in 0.26 s.
+MAX_WEYL_RANK = 12
 # Arid certificate: a conjugation preserves the tangent space to
 # PRESERVE_TOL and moves xi by more than MOVE_TOL.
 PRESERVE_TOL = 1e-9
@@ -245,18 +249,18 @@ class WeylStratum:
     representative: tuple  # floats
 
 
-def weyl_strata(fundamental_roots):
-    """All 2^|F| strata of the closed chamber of a fundamental system F.
-
-    F must be linearly independent and span its space (rank = |F|).  The
-    strata depend only on the root directions, so independence is judged on
-    the roots scaled to unit length.  The stratum for a subset keeps its
-    roots positive and kills the rest; its dimension is rank - |F \\ subset|.
-    """
+def _dual_basis(fundamental_roots) -> np.ndarray:
+    """Columns omega_j with <alpha_i, omega_j> = delta_ij, after checking that
+    the fundamental system F has at most MAX_WEYL_RANK roots, is linearly
+    independent and spans its space (rank = |F|).  The strata depend only on
+    the root directions, so independence is judged on the roots scaled to
+    unit length."""
     roots = np.asarray(fundamental_roots, dtype=float)
     if roots.ndim != 2:
         raise DimensionError("fundamental system must be a matrix of row vectors")
     count, rank = roots.shape
+    if count > MAX_WEYL_RANK:  # weyl_strata lists 2^count strata
+        raise DomainError(f"weyl takes at most {MAX_WEYL_RANK} simple roots, got {count}")
     # a power of two per row brings its largest entry into [0.5, 1) exactly,
     # so the unit rows come without overflow or underflow
     top = np.abs(roots).max(axis=1, initial=0.0)
@@ -265,23 +269,32 @@ def weyl_strata(fundamental_roots):
     independent = count == rank and norms.all()
     if not (independent and abs(np.linalg.det(scaled / norms[:, None])) >= 1e-12):
         raise DomainError("fundamental system must be a linearly independent basis")
-    duals = np.linalg.inv(roots)  # columns: <alpha_i, omega_j> = delta_ij
+    return np.linalg.inv(roots)
+
+
+def weyl_strata(fundamental_roots):
+    """All 2^|F| strata of the closed chamber of a fundamental system F.
+
+    The stratum for a subset keeps its roots positive and kills the rest;
+    its dimension is rank - |F \\ subset|.
+    """
+    duals = _dual_basis(fundamental_roots)
+    rank = len(duals)
     strata = []
-    for mask in range(1 << count):
-        active = tuple(i for i in range(count) if mask & (1 << i))
+    for mask in range(1 << rank):
+        active = tuple(i for i in range(rank) if mask & (1 << i))
         rep = duals[:, list(active)].sum(axis=1) if active else np.zeros(rank)
         strata.append(WeylStratum(active, len(active), tuple(rep.tolist())))
     return strata
 
 
 def isolated_directions(fundamental_roots):
-    """Unit representatives of the one-dimensional strata (|active| = 1)."""
+    """Unit representatives of the one-dimensional strata (|active| = 1):
+    the dual-basis vectors, normalized."""
     out = []
-    for st in weyl_strata(fundamental_roots):
-        if st.dim == 1:
-            rep = np.array(st.representative)
-            rep = np.ldexp(rep, -np.frexp(np.abs(rep).max())[1])  # exact, as in weyl_strata
-            out.append(rep / np.linalg.norm(rep))
+    for rep in _dual_basis(fundamental_roots).T:
+        rep = np.ldexp(rep, -np.frexp(np.abs(rep).max())[1])  # exact, before squaring
+        out.append(rep / np.linalg.norm(rep))
     return out
 
 

@@ -13,6 +13,7 @@ from pfspectra import (
     CurvatureAdaptedData,
     DimensionError,
     DomainError,
+    StructureError,
     Subspace,
     build_so,
     cartan_decompose,
@@ -118,15 +119,19 @@ def test_isomorphism_is_an_isometry_onto_the_partner_block():
 
 
 def test_isomorphism_rejects_nonpositive_frequency():
-    # a tangent frame is paired through a frequency block of ad(xi), and
-    # nu = 0 is the kernel, never a block
+    # a tangent frame is paired through a block of ad(xi): nu = 0 is the
+    # kernel m_0, which a frequency-block vector does not lie in, and no
+    # block has a negative nu
     alg, cd = sphere_cd(4)
     rng = np.random.default_rng(8)
     xi = rng.standard_normal(cd.m.dim) @ cd.m.basis
     eig = paired_bases(cd, xi)
     assert all(block.nu > 0.0 for block in eig.blocks)
+    y = eig.blocks[0].y_basis[:1]
+    with pytest.raises(StructureError, match="does not lie in its frequency block"):
+        CurvatureAdaptedData(eig, [(0.0, 0.5, y)])
     with pytest.raises(DomainError, match="no frequency block"):
-        CurvatureAdaptedData(eig, [], [(0.0, 0.5, eig.blocks[0].y_basis[:1])])
+        CurvatureAdaptedData(eig, [(-eig.blocks[0].nu, 0.5, y)])
 
 
 def test_rejects_xi_outside_m():

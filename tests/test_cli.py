@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfspectra import FormatError, SubmanifoldSpectralData
+from pfspectra import FormatError, SubmanifoldSpectralData, oracle
 from pfspectra.cli import main
 from pfspectra.formats import (
     SCHEMAS,
@@ -532,6 +532,15 @@ def test_weyl_roots_at_extreme_scales(tmp_path, capsys, roots):
     assert json.loads(out)["isolated_directions"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
+def test_weyl_refuses_a_rank_above_the_limit(tmp_path, capsys):
+    path = write_json(tmp_path, "roots.json", {"roots": np.eye(13).tolist()})
+    code, out, err = run_cli(capsys, "weyl", "--roots-file", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "at most 12 simple roots" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_so9_command(capsys):
     code, out, _ = run_cli(capsys, "so9", "--grid", "8")
     assert code == 0
@@ -662,6 +671,64 @@ def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
     assert out == ""
     assert err.startswith("input error:") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("decompose", "--n", "x"), "argument --n: invalid int value: 'x'"),
+        (("oracle", "--mode", "bogus"), "argument --mode: invalid choice: 'bogus'"),
+        (("transport",), "the following arguments are required: --check"),
+        (("oracle", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        (("oracle", "--lambda", "-1e308"), "argument --lambda: expected one argument"),
+        (("nosuchcommand",), "argument command: invalid choice: 'nosuchcommand'"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_argparse_failures_are_one_line_input_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("weyl", "--help"), ("--help",)])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lam", ["1.7e308", "1"])
+def test_mu_oracle_near_the_float_limit_prints_only_its_refusal(capsys, lam):
+    # run_cli fails on any warning, and the suite turns warnings into errors
+    code, out, err = run_cli(capsys, "oracle", "--nu", "1.7e308", "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--grid", "0"), "the forms check needs --grid >= 1"),
+        (("--n-max", "-1"), "the forms check needs --n-max >= 0"),
+        (("--grid", "100000"), "a forms label path asks for"),
+    ],
+)
+def test_forms_refusals_come_before_the_geometry_is_built(capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the geometry was built")
+
+    monkeypatch.setattr(oracle, "sphere_pair", never)
+    monkeypatch.setattr(oracle, "_adapted_geometry", never)
+    code, out, err = run_cli(capsys, "oracle", "--mode", "forms", "--l", "39", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
 
 
 def test_forms_report_lists_labels_in_basis_order(capsys):

@@ -20,16 +20,21 @@ from pfspectra import (
     finite_group_oracle,
     grid_l2_norm,
     group_shape_matrix,
+    kappa,
     label_closed_form,
     label_decomposed_path,
     match_multisets,
     mu,
     mu_block_residual,
+    paired_bases,
     shape_apply_raw,
     sphere_geometry,
     split_geometry,
+    split_pair,
 )
+from pfspectra import oracle
 from pfspectra.formats import canonical_json
+from pfspectra.oracle import random_m_direction
 
 COARSE_GRID = 129
 COARSE_TOL = 1e-10
@@ -240,6 +245,46 @@ def test_split_geometry_populates_kernel_blocks():
     assert "m_const" in kinds and "m_cos" in kinds
 
 
+def test_builder_puts_several_directions_into_one_block():
+    # split_pair(2, 4) has two frequency blocks of multiplicity 2 (the short
+    # restricted roots) and a two-dimensional kernel m_0.
+    rng = np.random.default_rng(13)
+    cd = split_pair(2, 4)
+    probe = paired_bases(cd, random_m_direction(cd, np.random.default_rng(13)))
+    wide = next(i for i, b in enumerate(probe.blocks) if b.mult == 2)
+    block_lams = [[] for _ in range(wide)] + [[(0.6, 2)]]
+    geo = oracle._adapted_geometry(cd, rng, [-0.4], block_lams)
+    nu = geo.ad.blocks[wide].nu
+    assert nu == probe.blocks[wide].nu  # the same draw of xi
+    data = geo.spectral_data()
+    assert data.mult == ((nu, 0.6, 2),)
+    assert data.mult0 == ((-0.4, 1),)
+    assert (nu, 0) in data.perp and (0.0, 1) in data.perp
+    assert [(n, lam, len(ys)) for n, lam, ys in geo.tangent] == [(0.0, -0.4, 1), (nu, 0.6, 2)]
+    rep = finite_group_oracle(geo, tol=1e-8)
+    assert rep.passed, rep.detail
+    matched = {(m.predicted, m.mult) for m in rep.matches}
+    assert {(kp, 2) for kp in kappa(nu, 0.6)} <= matched
+    alg = geo.cd.algebra
+    for label in geo.fourier_labels(2):
+        path = label_decomposed_path(geo, label, COARSE_GRID)
+        resid = grid_l2_norm(shape_apply_raw(geo, path)
+                             - label_closed_form(geo, label, COARSE_GRID), alg)
+        assert resid <= COARSE_TOL, label.describe()
+
+
+def test_builder_refuses_more_directions_than_a_block_has():
+    cd = split_pair(2, 4)
+    # the kernel block: m_0 orthogonal to xi
+    with pytest.raises(DomainError, match="dimension 2 exceeds the dimension 1 of block nu=0"):
+        oracle._adapted_geometry(cd, np.random.default_rng(0), [0.1, 0.2], [])
+    with pytest.raises(DomainError, match="only 4 frequency blocks"):
+        oracle._adapted_geometry(cd, np.random.default_rng(0), [], [[]] * 5)
+    # no frequency block of split_pair(2, 4) has more than two directions
+    with pytest.raises(DomainError, match="tangent dimension 3 exceeds the dimension"):
+        oracle._adapted_geometry(cd, np.random.default_rng(0), [], [[(0.5, 3)]])
+
+
 def test_labels_cover_both_normal_modes():
     rng = np.random.default_rng(3)
     geo = split_geometry(3, 3, rng, tangent0_lams=[0.4], block_lams=[0.9])
@@ -267,7 +312,7 @@ def test_constant_labels_cover_each_tangent_direction_once():
             split_geometry(3, 4, rng, tangent0_lams=[0.5, -0.2], block_lams=[0.3, 0.7]),
             sphere_geometry(5, [(0.5, 1), (0.5, 1)], rng)]
     for geo in geos:
-        frame = np.concatenate([ys for _, ys in geo.tangent0] + [ys for _, _, ys in geo.tangent])
+        frame = np.concatenate([ys for _, _, ys in geo.tangent])
         ys = [label_decomposed_path(geo, lb, 3).y for lb in geo.fourier_labels(0)]
         assert np.array_equal(np.array(ys), frame)
 
@@ -412,7 +457,7 @@ def _group_shape_matrix_by_rows(data):
     """group_shape_matrix as one bracket and one projection per basis row,
     with the base shape operator summed vector by vector."""
     alg = data.cd.algebra
-    frames = [*data.tangent0, *((lam, ys) for _, lam, ys in data.tangent)]
+    frames = [(lam, ys) for _, lam, ys in data.tangent]
 
     def base_shape(y):
         out = np.zeros(alg.dim)

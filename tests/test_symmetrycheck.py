@@ -317,6 +317,36 @@ def test_membership_rejects_wrong_walls():
     assert not stratum_membership(roots, w, (0, 1))
 
 
+def _isolated_by_enumeration(roots):
+    """isolated_directions as the one-dimensional strata of the full
+    enumeration, each representative scaled by a power of two and normalized."""
+    out = []
+    for st in weyl_strata(roots):
+        if st.dim == 1:
+            rep = np.array(st.representative)
+            rep = np.ldexp(rep, -np.frexp(np.abs(rep).max())[1])
+            out.append(rep / np.linalg.norm(rep))
+    return out
+
+
+@pytest.mark.parametrize("roots", [
+    *(BUILTIN_ROOT_SYSTEMS[name] for name in sorted(BUILTIN_ROOT_SYSTEMS)),
+    np.random.default_rng(17).standard_normal((5, 5)),
+])
+def test_isolated_directions_are_the_enumeration_bit_for_bit(roots):
+    got = isolated_directions(roots)
+    want = _isolated_by_enumeration(roots)
+    assert len(got) == len(want) == len(roots)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_weyl_refuses_a_rank_above_the_limit():
+    assert len(weyl_strata(np.eye(symmetrycheck.MAX_WEYL_RANK))) == 4096
+    with pytest.raises(DomainError, match="at most 12 simple roots"):
+        weyl_strata(np.eye(symmetrycheck.MAX_WEYL_RANK + 1))
+
+
 def test_weyl_strata_validate_input():
     with pytest.raises(DimensionError):
         weyl_strata([1.0, 0.0])
