@@ -42,6 +42,7 @@ from .oracle import (
     FourierBasisLabel,
     MatchReport,
     OracleReport,
+    TimeGrid,
     TruncatedOperator,
     build_harmonic_block,
     build_mu_block,

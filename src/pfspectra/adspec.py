@@ -43,11 +43,12 @@ def _scaled_xi(cd: CartanDecomposition, xi: np.ndarray):
     alg = cd.algebra
     with np.errstate(over="ignore"):
         nrm = alg.norm(xi)
-    if nrm == 0.0 and xi.any():
-        # The squared norm underflowed: take the norm of xi scaled exactly
-        # by a power of two from its largest entry, then scale it back.
-        e = -math.frexp(np.abs(xi).max())[1]
-        nrm = math.ldexp(alg.norm(np.ldexp(xi, e)), -e)
+        if nrm in (0.0, np.inf) and xi.any() and np.isfinite(xi).all():
+            # The squared norm underflowed or overflowed: take the norm of xi
+            # scaled exactly by a power of two from its largest entry, then
+            # scale it back.
+            e = -math.frexp(np.abs(xi).max())[1]
+            nrm = float(np.ldexp(alg.norm(np.ldexp(xi, e)), -e))
     if not 0.0 < nrm < np.inf:
         raise DomainError(f"xi must have a finite nonzero norm, got {nrm:.3e}")
     s = -round(math.log2(nrm))

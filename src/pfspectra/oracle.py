@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -49,10 +50,11 @@ DENSE_SHARE = 8
 # least this share of the largest eigenvalue magnitude (its absolute error
 # is about eps times that magnitude, so 2e-13 relative at the share).
 RESOLVED_SHARE = 1e-3
-# `oracle --mode forms` holds a dozen (nodes, dim) arrays per label, one
-# label at a time, and computes nodes * dim entries for each of its labels.
-# Xeon, one BLAS thread: --l 6 --grid 2048 (2.8e6 entries) takes 0.10 s,
-# --l 4 --grid 65536 (2.1e7 entries, 6.6e5 per label) 1.3 s.
+# `oracle --mode forms` holds four (nodes, dim) arrays (three buffers for
+# the whole run and one temporary), whatever the label count, and makes
+# about nine passes over nodes * dim entries per label.  Xeon, one BLAS
+# thread: --l 6 --grid 2048 (2.8e6 entries) takes 0.03 s, --l 4 --grid
+# 65536 (2.1e7 entries, 6.6e5 per label) 0.44 s.
 MAX_FORMS_LABEL_ENTRIES = 1_000_000
 MAX_FORMS_ENTRIES = 50_000_000
 # `oracle --mode group` work: per sample, the dim^2 entries of its group
@@ -278,6 +280,14 @@ class CurvatureAdaptedData:
         if self.tangent_space.dim + self._normal_space.dim != self.cd.m.dim:
             raise StructureError("tangent and normal spaces do not fill m")
 
+    @cached_property
+    def xi_brackets(self) -> np.ndarray:
+        """Read-only (dim, dim) array whose row a is [xi, e_a], so that
+        v @ xi_brackets = [xi, v] for a vector or each row of a stack."""
+        rows = np.ascontiguousarray(self.cd.algebra.ad_matrix(self.xi).T)
+        rows.setflags(write=False)
+        return rows
+
     def perp_project(self, coords: np.ndarray) -> np.ndarray:
         return self._normal_space.project_coords(coords)
 
@@ -341,94 +351,117 @@ class DecomposedPath:
 
     ``q`` holds the primitive Q per node (coefficient vectors) and must
     vanish at both endpoints; x is a constant k-direction and y a constant
-    tangent direction of the base submanifold.
+    tangent direction of the base submanifold.  ``times`` is the TimeGrid
+    of the nodes; when None, shape_apply_raw builds one for q's node count.
     """
 
     q: np.ndarray  # (grid, dim)
     x: np.ndarray  # (dim,)
     y: np.ndarray  # (dim,)
+    times: TimeGrid | None = None
 
     @property
     def grid(self) -> int:
         return self.q.shape[0]
 
 
-# label_decomposed_path, label_closed_form and shape_apply_raw take
-# optional (grid, dim) buffers: ``out`` receives the result and ``scratch``
-# one temporary.  The forms check allocates them once per command, so its
-# time does not depend on the allocator's mmap and trim thresholds.  The
-# arithmetic is that of np.outer and of the scalar products, in the same
-# order, so the results carry the same bits.
+class TimeGrid:
+    """Uniform nodes t on [0, 1] and what every path on them shares.
+
+    ``w`` holds the trapezoid weights, so ``w @ f`` integrates nodal values
+    f, and ``affine`` is the read-only (nodes, 2) stack [1, t].
+    ``waves(n)`` is the read-only (nodes, 4) stack [1, t, cos(n pi t),
+    sin(n pi t)]; every forms path and closed form is that stack times a
+    (4, dim) coefficient block, so one matrix product per (nodes, dim)
+    array.  Only the last mode's stack is kept, which bounds the memory
+    whatever the modes: callers that go mode by mode build each once.
+    """
+
+    def __init__(self, nodes: int):
+        if nodes < 2:
+            raise DimensionError("grid must have at least 2 nodes")
+        self.t = np.linspace(0.0, 1.0, nodes)
+        half = np.diff(self.t) / 2.0
+        self.w = np.concatenate(([0.0], half)) + np.concatenate((half, [0.0]))
+        self.affine = np.stack([np.ones(nodes), self.t], axis=1)
+        for arr in (self.t, self.w, self.affine):
+            arr.setflags(write=False)
+        self._waves = (None, None)
+
+    def waves(self, n: int) -> np.ndarray:
+        if self._waves[0] != n:
+            arg = n * math.pi * self.t
+            stack = np.column_stack([self.affine, np.cos(arg), np.sin(arg)])
+            stack.setflags(write=False)
+            self._waves = (n, stack)
+        return self._waves[1]
 
 
-def _grid_buffer(grid: int, dim: int, buf) -> np.ndarray:
-    return np.empty((grid, dim)) if buf is None else buf
+def _time_grid(grid) -> TimeGrid:
+    return grid if isinstance(grid, TimeGrid) else TimeGrid(grid)
+
+
+# label_decomposed_path, label_closed_form and shape_apply_raw write their
+# (grid, dim) result into ``out`` when it is given, so the forms check
+# reuses one buffer set for every label.
 
 
 def label_decomposed_path(
-    data: CurvatureAdaptedData, label: FourierBasisLabel, grid: int, out=None, scratch=None
+    data: CurvatureAdaptedData, label: FourierBasisLabel, grid, out=None
 ) -> DecomposedPath:
     """Realize a Fourier basis label as a decomposed grid path.
 
-    Sine labels use the primitive Z = (sqrt2/(n pi)) x (cos(n pi t) - 1),
-    split as Q = Z - t Z(1) with constant part -Z(1); cosine labels are pure
-    -Q' with Q = -(sqrt2/(n pi)) y sin(n pi t); constants are pure y.  The
-    returned path's q is ``out`` when given.
+    ``grid`` is a node count or a TimeGrid.  Sine labels use the primitive
+    Z = (sqrt2/(n pi)) x (cos(n pi t) - 1), split as Q = Z - t Z(1) with
+    constant part -Z(1); cosine labels are pure -Q' with
+    Q = -(sqrt2/(n pi)) y sin(n pi t); constants are pure y.  The returned
+    path's q is ``out`` when given.
     """
-    dim = data.cd.algebra.dim
-    t = np.linspace(0.0, 1.0, grid)
-    zero = np.zeros(dim)
-    q = _grid_buffer(grid, dim, out)
-    if label.profile == "const":
-        q.fill(0.0)
-        return DecomposedPath(q, zero, label.y)
-    n = label.mode
-    scale = math.sqrt(2.0) / (n * math.pi)
-    if label.profile == "sin":
-        np.multiply((np.cos(n * math.pi * t) - 1.0)[:, None], label.x, out=q)
-        q *= scale
-        z1 = scale * (((-1.0) ** n) - 1.0) * label.x
-        tz1 = _grid_buffer(grid, dim, scratch)
-        q -= np.multiply(t[:, None], z1, out=tz1)
-        return DecomposedPath(q, -z1, zero)
-    np.multiply(np.sin(n * math.pi * t)[:, None], label.y, out=q)
-    q *= -scale
-    return DecomposedPath(q, zero, zero)
+    times = _time_grid(grid)
+    zero = np.zeros(data.cd.algebra.dim)
+    coef = np.zeros((4, zero.size))  # on [1, t, cos, sin]
+    x, y = zero, label.y
+    if label.profile != "const":
+        scale = math.sqrt(2.0) / (label.mode * math.pi)
+        if label.profile == "sin":
+            z1 = scale * (((-1.0) ** label.mode) - 1.0) * label.x
+            coef[0], coef[1], coef[2] = -scale * label.x, -z1, scale * label.x
+            x, y = -z1, zero
+        else:
+            coef[3] = -scale * label.y
+            y = zero
+    q = np.matmul(times.waves(label.mode or 0), coef, out=out)
+    return DecomposedPath(q, x, y, times)
 
 
 def label_closed_form(
-    data: CurvatureAdaptedData, label: FourierBasisLabel, grid: int, out=None
+    data: CurvatureAdaptedData, label: FourierBasisLabel, grid, out=None
 ) -> np.ndarray:
     """Grid image of a basis label under the path-space shape operator.
 
-    One closed form per profile, mixing the label's (x, y) pair through
-    sine/cosine factors with weight nu/(n*pi).  The ad-kernel is the
-    frequency-0 block: kernel sines and cosines map to zero, and kernel
-    constants scale by lambda.
+    ``grid`` is a node count or a TimeGrid.  One closed form per profile,
+    mixing the label's (x, y) pair through sine/cosine factors with weight
+    nu/(n*pi).  The ad-kernel is the frequency-0 block: kernel sines and
+    cosines map to zero, and kernel constants scale by lambda.
     """
-    t = np.linspace(0.0, 1.0, grid)
+    times = _time_grid(grid)
     nu = label.nu or 0.0
-    out = _grid_buffer(grid, data.cd.algebra.dim, out)
+    coef = np.zeros((4, data.cd.algebra.dim))  # on [1, t, cos, sin]
     if label.profile == "const":
-        # nu (1 - t) x + lambda y: the sum commutes exactly.
-        np.multiply((1.0 - t)[:, None], label.x, out=out)
-        out *= nu
-        out += label.lam * label.y
-        return out
-    n = label.mode
-    coef = -nu / (n * math.pi) * math.sqrt(2.0)
-    if label.profile == "sin":
-        shift = 0.0 if label.lam == PERP_LABEL else 1.0
-        np.multiply((np.cos(n * math.pi * t) - shift)[:, None], label.y, out=out)
+        # nu (1 - t) x + lambda y
+        coef[0], coef[1] = nu * label.x + label.lam * label.y, -nu * label.x
     else:
-        np.multiply(np.sin(n * math.pi * t)[:, None], label.x, out=out)
-    out *= coef
-    return out
+        c = -nu / (label.mode * math.pi) * math.sqrt(2.0)
+        if label.profile == "sin":
+            coef[2] = c * label.y
+            if label.lam != PERP_LABEL:
+                coef[0] = -coef[2]
+        else:
+            coef[3] = c * label.x
+    return np.matmul(times.waves(label.mode or 0), coef, out=out)
 
 
-def shape_apply_raw(
-    data: CurvatureAdaptedData, path: DecomposedPath, out=None, scratch=None
-) -> np.ndarray:
+def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath, out=None) -> np.ndarray:
     """Apply the path-space shape operator from its raw block formulas.
 
     For a decomposed path -Q' + x + y the image is
@@ -438,21 +471,24 @@ def shape_apply_raw(
         + A_base(y) + (1 - t) [xi, y]
 
     with perp the projection onto the normal space of the base submanifold
-    inside m.  The integral uses trapezoid quadrature on the given grid.
-    ``out`` and ``scratch`` must not share memory with ``path.q``.
+    inside m.  The integral uses trapezoid quadrature on the path's grid.
+    It is evaluated as [xi, Q(t)] plus one update [1, t] x [c, u], with
+    c = A_base(y) + [xi, y] + perp((1/2)[xi, x] - [xi, int Q]) and
+    u = -[xi, x] - [xi, y].  ``out`` must not share memory with ``path.q``.
     """
     alg = data.cd.algebra
-    grid = path.grid
-    if grid < 2:
+    q = path.q
+    if path.grid < 2:
         raise DimensionError("grid must have at least 2 nodes")
-    if path.q.shape != (grid, alg.dim):
+    if q.shape != (path.grid, alg.dim):
         raise DimensionError("q has the wrong shape")
-    out = _grid_buffer(grid, alg.dim, out)
-    scratch = _grid_buffer(grid, alg.dim, scratch)
-    # np.linalg.norm(q, axis=1), spelled out to use scratch.
-    qn = np.sqrt(np.add.reduce(np.multiply(path.q, path.q, out=scratch), axis=1))
-    scale = max(1.0, qn.max() if qn.size else 0.0)
-    if max(np.linalg.norm(path.q[0]), np.linalg.norm(path.q[-1])) > BOUNDARY_TOL * scale:
+    times = TimeGrid(path.grid) if path.times is None else path.times
+    if times.t.size != path.grid:
+        raise DimensionError("q and its times have different node counts")
+    # |Q| at the endpoints against max(1, max |Q|): the maximum is needed
+    # only when the endpoints exceed the tolerance at scale 1.
+    ends = max(np.linalg.norm(q[0]), np.linalg.norm(q[-1]))
+    if ends > BOUNDARY_TOL and ends > BOUNDARY_TOL * math.sqrt(np.vecdot(q, q).max()):
         raise DomainError("primitive Q must vanish at both endpoints")
     leak = alg.norm(path.x - data.cd.k.project_coords(path.x))
     if leak > TANGENT_TOL * max(1.0, alg.norm(path.x)):
@@ -460,29 +496,18 @@ def shape_apply_raw(
     # base_shape_apply rejects y with a normal component.
     ay = data.base_shape_apply(path.y)
 
-    t = np.linspace(0.0, 1.0, grid)
-    admat = alg.ad_matrix(data.xi)
-    # np.trapezoid(q, t, axis=0) in numpy's operation order, in scratch.
-    pair_sums = np.add(path.q[1:], path.q[:-1], out=scratch[:-1])
-    pair_sums *= np.diff(t)[:, None]
-    pair_sums /= 2.0
-    q_int = np.add.reduce(pair_sums, axis=0)
-    perp_int = data.perp_project(admat @ q_int)
-
-    bx = admat @ path.x
-    by = admat @ path.y
-    np.matmul(path.q, admat.T, out=out)
-    out -= perp_int
-    out += np.subtract(0.5 * data.perp_project(bx), np.multiply(t[:, None], bx, out=scratch),
-                       out=scratch)
-    out += np.add(ay, np.multiply((1.0 - t)[:, None], by, out=scratch), out=scratch)
+    bx, by, bint = np.stack([path.x, path.y, times.w @ q]) @ data.xi_brackets
+    c = ay + by + data.perp_project(0.5 * bx - bint)
+    out = np.matmul(q, data.xi_brackets, out=out)
+    out += times.affine @ np.stack([c, -bx - by])
     return out
 
 
-def grid_l2_norm(values: np.ndarray, alg) -> float:
-    """Trapezoid L2 norm of a grid path of coefficient vectors."""
-    t = np.linspace(0.0, 1.0, values.shape[0])
-    return float(math.sqrt(max(np.trapezoid(alg.norm(values) ** 2, t), 0.0)))
+def grid_l2_norm(values: np.ndarray, alg, times: TimeGrid | None = None) -> float:
+    """Trapezoid L2 norm of a grid path of coefficient vectors, on ``times``
+    (the uniform grid when None)."""
+    times = TimeGrid(values.shape[0]) if times is None else times
+    return float(math.sqrt(times.w @ alg.norm(values) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ MAX_TRACE_TERMS = 4_000_000
 # O(probes^2) in Python.  Xeon, one BLAS thread, `trace` on a one-family
 # document: 1000 probes take 0.08 s, 3000 take 0.75 s.
 MAX_TRACE_PROBES = 1000
+# Largest |lambda|/nu taken for lambda < 0.  arctan(nu/lambda) is then
+# taken in (pi/2, pi), and from about 2.8e15 on it rounds to pi itself.
+MAX_NEGATIVE_LAMBDA_RATIO = 1e15
 # Below this many values the clusterer's in-order scan costs less than its
 # array form.
 _SCAN_MAX = 64
@@ -375,9 +378,13 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def _mu_theta(nu: float, lam: float) -> float:
     """arctan(nu/lambda) normalized into (0, pi)."""
     theta = math.pi / 2 if lam == 0 else math.atan2(nu, lam)
-    # atan2 with nu > 0 already lands in (0, pi); kept explicit for clarity.
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"normalized angle {theta} outside (0, pi)")
+    if lam < -MAX_NEGATIVE_LAMBDA_RATIO * nu:
+        raise DomainError(
+            f"lambda = {lam:g} with nu = {nu:g}: a negative lambda needs "
+            f"|lambda|/nu <= {MAX_NEGATIVE_LAMBDA_RATIO:g}"
+        )
+    if not 0.0 < theta < math.pi:  # nan, or an angle that underflows or rounds to pi
+        raise DomainError(f"arctan(nu/lambda) is not in (0, pi) at nu = {nu:g}, lambda = {lam:g}")
     return theta
 
 

@@ -269,7 +269,10 @@ def _dual_basis(fundamental_roots) -> np.ndarray:
     independent = count == rank and norms.all()
     if not (independent and abs(np.linalg.det(scaled / norms[:, None])) >= 1e-12):
         raise DomainError("fundamental system must be a linearly independent basis")
-    return np.linalg.inv(roots)
+    duals = np.linalg.inv(roots)
+    if not np.isfinite(duals).all():  # a root too short for its dual to be a float
+        raise DomainError("fundamental system has a dual basis beyond the float range")
+    return duals
 
 
 def weyl_strata(fundamental_roots):

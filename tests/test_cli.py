@@ -379,6 +379,26 @@ def test_decompose_reports_a_tiny_xi_at_its_own_scale(tmp_path, capsys):
     assert rep["xi_norm"] == pytest.approx(3e-160, rel=1e-14)
 
 
+def test_decompose_scales_frequencies_with_xi(tmp_path, capsys):
+    # The squared norm of xi * 2**530 overflows and that of xi * 2**-540
+    # underflows; both are pre-scaled by a power of two, so the frequencies
+    # of the split so(5) pair scale by exactly 2**k.
+    p = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
+    xi = np.zeros((5, 5))
+    xi[0, 3], xi[1, 4], xi[2, 3] = 0.9, -0.4, 0.3
+    freqs = {}
+    for k in (-540, 0, 530):
+        doc = {"n": 5, "p": p.tolist(), "xi": np.ldexp(xi - xi.T, k).tolist()}
+        path = write_json(tmp_path, "dec.json", doc)
+        code, out, err = run_cli(capsys, "decompose", "--input", path)
+        assert code == 0, err
+        freqs[k] = json.loads(out)["frequencies"]
+    assert len(freqs[0]) == 4
+    for k in (-540, 530):
+        assert [m for _, m in freqs[k]] == [m for _, m in freqs[0]]
+        assert [nu for nu, _ in freqs[k]] == [math.ldexp(nu, k) for nu, _ in freqs[0]]
+
+
 def test_decompose_takes_an_xi_whose_squared_norm_underflows(tmp_path, capsys):
     # Entries of 1e-170 square to 0.  The frequencies and xi_norm scale like
     # those of the same direction at 3e-160.
@@ -398,9 +418,11 @@ def test_decompose_takes_an_xi_whose_squared_norm_underflows(tmp_path, capsys):
 
 
 def test_decompose_refuses_an_xi_whose_norm_overflows(tmp_path, capsys):
-    xi = np.zeros((4, 4))
-    xi[0, 3], xi[1, 3] = 1e200, 3e200
-    path = write_json(tmp_path, "dec.json", {"n": 4, "xi": (xi - xi.T).tolist()})
+    # Each coordinate is finite, but the norm itself (not only its square)
+    # is beyond the float range: sqrt(5) * 8.9e307.
+    xi = np.zeros((6, 6))
+    xi[:5, 5] = 8.9e307
+    path = write_json(tmp_path, "dec.json", {"n": 6, "xi": (xi - xi.T).tolist()})
     code, out, err = run_cli(capsys, "decompose", "--input", path)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "finite nonzero norm" in err
@@ -530,6 +552,26 @@ def test_weyl_roots_at_extreme_scales(tmp_path, capsys, roots):
     code, out, _ = run_cli(capsys, "weyl", "--roots-file", path)
     assert code == 0
     assert json.loads(out)["isolated_directions"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_weyl_refuses_a_dual_basis_beyond_the_float_range(tmp_path, capsys):
+    # 1 / 5e-324 overflows; the refusal comes before any division by a norm,
+    # so it is the only line (run_cli fails on any warning).
+    path = write_json(tmp_path, "roots.json", {"roots": [[5e-324]]})
+    code, out, err = run_cli(capsys, "weyl", "--roots-file", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "dual basis beyond the float range" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_weyl_report_names_the_roots_file_without_its_directory(tmp_path, capsys, monkeypatch):
+    write_json(tmp_path, "b.json", {"roots": [[1.0, 0.0], [0.5, 2.0]]})
+    monkeypatch.chdir(tmp_path)
+    outs = [run_cli(capsys, "weyl", "--roots-file", spelling)[1]
+            for spelling in ("b.json", "./b.json", str(tmp_path / "b.json"))]
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["system"] == "b.json"
 
 
 def test_weyl_refuses_a_rank_above_the_limit(tmp_path, capsys):
@@ -662,6 +704,9 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
          "residuals']['-1'] is not a finite number"),
         (("trace", "--data", DATA, "--probes", *(repr(1.001 + 1e-4 * k) for k in range(3000))),
          "trace takes at most 1000 probes, got 3000"),
+        (("oracle", "--lambda=-1e20"),
+         "lambda = -1e+20 with nu = 1: a negative lambda needs |lambda|/nu <= 1e+15"),
+        (("oracle", "--nu", "5e-324", "--lambda", "1e10"), "arctan(nu/lambda) is not in (0, pi)"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
@@ -743,6 +788,15 @@ def test_forms_report_lists_labels_in_basis_order(capsys):
         "k0_sin i=0 n=1", "m_cos i=0 perp n=1", "m_nu_const i=0", "k_nu_sin i=0 n=1",
         "m_nu_cos i=0 n=1", "k_nu_sin i=0 perp n=1", "m_nu_cos i=0 perp n=1",
     ]
+
+
+def test_forms_check_without_labels_passes_with_zero_residual(capsys):
+    # S^2 has no room for a tangent direction beside xi, and --n-max 0 asks
+    # for no Fourier mode, so there is no label to check.
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "forms", "--l", "2", "--n-max", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["labels"] == [] and report["worst_residual"] == 0.0 and report["passed"]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pfspectra import (
     DomainError,
     PERP_LABEL,
     StructureError,
+    TimeGrid,
     TruncatedOperator,
     build_harmonic_block,
     build_mu_block,
@@ -32,7 +34,7 @@ from pfspectra import (
     split_geometry,
     split_pair,
 )
-from pfspectra import oracle
+from pfspectra import cli, oracle
 from pfspectra.formats import canonical_json
 from pfspectra.oracle import random_m_direction
 
@@ -371,30 +373,31 @@ def test_buffered_forms_calls_equal_the_allocating_ones():
 
 
 def check_buffered_label(geo, label, grid):
-    q, raw, closed, scratch = np.full((4, grid, geo.cd.algebra.dim), np.nan)
-    path = label_decomposed_path(geo, label, grid, out=q, scratch=scratch)
+    q, raw, closed = np.full((3, grid, geo.cd.algebra.dim), np.nan)
+    path = label_decomposed_path(geo, label, grid, out=q)
     fresh = label_decomposed_path(geo, label, grid)
     assert path.q is q
     for got, want in zip((path.q, path.x, path.y), (fresh.q, fresh.x, fresh.y)):
         np.testing.assert_array_equal(got, want)
-    assert shape_apply_raw(geo, path, out=raw, scratch=scratch) is raw
+    assert shape_apply_raw(geo, path, out=raw) is raw
     np.testing.assert_array_equal(raw, shape_apply_raw(geo, fresh))
     assert label_closed_form(geo, label, grid, out=closed) is closed
     np.testing.assert_array_equal(closed, label_closed_form(geo, label, grid))
 
 
 def test_one_buffer_set_serves_a_whole_sweep():
-    # The forms check reuses its buffers from label to label.
+    # The forms check reuses its buffers and its TimeGrid from label to label.
     geo = forms_geometries()[1]
     alg, grid = geo.cd.algebra, 129
+    times = TimeGrid(grid)
     labels = geo.fourier_labels(2)
-    q, raw, closed, scratch = np.empty((4, grid, alg.dim))
+    q, raw, closed = np.empty((3, grid, alg.dim))
     reused = []
     for label in labels:
-        path = label_decomposed_path(geo, label, grid, out=q, scratch=scratch)
-        shape_apply_raw(geo, path, out=raw, scratch=scratch)
-        label_closed_form(geo, label, grid, out=closed)
-        reused.append(grid_l2_norm(np.subtract(raw, closed, out=raw), alg))
+        path = label_decomposed_path(geo, label, times, out=q)
+        shape_apply_raw(geo, path, out=raw)
+        label_closed_form(geo, label, times, out=closed)
+        reused.append(grid_l2_norm(np.subtract(raw, closed, out=raw), alg, times))
     fresh = [
         grid_l2_norm(shape_apply_raw(geo, label_decomposed_path(geo, lb, grid))
                      - label_closed_form(geo, lb, grid), alg)
@@ -435,6 +438,118 @@ def test_grid_l2_norm_of_plain_waves():
     assert grid_l2_norm(const, alg) == pytest.approx(1.0, abs=1e-12)
     wave = np.sin(np.pi * t)[:, None] * x[None, :]
     assert grid_l2_norm(wave, alg) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+
+
+def test_time_grid_weights_waves_and_affine_stack():
+    times = TimeGrid(65)
+    t = np.linspace(0.0, 1.0, 65)
+    f = np.exp(t) * np.cos(3.0 * t)
+    assert times.w @ f == pytest.approx(np.trapezoid(f, t), rel=1e-15)
+    np.testing.assert_array_equal(times.affine, np.stack([np.ones(65), t], axis=1))
+    first = times.waves(2).copy()
+    times.waves(3)
+    for got in (first, times.waves(2)):  # rebuilt after another mode
+        np.testing.assert_array_equal(got[:, :2], times.affine)
+        np.testing.assert_allclose(got[:, 2:], np.stack([np.cos(2 * np.pi * t),
+                                                         np.sin(2 * np.pi * t)], axis=1),
+                                   rtol=0, atol=1e-15)
+    with pytest.raises(DimensionError, match="at least 2 nodes"):
+        TimeGrid(1)
+
+
+def test_shape_apply_raw_on_a_non_separable_path_equals_the_formula_node_by_node():
+    # Q is a sum of four sine profiles with unrelated directions, so no
+    # row of it is a multiple of another; x is in k and y tangent.
+    rng = np.random.default_rng(21)
+    for geo in forms_geometries():
+        alg, grid = geo.cd.algebra, 97
+        t = np.linspace(0.0, 1.0, grid)
+        q = sum(np.outer(np.sin(k * np.pi * t), rng.standard_normal(alg.dim))
+                for k in range(1, 5))
+        x = rng.standard_normal(geo.cd.k.dim) @ geo.cd.k.basis
+        y = rng.standard_normal(geo.tangent_space.dim) @ geo.tangent_space.basis
+        got = shape_apply_raw(geo, oracle.DecomposedPath(q, x, y))
+        q_int = np.trapezoid(q, t, axis=0)
+        bx, by = alg.bracket(geo.xi, x), alg.bracket(geo.xi, y)
+        fixed = (-geo.perp_project(alg.bracket(geo.xi, q_int))
+                 + 0.5 * geo.perp_project(bx) + geo.base_shape_apply(y))
+        want = np.array([alg.bracket(geo.xi, q[i]) + fixed - t[i] * bx + (1.0 - t[i]) * by
+                         for i in range(grid)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def _reference_forms_residuals(data, n_max, grid):
+    """The forms check's per-label loop before the shared TimeGrid: each
+    label builds its own linspace, outer products and trapezoid sums."""
+    alg = data.cd.algebra
+    t = np.linspace(0.0, 1.0, grid)
+    admat = alg.ad_matrix(data.xi)
+    zero = np.zeros(alg.dim)
+
+    def l2(values):
+        return math.sqrt(np.trapezoid(alg.norm(values) ** 2, t))
+
+    rows = []
+    for label in data.fourier_labels(n_max):
+        nu = label.nu or 0.0
+        if label.profile == "const":
+            q, x, y = np.zeros((grid, alg.dim)), zero, label.y
+            closed = nu * np.outer(1.0 - t, label.x) + label.lam * label.y
+        else:
+            n = label.mode
+            scale = math.sqrt(2.0) / (n * math.pi)
+            coef = -nu / (n * math.pi) * math.sqrt(2.0)
+            if label.profile == "sin":
+                z1 = scale * ((-1.0) ** n - 1.0) * label.x
+                q = scale * np.outer(np.cos(n * math.pi * t) - 1.0, label.x) - np.outer(t, z1)
+                x, y = -z1, zero
+                shift = 0.0 if label.lam == PERP_LABEL else 1.0
+                closed = coef * np.outer(np.cos(n * math.pi * t) - shift, label.y)
+            else:
+                q = -scale * np.outer(np.sin(n * math.pi * t), label.y)
+                x, y = zero, zero
+                closed = coef * np.outer(np.sin(n * math.pi * t), label.x)
+        bx, by = admat @ x, admat @ y
+        raw = (q @ admat.T - data.perp_project(admat @ np.trapezoid(q, t, axis=0))
+               + 0.5 * data.perp_project(bx) - np.outer(t, bx)
+               + data.base_shape_apply(y) + np.outer(1.0 - t, by))
+        rows.append((label.describe(), l2(raw - closed) / max(l2(closed), 1.0)))
+    return rows
+
+
+# The `oracle --mode forms` sizes (l, grid) of the lie-geometry benchmark.
+@pytest.mark.parametrize("l, grid", [(4, 512), (4, 1024), (5, 512), (5, 1024), (6, 2048)])
+def test_forms_check_matches_the_per_label_reference(capsys, l, grid):
+    for seed in range(4):
+        assert cli.main(["oracle", "--mode", "forms", "--l", str(l), "--grid", str(grid),
+                         "--seed", str(seed)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rng = np.random.default_rng(seed)
+        lam_mults = cli._random_lam_mults(rng, max_vals=2, max_mult=2, max_dims=l - 2)
+        data = sphere_geometry(l, lam_mults, rng)
+        want = _reference_forms_residuals(data, 3, grid + 1)
+        assert [row["label"] for row in report["labels"]] == [d for d, _ in want]
+        for row, (_, ref) in zip(report["labels"], want):
+            assert abs(row["residual"] - ref) <= 1e-14, row["label"]
+        assert report["worst_residual"] == max(row["residual"] for row in report["labels"])
+
+
+def test_forms_check_memory_does_not_grow_with_the_label_count(capsys):
+    # At --l 4 --grid 65536 one (nodes, dim) label array is 5.2 MB.  The
+    # check holds a fixed set of them, whatever the number of labels.
+    nodes, dim = 65537, 10
+    peaks = []
+    for n_max in (1, 3):
+        tracemalloc.start()
+        try:
+            assert cli.main(["oracle", "--mode", "forms", "--l", "4", "--grid", "65536",
+                             "--n-max", str(n_max)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert max(peaks) <= 6 * nodes * dim * 8
+    assert peaks[1] <= peaks[0] + nodes * 8
 
 
 def test_base_shape_apply_on_a_stack_equals_row_by_row_calls():
