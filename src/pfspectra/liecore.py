@@ -81,8 +81,10 @@ class MatrixLieAlgebra:
         return mats
 
     def _coords(self, mats: np.ndarray) -> np.ndarray:
-        """Coordinates of the skew part of a (..., n, n) stack."""
-        return 0.5 * (mats[..., self._rows, self._cols] - mats[..., self._cols, self._rows])
+        """Coordinates of the skew part of a (..., n, n) stack.  Halving
+        each entry before the difference cannot overflow, and away from
+        subnormals gives the same bits as halving the difference."""
+        return 0.5 * mats[..., self._rows, self._cols] - 0.5 * mats[..., self._cols, self._rows]
 
     @property
     def basis(self) -> np.ndarray:

@@ -4,9 +4,10 @@ Paths on [0, 1] are sampled at uniform nodes, one path as a (nodes, n, n)
 array or a stack of paths on a common grid as (paths, nodes, n, n).  The
 central objects are the frame ODE E' = E u (solved by classical RK4 for a
 whole stack at once: each step is a right factor, its step propagator,
-that is polar-projected onto the orthogonal group, and the frames are
-re-projected once per block of steps), its endpoint map u -> E(1), and
-the gauge action
+that is polar-projected onto the orthogonal group; the factors of a block
+of steps are multiplied by a pairwise product tree, and the frames are
+re-projected once per block), its endpoint map u -> E(1), and the gauge
+action
 
     (g, u) -> g u g^{-1} - g' g^{-1}
 
@@ -273,11 +274,22 @@ def _step_propagators(vals: np.ndarray, start: int, stop: int, h: float) -> np.n
     return p
 
 
+def _tree_product(q: np.ndarray) -> np.ndarray:
+    """Ordered product q[0] q[1] ... q[-1] over the first axis, by a
+    pairwise tree: each level multiplies neighbouring factors, and an odd
+    last factor moves up a level unchanged.  Log-depth in the factor count,
+    one batched product per level."""
+    while len(q) > 1:
+        pairs = q[0:len(q) - 1:2] @ q[1::2]
+        q = np.concatenate((pairs, q[-1:])) if len(q) % 2 else pairs
+    return q[0]
+
+
 @dataclass(frozen=True)
 class TransportSolution:
     """Endpoint E(1) of the frame ODE E' = E u, E(0) = I, for one path or
     for each path of a stack, with the worst frame drift max |E^T E - I|
-    over every step."""
+    over the frames at the end of each block of steps."""
 
     endpoint: np.ndarray  # ([paths,] n, n)
     drift: float
@@ -291,12 +303,12 @@ def solve_transport(u: PathGrid) -> TransportSolution:
     polar factor of P when E is orthogonal.  So each block of steps builds
     the propagators of every step and every path of a stack at once,
     projects each one onto the orthogonal group by Newton polar steps, and
-    chains the frames by one product per step; the block's last frames are
-    projected once more before the next block starts from them.  Midpoint
-    values of u come from cubic interpolation.  Midpoints, propagators and
-    frames are held for one block of steps only, and the frames of each
-    block are checked for drift from the group: above 1e-8 the solve
-    raises a DomainError.  E(0) is the identity exactly.
+    multiplies them by a pairwise product tree, one batched product per
+    level; the frames times that block product are checked for drift from
+    the group and projected once more before the next block starts from
+    them.  Midpoint values of u come from cubic interpolation.  Midpoints
+    and propagators are held for one block of steps only.  A drift above
+    1e-8 raises a DomainError.  E(0) is the identity exactly.
     """
     if u.kind != "algebra":
         raise DomainError("transport integrates algebra-valued paths")
@@ -313,11 +325,9 @@ def solve_transport(u: PathGrid) -> TransportSolution:
     for start in range(0, steps, _STEP_BLOCK):
         stop = min(start + _STEP_BLOCK, steps)
         q = _newton_polar(_step_propagators(vals, start, stop, h), eye15)
-        frames = np.empty(q.shape)
-        for j in range(stop - start):
-            cur = np.matmul(cur, q[j], out=frames[j])
-        drifts.append(_orthogonality_drift(frames))
-        cur = _newton_polar(cur, eye15)
+        frame = cur @ _tree_product(q)
+        drifts.append(_orthogonality_drift(frame))
+        cur = _newton_polar(frame, eye15)
     drift = float(np.max(drifts))
     if not drift <= GRID_VALUE_TOL:
         raise DomainError(f"transported frames are not orthogonal (drift {drift:.3e})")
@@ -468,15 +478,21 @@ def _random_skew(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
     return scale * 0.5 * (raw - raw.T)
 
 
+def _random_cubic(n: int, nodes: int, rng: np.random.Generator, scale: float,
+                  first: int = 0) -> np.ndarray:
+    """Values sum_d t^d c_d, d = first..3, of a random skew polynomial at
+    uniform node times t, with c_d drawn in the order of d.  The path is
+    one (nodes, degrees) @ (degrees, n^2) product of the power table t^d
+    with the stacked coefficients."""
+    coeffs = np.array([_random_skew(n, rng, scale) for _ in range(first, 4)])
+    powers = np.linspace(0.0, 1.0, nodes)[:, None] ** np.arange(first, 4)
+    return (powers @ coeffs.reshape(len(coeffs), -1)).reshape(nodes, n, n)
+
+
 def random_algebra_path(n: int, nodes: int, rng: np.random.Generator,
                         scale: float = 1.0) -> PathGrid:
     """Cubic polynomial path of skew matrices, smooth by construction."""
-    coeffs = [_random_skew(n, rng, scale) for _ in range(4)]
-    ts = np.linspace(0.0, 1.0, nodes)
-    vals = np.zeros((nodes, n, n))
-    for d, c in enumerate(coeffs):
-        vals += np.power(ts, d)[:, None, None] * c
-    return PathGrid(vals, "algebra")
+    return PathGrid(_frozen(_random_cubic(n, nodes, rng, scale)), "algebra")
 
 
 # Taylor coefficients 1/k!, k = 0..19, in Paterson-Stockmeyer blocks: row j
@@ -526,11 +542,8 @@ def random_group_path(n: int, nodes: int, rng: np.random.Generator,
     t^d c_d), with one batched exponential over the node stack.
 
     With ``based`` the polynomial has no constant term, so the path starts
-    at the identity.  The powers t^d are Python-float powers of the node
-    times; NumPy's array power can differ from them in the last bit.
+    at the identity.  The polynomial is one matrix product over the nodes,
+    so its values can differ from a per-degree sum in the last bits.
     """
-    ts = np.linspace(0.0, 1.0, nodes).tolist()
-    acc = np.zeros((nodes, n, n))
-    for d in range(1 if based else 0, 4):
-        acc += np.array([t ** d for t in ts])[:, None, None] * _random_skew(n, rng, scale)
+    acc = _random_cubic(n, nodes, rng, scale, first=1 if based else 0)
     return PathGrid(_frozen(_expm_stack(acc)), "group")

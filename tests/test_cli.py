@@ -429,6 +429,17 @@ def test_decompose_refuses_an_xi_whose_norm_overflows(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_decompose_reads_an_xi_entry_near_the_float_limit(tmp_path, capsys):
+    # so(4) xi with entry (0, 3) = 1.5e308: its norm is finite, and its
+    # coordinates are read without an overflow in between.
+    xi = np.zeros((4, 4))
+    xi[0, 3] = 1.5e308
+    path = write_json(tmp_path, "dec.json", {"n": 4, "xi": (xi - xi.T).tolist()})
+    code, out, err = run_cli(capsys, "decompose", "--input", path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["xi_norm"] == 1.5e308
+
+
 @pytest.mark.parametrize("command, doc, field", [
     ("decompose", {"n": 3, "p": [[1, 0, 0], [0, 1], [0, 0, -1]]}, "p"),
     ("decompose", {"n": 3, "xi": [[0, 0, 1], [0, 0], [-1, 0, 0]]}, "xi"),

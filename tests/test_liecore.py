@@ -79,6 +79,12 @@ def test_element_round_trip_through_matrix():
     coords = rng.standard_normal(alg.dim)
     back = alg.from_matrix(alg.to_matrices(coords))
     np.testing.assert_allclose(back, coords, atol=1e-13)
+    # an entry near the float limit: the two triangle entries differ by
+    # 3e308, which would overflow, so each is halved first
+    for entry in (1.5e308, -1.5e308):
+        coords = np.zeros(alg.dim)
+        coords[2] = entry
+        np.testing.assert_array_equal(alg.from_matrix(alg.to_matrices(coords)), coords)
 
 
 def test_from_matrix_rejects_symmetric_part():

@@ -197,7 +197,8 @@ def test_transport_of_constant_path_matches_exponential():
 def test_transport_frames_stay_orthogonal_and_start_at_identity():
     # The solver keeps only the current frames: E(0) = I shows as an exact
     # identity endpoint of the zero path, and the recorded drift is the
-    # worst |E^T E - I| over every step.
+    # worst |E^T E - I| over the frames at the end of each block of steps,
+    # before their re-projection.
     zero = PathGrid.constant(np.zeros((4, 4)), NODES, "algebra")
     np.testing.assert_array_equal(solve_transport(zero).endpoint, np.eye(4))
     rng = np.random.default_rng(9)
@@ -258,6 +259,38 @@ def test_stacked_transport_equals_single_path_references():
         # frames after every step: the two agree to roundoff, not bitwise
         assert np.abs(end - transport_reference(path.values)).max() <= 1e-13
         np.testing.assert_array_equal(end, transport_endpoint(path))
+
+
+@pytest.mark.parametrize("steps", [15, 65, 100])
+def test_block_products_for_step_counts_off_the_block_and_the_tree(steps):
+    # Blocks of 15 and of 36 (the last of 100 steps) carry an odd factor up
+    # some levels of the product tree; the last block of 65 steps is one
+    # factor.
+    rng = np.random.default_rng(steps)
+    paths = [random_algebra_path(4, steps + 1, rng, scale=1.5) for _ in range(2)]
+    sol = solve_transport(PathGrid(np.stack([p.values for p in paths]), "algebra"))
+    for path, end in zip(paths, sol.endpoint):
+        assert np.abs(end - transport_reference(path.values)).max() <= 1e-13
+        np.testing.assert_array_equal(end, transport_endpoint(path))
+
+
+def test_drift_check_refuses_a_path_too_coarse_for_its_size():
+    # 16 steps of a path at scale 10: two Newton steps leave the step
+    # propagators off the group, and the block-end frame drifts by 1.4e-3.
+    u = random_algebra_path(4, 17, np.random.default_rng(1), scale=10.0)
+    with pytest.raises(DomainError, match="transported frames are not orthogonal"):
+        solve_transport(u)
+
+
+def test_algebra_path_equals_the_per_degree_sum():
+    nodes = 257
+    path = random_algebra_path(5, nodes, np.random.default_rng(22))
+    rng = np.random.default_rng(22)  # the path's draws: degree 3, scale 1
+    coeffs = [0.5 * (r - r.T) for r in (rng.standard_normal((5, 5)) for _ in range(4))]
+    ref = np.zeros((nodes, 5, 5))
+    for d, c in enumerate(coeffs):
+        ref += np.linspace(0.0, 1.0, nodes)[:, None, None] ** d * c
+    assert np.abs(path.values - ref).max() <= 1e-15
 
 
 def test_stacked_differentiation_equals_einsum_reference():
