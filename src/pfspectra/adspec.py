@@ -10,7 +10,9 @@ bases (x_i, y_i) satisfying
     [xi, x_i] = -nu * y_i,      [xi, y_i] = nu * x_i.
 
 Everything is derived from one singular value decomposition of ad(xi)
-restricted to k -> m, so the pairing is exact up to floating point noise.
+restricted to k -> m, whose matrix is the brackets of xi with the basis of
+k, read off in the basis of m; the pairing is exact up to floating point
+noise.
 The decomposition runs on xi scaled by a power of two to norm about 1,
 which is exact; the frequencies are scaled back.
 """
@@ -58,13 +60,6 @@ def _scaled_xi(cd: CartanDecomposition, xi: np.ndarray):
     if leak > XI_MEMBERSHIP_TOL * nrm:
         raise DomainError(f"xi is not in m (relative residual {leak / nrm:.3e})")
     return xi, s
-
-
-def _ad_block(cd: CartanDecomposition, xi: np.ndarray) -> np.ndarray:
-    """Matrix of ad(xi): k -> m in the orthonormal bases of cd."""
-    alg = cd.algebra
-    images = alg.ad_matrix(xi) @ cd.k.basis.T  # columns: [xi, k_b] in algebra coords
-    return alg.inner(cd.m.basis, images.T)
 
 
 def _cluster(sigma: np.ndarray, xi_norm: float):
@@ -127,7 +122,7 @@ def paired_bases(cd: CartanDecomposition, xi: np.ndarray) -> AdEigenstructure:
     xi = np.asarray(xi, dtype=float)
     unit_xi, s = _scaled_xi(cd, xi)
     alg = cd.algebra
-    c = _ad_block(cd, unit_xi)
+    c = alg.inner(cd.m.basis, alg.bracket(unit_xi, cd.k.basis))  # ad(xi): k -> m
     dim_m, dim_k = c.shape
     if min(dim_m, dim_k) == 0:
         u, sigma, vt = np.eye(dim_m), np.zeros(0), np.eye(dim_k)

@@ -5,8 +5,9 @@ element is a plain float array of its coordinates: the strict upper-triangle
 entries X[i, j], i < j, in row-major order (that of ``np.triu_indices(n, 1)``),
 so the coordinate basis is E_ij = e_i e_j^T - e_j e_i^T.  A (k, dim) array is
 a stack of k elements.  The inner product is ``<X, Y> = -ip_scale * tr(XY)``;
-in these coordinates its Gram matrix is ``2 * ip_scale * I``.  Brackets are
-matrix commutators, O(n^3) each.
+in these coordinates its Gram matrix is ``2 * ip_scale * I``.  Every map of
+so(n) acts on coordinates: brackets are matrix commutators, O(n^3) each, and
+``conjugate`` is the one conjugation X -> q X q^T by an orthogonal q.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ CLOSURE_TOL = 1e-10
 JACOBI_TOL = 1e-9
 SUBSPACE_GRAM_TOL = 1e-10
 PROBES = 3  # randomised probes per algebra and per Cartan decomposition
-# Largest n for so(n).  The (dim, n, n) basis stack and the dense dim x dim
-# ad(x) matrices, dim = n(n-1)/2, take O(n^4) memory, and a Cartan split
-# conjugates the basis stack in O(n^5).  Xeon, one BLAS thread: decompose
-# --n 40 takes about 0.16 s and 45 MB above the interpreter's 66 MB; the
-# group oracle's sample at --l 39 (so(40)) takes 0.45 s.
+# Largest n for so(n).  A Cartan split conjugates all dim = n(n-1)/2
+# coordinate vectors as one (dim, n, n) stack of matrices, O(n^4) memory and
+# O(n^5) time; the group oracle brackets xi with every row of a k + TN basis
+# the same way.  Xeon, one BLAS thread: decompose --n 40 takes about 0.13 s
+# and 45 MB above the interpreter's 58 MB; the group oracle's sample at
+# --l 39 (so(40)) takes about 0.24 s.
 MAX_SO_N = 40
 # Accepted ip_scale.  The probes and the Cartan relations scale their
 # roundoff with ip_scale or its inverse; for n = 2..40 (last-axis, half-half
@@ -49,7 +51,6 @@ class MatrixLieAlgebra:
         self.ip_scale = float(ip_scale)
         self._w = 2.0 * self.ip_scale  # <e_a, e_b> = _w * delta_ab
         self._rows, self._cols = np.triu_indices(self.n, 1)
-        self._basis = None
         self._probe()
 
     def _probe(self) -> None:
@@ -86,14 +87,6 @@ class MatrixLieAlgebra:
         subnormals gives the same bits as halving the difference."""
         return 0.5 * mats[..., self._rows, self._cols] - 0.5 * mats[..., self._cols, self._rows]
 
-    @property
-    def basis(self) -> np.ndarray:
-        """The (dim, n, n) stack of coordinate basis matrices E_ij."""
-        if self._basis is None:
-            self._basis = self.to_matrices(np.eye(self.dim))
-            self._basis.setflags(write=False)
-        return self._basis
-
     def from_matrix(self, mat) -> np.ndarray:
         """Coordinates of a matrix, or of each matrix of a (..., n, n) stack.
 
@@ -114,15 +107,15 @@ class MatrixLieAlgebra:
 
     # -- algebra operations --------------------------------------------------------
 
-    def ad_matrix(self, x) -> np.ndarray:
-        """Matrix of ad(x) = [x, .] acting on coordinate vectors."""
-        xm, basis = self.to_matrices(x), self.basis
-        return self._coords(xm @ basis - basis @ xm).T
-
     def bracket(self, a, b) -> np.ndarray:
         """Coordinates of [a, b]; a and b may be broadcastable stacks."""
         x, y = self.to_matrices(a), self.to_matrices(b)
         return self._coords(x @ y - y @ x)
+
+    def conjugate(self, q, a) -> np.ndarray:
+        """Coordinates of q X q^T for an orthogonal n x n matrix q and the
+        element X of a, or of each element of a (..., dim) stack."""
+        return self._coords(q @ self.to_matrices(a) @ q.T)
 
     def inner(self, a, b):
         """Ad-invariant inner products -ip_scale * tr(xy) of every row of a
@@ -191,11 +184,7 @@ class Subspace:
 
     def project_coords(self, coords: np.ndarray) -> np.ndarray:
         """Projection of a vector, or of a stack of row vectors."""
-        return self.coefficients(coords) @ self.basis
-
-    def coefficients(self, coords: np.ndarray) -> np.ndarray:
-        """Components of a vector (or row stack) along the orthonormal basis."""
-        return self.algebra.inner(coords, self.basis)
+        return self.algebra.inner(coords, self.basis) @ self.basis
 
     def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
         """Whether a vector, or every row of a stack, lies in the span."""
@@ -237,7 +226,7 @@ class CartanDecomposition:
 
         neg_s, q = np.linalg.eigh(-p)
         plus = neg_s < 0.0
-        rows = alg._coords(q @ alg.basis @ q.T) / np.sqrt(alg._w)
+        rows = alg.conjugate(q, np.eye(alg.dim)) / np.sqrt(alg._w)
         fixed = plus[alg._rows] == plus[alg._cols]
         k, m = Subspace(alg, rows[fixed]), Subspace(alg, rows[~fixed])
         self._check_relations(k, m)

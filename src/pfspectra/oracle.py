@@ -284,7 +284,8 @@ class CurvatureAdaptedData:
     def xi_brackets(self) -> np.ndarray:
         """Read-only (dim, dim) array whose row a is [xi, e_a], so that
         v @ xi_brackets = [xi, v] for a vector or each row of a stack."""
-        rows = np.ascontiguousarray(self.cd.algebra.ad_matrix(self.xi).T)
+        alg = self.cd.algebra
+        rows = np.ascontiguousarray(alg.bracket(self.xi, np.eye(alg.dim)))
         rows.setflags(write=False)
         return rows
 
@@ -540,7 +541,7 @@ def group_shape_matrix(data: CurvatureAdaptedData) -> np.ndarray:
     """
     alg, k, tn = data.cd.algebra, data.cd.k, data.tangent_space
     basis = np.vstack([k.basis, tn.basis])
-    br = basis @ alg.ad_matrix(data.xi).T  # row a: [xi, e_a]
+    br = alg.bracket(data.xi, basis)  # row a: [xi, e_a]
     images = np.vstack([
         -0.5 * tn.project_coords(br[:k.dim]),
         data.base_shape_apply(tn.basis) + 0.5 * k.project_coords(br[k.dim:]),

@@ -374,7 +374,7 @@ def so9_build() -> SO9Example:
     kp = np.eye(alg.dim)[rows // 3 == cols // 3]
     # Second subalgebra: conjugated copy of the E_ij with zero first row,
     # the basis after the 8 E_0j.
-    kk = alg.from_matrix(q @ alg.basis[8:] @ q.T)
+    kk = alg.conjugate(q, np.eye(alg.dim)[8:])
 
     h_basis = gram_schmidt(alg, np.vstack([kp, kk]))
     if h_basis.shape[0] != 34:
@@ -395,7 +395,7 @@ def so9_build() -> SO9Example:
 
 def subspace_preserved(alg, basis_rows: np.ndarray, conj: np.ndarray) -> float:
     """Max residual of conjugated basis vectors against the subspace span."""
-    coords = alg.from_matrix(conj @ alg.to_matrices(basis_rows) @ conj.T)
+    coords = alg.conjugate(conj, basis_rows)
     resid = coords - alg.inner(coords, basis_rows) @ basis_rows
     return float(alg.norm(resid).max(initial=0.0))
 
@@ -410,9 +410,9 @@ def arid_orbit_candidate_check(alg, xi: np.ndarray, conjugations, preserve_resid
     fixed-point isometry of the ambient group that maps the orbit to itself
     while displacing the chosen normal direction.
     """
-    xi_mat = alg.to_matrices(xi)
+    # The largest entry of a skew matrix is its largest coordinate.
     for idx, (conj, resid) in enumerate(zip(conjugations, preserve_residuals)):
-        if resid <= PRESERVE_TOL and np.abs(conj @ xi_mat @ conj.T - xi_mat).max() > MOVE_TOL:
+        if resid <= PRESERVE_TOL and np.abs(alg.conjugate(conj, xi) - xi).max() > MOVE_TOL:
             return idx
     return None
 

@@ -478,14 +478,13 @@ def _random_skew(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
     return scale * 0.5 * (raw - raw.T)
 
 
-def _random_cubic(n: int, nodes: int, rng: np.random.Generator, scale: float,
-                  first: int = 0) -> np.ndarray:
-    """Values sum_d t^d c_d, d = first..3, of a random skew polynomial at
+def _random_cubic(n: int, nodes: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Values sum_d t^d c_d, d = 0..3, of a random skew polynomial at
     uniform node times t, with c_d drawn in the order of d.  The path is
-    one (nodes, degrees) @ (degrees, n^2) product of the power table t^d
-    with the stacked coefficients."""
-    coeffs = np.array([_random_skew(n, rng, scale) for _ in range(first, 4)])
-    powers = np.linspace(0.0, 1.0, nodes)[:, None] ** np.arange(first, 4)
+    one (nodes, 4) @ (4, n^2) product of the power table t^d with the
+    stacked coefficients."""
+    coeffs = np.array([_random_skew(n, rng, scale) for _ in range(4)])
+    powers = np.linspace(0.0, 1.0, nodes)[:, None] ** np.arange(4)
     return (powers @ coeffs.reshape(len(coeffs), -1)).reshape(nodes, n, n)
 
 
@@ -537,13 +536,12 @@ def _expm_stack(acc: np.ndarray) -> np.ndarray:
 
 
 def random_group_path(n: int, nodes: int, rng: np.random.Generator,
-                      scale: float = 0.5, based: bool = False) -> PathGrid:
+                      scale: float = 0.5) -> PathGrid:
     """Exponential of a random cubic polynomial skew path, t -> expm(sum_d
     t^d c_d), with one batched exponential over the node stack.
 
-    With ``based`` the polynomial has no constant term, so the path starts
-    at the identity.  The polynomial is one matrix product over the nodes,
-    so its values can differ from a per-degree sum in the last bits.
+    The polynomial is one matrix product over the nodes, so its values can
+    differ from a per-degree sum in the last bits.
     """
-    acc = _random_cubic(n, nodes, rng, scale, first=1 if based else 0)
+    acc = _random_cubic(n, nodes, rng, scale)
     return PathGrid(_frozen(_expm_stack(acc)), "group")

@@ -34,7 +34,7 @@ def sphere_cd(l):
 def eigen_route_frequencies(cd, xi):
     """Frequencies via eigenvalues of minus the squared bracket map on k."""
     alg = cd.algebra
-    a = alg.ad_matrix(xi)
+    a = alg.bracket(xi, np.eye(alg.dim)).T  # column b: [xi, e_b]
     op = cd.k.basis @ (a @ a) @ cd.k.basis.T
     w = np.linalg.eigvalsh(-0.5 * (op + op.T))
     w[np.abs(w) < EIGEN_ROUTE_TOL] = 0.0

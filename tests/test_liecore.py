@@ -68,9 +68,9 @@ def test_pair_index_round_trip():
     alg = build_so(n)
     rows, cols = np.triu_indices(n, 1)
     assert len(rows) == alg.dim
-    for idx, (i, j) in enumerate(zip(rows, cols)):
-        mat = alg.basis[idx]
+    for mat, i, j in zip(alg.to_matrices(np.eye(alg.dim)), rows, cols):
         assert mat[i, j] == 1.0 and mat[j, i] == -1.0
+        assert np.count_nonzero(mat) == 2
 
 
 def test_element_round_trip_through_matrix():
@@ -100,7 +100,9 @@ def test_element_rejects_wrong_length():
     with pytest.raises(DimensionError):
         alg.norm([1.0, 2.0])
     with pytest.raises(DimensionError):
-        alg.ad_matrix(np.zeros(4))
+        alg.bracket(np.zeros(4), np.zeros(3))
+    with pytest.raises(DimensionError):
+        alg.conjugate(np.eye(3), np.zeros(4))
 
 
 @given(st.data())
@@ -148,12 +150,16 @@ def test_bracket_matches_matrix_commutator():
                                    atol=1e-12)
 
 
-def test_ad_matrix_reproduces_bracket():
-    rng = np.random.default_rng(2)
-    for n in SO_SIZES:
-        alg = build_so(n)
-        x, y = rng.standard_normal((2, alg.dim))
-        np.testing.assert_allclose(alg.ad_matrix(x) @ y, alg.bracket(x, y), atol=1e-12)
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_conjugate_equals_the_matrix_route(n):
+    alg = build_so(n)
+    rng = np.random.default_rng(n)
+    for shape in [(alg.dim,), (4, alg.dim), (2, 3, alg.dim)]:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = rng.standard_normal(shape)
+        got = alg.conjugate(q, a)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, alg.from_matrix(q @ alg.to_matrices(a) @ q.T))
 
 
 def test_large_algebra_brackets_match_commutators():
@@ -220,7 +226,7 @@ def test_gram_schmidt_bits_do_not_depend_on_memory_order():
 
     alg = build_so(9)
     q = so9_conjugation_matrix()
-    gens = alg.from_matrix(q @ alg.basis[8:] @ q.T)
+    gens = alg.from_matrix(q @ alg.to_matrices(np.eye(alg.dim)[8:]) @ q.T)
     assert gens.shape == (28, alg.dim)
     c_basis = gram_schmidt(alg, np.ascontiguousarray(gens))
     np.testing.assert_array_equal(gram_schmidt(alg, np.asfortranarray(gens)), c_basis)
@@ -364,6 +370,26 @@ def test_cartan_splits_random_orthogonal_involutions(n):
         ks, ms = alg.to_matrices(cd.k.basis), alg.to_matrices(cd.m.basis)
         assert np.abs(inv @ ks @ inv - ks).max() <= ORTHO_TOL
         assert np.abs(inv @ ms @ inv + ms).max() <= ORTHO_TOL
+
+
+@pytest.mark.parametrize("n", [4, 10, 25, 40])
+def test_rotated_split_bases_match_the_basis_stack_route(n):
+    # Reference: conjugate the (dim, n, n) stack of basis matrices E_ij by
+    # the eigenvectors of -P and read the rows back through from_matrix.
+    alg = build_so(n, ip_scale=0.7)
+    rng = np.random.default_rng(n)
+    p = int(rng.integers(1, n))
+    rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    inv = rot @ np.diag([1.0] * p + [-1.0] * (n - p)) @ rot.T
+    inv = 0.5 * (inv + inv.T)
+    cd = cartan_decompose(alg, inv)
+    neg_s, q = np.linalg.eigh(-inv)
+    stack = alg.to_matrices(np.eye(alg.dim))
+    ref = alg.from_matrix(q @ stack @ q.T) / np.sqrt(2.0 * alg.ip_scale)
+    rows, cols = np.triu_indices(n, 1)
+    fixed = (neg_s[rows] < 0) == (neg_s[cols] < 0)
+    np.testing.assert_allclose(cd.k.basis, ref[fixed], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cd.m.basis, ref[~fixed], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])

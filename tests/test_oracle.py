@@ -478,12 +478,17 @@ def test_shape_apply_raw_on_a_non_separable_path_equals_the_formula_node_by_node
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def _ad_matrix(alg, x):
+    """Matrix of ad(x) on coordinate vectors: column b is [x, e_b]."""
+    return alg.bracket(x, np.eye(alg.dim)).T
+
+
 def _reference_forms_residuals(data, n_max, grid):
     """The forms check's per-label loop before the shared TimeGrid: each
     label builds its own linspace, outer products and trapezoid sums."""
     alg = data.cd.algebra
     t = np.linspace(0.0, 1.0, grid)
-    admat = alg.ad_matrix(data.xi)
+    admat = _ad_matrix(alg, data.xi)
     zero = np.zeros(alg.dim)
 
     def l2(values):
@@ -583,7 +588,7 @@ def _group_shape_matrix_by_rows(data):
 
     k_rows, t_rows = data.cd.k.basis, data.tangent_space.basis
     basis = np.vstack([k_rows, t_rows]) if t_rows.size else k_rows
-    admat = alg.ad_matrix(data.xi)
+    admat = _ad_matrix(alg, data.xi)
     images = []
     for i, row in enumerate(basis):
         br = admat @ row

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfspectra import (
@@ -29,13 +29,12 @@ from pfspectra import (
     zeta_trace,
 )
 from pfspectra.formats import canonical_json
-from pfspectra.spectra import cluster_indices
+from pfspectra.spectra import MAX_NEGATIVE_LAMBDA_RATIO, cluster_indices
 
 IDENTITY_TOL = 1e-12
 
 nu_floats = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 lam_floats = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
-lam_nonzero = lam_floats.filter(lambda v: abs(v) > 1e-6)
 m_ints = st.integers(min_value=-30, max_value=30)
 
 
@@ -60,9 +59,15 @@ def test_mu_uses_principal_angle_for_negative_lam():
     assert mu(1.0, -1.0, -1) == pytest.approx(-4.0 / (5.0 * math.pi), abs=IDENTITY_TOL)
 
 
-@given(nu_floats, lam_nonzero, m_ints)
+@given(nu_floats, st.floats(min_value=-6.0, max_value=15.0), st.sampled_from([-1.0, 1.0]),
+       m_ints)
+@example(1.0, 15.0, -1.0, 0)
+@example(1.0, 6.0, -1.0, 0)
 @settings(max_examples=200, deadline=None)
-def test_mu_negation_symmetry_for_nonzero_lam(nu, lam, m):
+def test_mu_negation_symmetry_for_nonzero_lam(nu, decades, sign, m):
+    # |lambda|/nu from 1e-6 up to MAX_NEGATIVE_LAMBDA_RATIO, either sign.
+    lam = sign * nu * 10.0 ** decades
+    assert abs(lam) <= MAX_NEGATIVE_LAMBDA_RATIO * nu
     lhs = -mu(nu, lam, m)
     rhs = mu(nu, -lam, -m)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
@@ -406,7 +411,9 @@ def trace_spectrum(nu, lam):
     return assemble_pf_spectrum(data)
 
 
-@pytest.mark.parametrize("pair", [(1.0, 1.0), (2.0, -3.0), (math.pi, 0.0)])
+# (1, -1e7): the m = -1 term must not lose digits, so the error is the
+# window's own truncation error, as at (2, -3).
+@pytest.mark.parametrize("pair", [(1.0, 1.0), (2.0, -3.0), (math.pi, 0.0), (1.0, -1e7)])
 def test_paired_partial_sums_converge_to_lambda(pair):
     nu, lam = pair
     spec = trace_spectrum(nu, lam)

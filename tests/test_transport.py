@@ -321,8 +321,6 @@ def test_group_path_equals_per_node_exponentials():
         for d, c in enumerate(coeffs):
             acc += (t ** d) * c
         assert np.abs(value - expm(acc)).max() <= 1e-13
-    based = random_group_path(4, 65, np.random.default_rng(21), based=True)
-    np.testing.assert_array_equal(based.values[0], np.eye(4))
 
 
 def test_long_path_frames_keep_roundoff_drift():
@@ -663,8 +661,8 @@ def test_projection_intertwines_based_gauge_transformations():
     # equals left-translating the projection by g(0).
     alg, cd = so4_cd()
     rng = np.random.default_rng(18)
-    g_rev = random_group_path(4, NODES, rng, scale=0.3, based=True)
-    g = PathGrid(g_rev.values[::-1], "group")  # now g(1) = identity
+    h = random_group_path(4, NODES, rng, scale=0.3).values
+    g = PathGrid(h @ h[-1].T, "group")  # g(t) = h(t) h(1)^T, so g(1) = identity
     u = random_algebra_path(4, NODES, rng, scale=0.3)
     lhs = coset_log(cd, transport_endpoint(gauge_act(g, u)))
     rhs = coset_log(cd, g.values[0] @ transport_endpoint(u))
