@@ -70,7 +70,6 @@ from .spectra import (
     enumerate_by_floor,
     enumerate_rows,
     extrapolate_to_one,
-    hurwitz_zeta,
     kappa,
     mu,
     mu_eigenfunction_coeffs,

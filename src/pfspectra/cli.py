@@ -194,10 +194,7 @@ def _cmd_spectrum(args):
     if args.group:
         group = spectra.assemble_group_spectrum(data)
         report = {"kind": "group", "spectrum": group}
-        rows_fn = lambda: (
-            ["value", "multiplicity"],
-            [(v, m) for v, m in group.entries],
-        )
+        rows_fn = lambda: (["value", "multiplicity"], group.entries)
     else:
         spec = spectra.assemble_pf_spectrum(data)
         rows = spectra.enumerate_rows(spec, args.n_max, args.m_max)
@@ -206,10 +203,7 @@ def _cmd_spectrum(args):
             "spectrum": spec.to_json(),
             "window": {"n_max": args.n_max, "m_max": args.m_max},
         }
-        rows_fn = lambda: (
-            ["family", "index", "value", "multiplicity"],
-            [(r.family, r.index, r.value, r.mult) for r in rows],
-        )
+        rows_fn = lambda: (["family", "index", "value", "multiplicity"], rows)
     return report, rows_fn
 
 

@@ -190,7 +190,7 @@ class Subspace:
         """Whether a vector, or every row of a stack, lies in the span."""
         alg = self.algebra
         resid = alg.norm(x - self.project_coords(x))
-        return bool(np.all(resid <= tol * np.maximum(1.0, alg.norm(x))))
+        return bool((resid <= tol * np.maximum(1.0, alg.norm(x))).all())
 
 
 @dataclass(frozen=True)

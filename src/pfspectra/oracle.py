@@ -491,8 +491,7 @@ def shape_apply_raw(data: CurvatureAdaptedData, path: DecomposedPath, out=None) 
     ends = max(np.linalg.norm(q[0]), np.linalg.norm(q[-1]))
     if ends > BOUNDARY_TOL and ends > BOUNDARY_TOL * math.sqrt(np.vecdot(q, q).max()):
         raise DomainError("primitive Q must vanish at both endpoints")
-    leak = alg.norm(path.x - data.cd.k.project_coords(path.x))
-    if leak > TANGENT_TOL * max(1.0, alg.norm(path.x)):
+    if not data.cd.k.contains(path.x, TANGENT_TOL):
         raise DomainError("constant part x must lie in k")
     # base_shape_apply rejects y with a normal component.
     ay = data.base_shape_apply(path.y)

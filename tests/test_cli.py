@@ -715,9 +715,10 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
          "residuals']['-1'] is not a finite number"),
         (("trace", "--data", DATA, "--probes", *(repr(1.001 + 1e-4 * k) for k in range(3000))),
          "trace takes at most 1000 probes, got 3000"),
-        (("oracle", "--lambda=-1e20"),
-         "lambda = -1e+20 with nu = 1: a negative lambda needs |lambda|/nu <= 1e+15"),
+        # -lambda behaves as its mirror +lambda (last case): both resonate
+        (("oracle", "--lambda=-1e20"), "resonant index r = -1.0 (integer)"),
         (("oracle", "--nu", "5e-324", "--lambda", "1e10"), "arctan(nu/lambda) is not in (0, pi)"),
+        (("oracle", "--lambda=1e20"), "resonant index r = -1.0 (integer)"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):

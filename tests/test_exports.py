@@ -1,7 +1,9 @@
 """Every public name of the package, and every public member of an exported
-class, has a caller outside the unit tests."""
+class, has a caller outside the unit tests; every module attribute the docs
+name exists, with the value they give it."""
 
 import ast
+import importlib
 import inspect
 import io
 import pathlib
@@ -65,3 +67,37 @@ def test_every_public_member_of_an_exported_class_is_used_outside_the_unit_tests
                                          or isinstance(value, (property, classmethod, staticmethod)))
     ]
     assert [m for m in members if m.split(".")[1] not in used] == []
+
+
+DOCS = [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "formats.md"]
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+# `module.NAME` or `pfspectra.module.NAME`, maybe followed by "= value",
+# where the value is a number or a bracketed list of numbers.
+DOC_REF = re.compile(rf"`((?:pfspectra\.)?\w+(?:\.\w+)+)`(?:\s*=\s*(\[{NUMBER}(?:,\s*{NUMBER})*\]|{NUMBER}))?")
+
+
+def test_every_module_attribute_the_docs_name_exists_with_its_value():
+    # A backticked dotted name counts when it starts with "pfspectra." or
+    # with the name of a package module, so file names such as `data.json`
+    # are skipped.  Deleted or re-valued limits cannot stay in the text.
+    stale = []
+    for doc in DOCS:
+        for match in DOC_REF.finditer(doc.read_text()):
+            ref, value = match.groups()
+            parts = ref.removeprefix("pfspectra.").split(".")
+            if not ref.startswith("pfspectra.") and parts[0] not in MODULES:
+                continue
+            try:
+                obj = importlib.import_module(f"pfspectra.{parts[0]}")
+                for attr in parts[1:]:
+                    obj = getattr(obj, attr)
+            except (ImportError, AttributeError):
+                stale.append(f"{doc.name}: `{ref}` does not exist")
+                continue
+            if value is not None:
+                stated = ast.literal_eval(value)
+                actual = list(obj) if isinstance(obj, tuple) else obj
+                if stated != actual:
+                    stale.append(f"{doc.name}: `{ref}` = {value}, but it is {obj!r}")
+    assert stale == []
