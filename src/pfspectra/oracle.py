@@ -4,7 +4,8 @@ Three cross-checks live here, each avoiding the closed-form eigenvalue
 formulas they are meant to validate:
 
 * truncated operator blocks on sqrt(2)-normalized sine/cosine modes, whose
-  eigenvalues converge to the mu families as the cutoff grows;
+  eigenvalues converge to the mu families as the cutoff grows (a mu block's
+  are the roots of its secular equation, bisected bracket by bracket);
 * raw shape-operator application on a time grid (bracket + quadrature),
   compared in grid-L2 against the closed-form images of each basis label
   (each label carries its (x, y) pair; the closed forms take the ad-kernel
@@ -32,24 +33,15 @@ from .spectra import (
     mu_eigenfunction_coeffs,
 )
 
-SYMMETRY_TOL = 1e-12
 TANGENT_TOL = 1e-8
 BLOCK_MEMBERSHIP_TOL = 1e-8
 BOUNDARY_TOL = 1e-8  # |Q| at the endpoints, relative to max(1, max |Q|)
 PERP_LABEL = "perp"
-# Largest mu-block cutoff, m_max and `oracle --mode mu --n-max`.  The sparse
-# block has 4 cutoff + 1 entries, but a window wide enough to take the dense
-# route (see DENSE_SHARE) solves all (2 cutoff + 1)^2 entries: 32 MB at the
-# limit, where that `oracle --mode mu` run takes about 1 s and peaks near 190 MB.
+# Largest mu-block cutoff, m_max and `oracle --mode mu --n-max`.  At the limit
+# `oracle --cutoff 1000 --m-max 1000` takes about 1 s, most of it solving all
+# 2001 secular roots, and peaks near 35 MB (Xeon, one BLAS thread).
 MAX_MU_CUTOFF = 1000
-# eigenvalues(count) solves densely once DENSE_SHARE * count > size.  At
-# size 2001 (Xeon, one BLAS thread) ARPACK took 0.21 s for 255 eigenvalues
-# and 0.83 s for 511, against 0.53 s for the dense solve of all 2001.
-DENSE_SHARE = 8
-# compare_spectra trusts a top-of-spectrum solve only for targets of at
-# least this share of the largest eigenvalue magnitude (its absolute error
-# is about eps times that magnitude, so 2e-13 relative at the share).
-RESOLVED_SHARE = 1e-3
+SECULAR_CHUNK = 64  # brackets bisected together: 0.5 MB temporaries at the limit
 # `oracle --mode forms` holds four (nodes, dim) arrays (three buffers for
 # the whole run and one temporary), whatever the label count, and makes
 # about nine passes over nodes * dim entries per label.  Xeon, one BLAS
@@ -107,116 +99,130 @@ class FourierBasisLabel:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A finite symmetric matrix block of the path-space shape operator.
-
-    The block is kept as a ``scipy.sparse.csr_array`` whatever it is given.
+    """A finite block of the path-space shape operator, kept as its numbers:
+    a mu block's ``head`` lambda and ``couplings`` c_n, n = 1..N, or a
+    harmonic pair's one c and no head.  The ``labels`` (the first one names
+    the family to compare against) are kept apart from the numbers.
     """
 
     labels: tuple
-    matrix: object
+    head: float | None
+    couplings: np.ndarray
     cutoff: int
 
     def __post_init__(self):
-        from scipy.sparse import csr_array
-
-        mat = csr_array(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(self.labels):
-            raise DimensionError("matrix shape does not match label count")
-        asym = abs(mat - mat.T).max() if mat.nnz else 0.0
-        if asym > SYMMETRY_TOL:
-            raise StructureError(f"assembled block is not symmetric (deviation {asym:.3e})")
-        for part in (mat.data, mat.indices, mat.indptr):
-            part.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        c = np.array(self.couplings, dtype=float).reshape(-1)
+        if not c.size or 2 * c.size + (self.head is not None) != len(self.labels):
+            raise DimensionError("block size does not match label count")
+        if not np.isfinite([*c, self.head or 0.0]).all():
+            raise DomainError("block entries must be finite")
+        c.setflags(write=False)
+        object.__setattr__(self, "couplings", c)
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
         """Ascending eigenvalues: all of them, or the ``count`` of largest
-        magnitude.
-
-        A ``count`` that is a sizeable share of the size (DENSE_SHARE) gets
-        all of them from the dense solve.  ARPACK starts from a fixed
-        vector, so repeated calls agree bit for bit.
+        magnitude.  A harmonic pair has +-c; a mu block solves only the
+        ceil(count / 2) outermost brackets of each side (``_secular_roots``).
         """
-        size = self.matrix.shape[0]
-        if count is None or DENSE_SHARE * count > size:
-            return np.linalg.eigvalsh(self.matrix.toarray())
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import ArpackError, eigsh
+        c, sides = self.couplings, None if count is None else (count + 1) // 2
+        vals = np.concatenate((-c, c)) if self.head is None else _secular_roots(self.head, c, sides)
+        if count is not None and count < vals.size:
+            vals = vals[np.argsort(-np.abs(vals), kind="stable")[:count]]
+        return np.sort(vals)
 
-        # ARPACK's convergence test turns absolute below eps**(2/3), about
-        # 4e-11, so it solves the block scaled (exactly, by a power of two)
-        # to unit size.
-        mat = self.matrix
-        exp = math.frexp(np.abs(mat.data).max(initial=0.0))[1]
-        unit = csr_array((np.ldexp(mat.data, -exp), mat.indices, mat.indptr), shape=mat.shape)
-        try:
-            vals = eigsh(unit, k=count, which="LM", v0=np.ones(size), return_eigenvectors=False)
-        except ArpackError:  # e.g. a block whose entries all underflow to 0
-            return np.linalg.eigvalsh(mat.toarray())
-        # an overflow reaches the report as inf, which the report refuses
-        with np.errstate(over="ignore"):
-            return np.sort(np.ldexp(vals, exp))
+
+def _secular_roots(lam: float, couplings: np.ndarray, sides: int | None) -> np.ndarray:
+    """Eigenvalues of a mu block: the roots of all 2N + 1 brackets, or of
+    the ``sides`` outermost of each side (the 2 * sides of largest magnitude).
+
+    The block is an arrowhead matrix (turn each (sin, cos) pair onto its
+    eigenvectors: diagonal (lambda, +-c_n), arrow entries c_n), so they are
+    the roots of f(x) = lambda - x - sum_n 2 x c_n^2 / (c_n^2 - x^2) (Bunch,
+    Nielsen and Sorensen 1978), one in each bracket: beyond each outermost
+    pole +-c_1, between neighbouring poles, and (-c_N, c_N).  At unit scale
+    (lambda and c times one power of two) the brackets are bisected
+    together until each midpoint equals an endpoint.
+    """
+    c = np.sort(np.abs(couplings))[::-1]
+    exp = math.frexp(max(abs(lam), c[0]))[1]
+    lam, c = math.ldexp(lam, -exp), np.ldexp(c, -exp)
+    whole = sides is None or sides > c.size
+    # bracket ends, outermost first: every eigenvalue lies within
+    # max |diagonal| + |arrow| of 0, then come the poles
+    ends = np.concatenate(([max(abs(lam), c[0]) + math.sqrt(2.0 * (c @ c))], c[:sides]))
+    lo_all = np.concatenate((ends[1:], -ends[:-1], [-c[-1]] if whole else []))
+    hi_all = np.concatenate((ends[:-1], -ends[1:], [c[-1]] if whole else []))
+    roots = np.empty(lo_all.size)
+    for start in range(0, roots.size, SECULAR_CHUNK):
+        live = np.arange(start, min(start + SECULAR_CHUNK, roots.size))
+        lo, hi = lo_all[live], hi_all[live]
+        while live.size:
+            x = 0.5 * (lo + hi)
+            done = (x == lo) | (x == hi)
+            roots[live[done]] = x[done]
+            live, lo, hi, x = live[~done], lo[~done], hi[~done], x[~done]
+            # f(x) = lambda - x g(x), each c_n^2 / (c_n^2 - x^2) in g as two
+            # ratios, which neither overflow nor lose a small x against c_n
+            col = x[:, None]
+            g = 1.0 + 2.0 * np.einsum("ij,ij->i", c / (c - col), c / (c + col))
+            above = lam > x * g  # f(x) > 0, so the root lies above x
+            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+    # an overflow reaches the report as inf, which the report refuses
+    with np.errstate(over="ignore"):
+        return np.ldexp(roots, exp)
 
 
 def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
     """Truncated block on {y} + {sqrt2 x sin n pi t} + {sqrt2 y cos n pi t}.
 
-    The constant direction couples to each sine mode with sqrt(2)*nu/(n*pi);
-    sine and cosine modes of equal n couple with -nu/(n*pi); the only
-    diagonal entry is lambda on the constant.  Eigenvalues approximate the
-    mu(nu, lam, m) family as the cutoff grows.
+    The constant direction couples to each sine mode with sqrt(2)*c_n,
+    c_n = nu/(n*pi); sine and cosine modes of equal n couple with -c_n; the
+    only diagonal entry is lambda on the constant.  Eigenvalues approximate
+    the mu(nu, lam, m) family as the cutoff grows.
     """
     if nu <= 0:
         raise DomainError(f"frequency must be positive, got {nu}")
     if not 1 <= cutoff <= MAX_MU_CUTOFF:
         raise DomainError(f"cutoff must be between 1 and {MAX_MU_CUTOFF}, got {cutoff}")
-    from scipy.sparse import csr_array
-
-    size = 2 * cutoff + 1
     modes = np.arange(1, cutoff + 1)
-    coupling = nu / (modes * math.pi)
-    sin, cos = modes, cutoff + modes
-    const = np.zeros(cutoff, dtype=int)
-    root2c = math.sqrt(2.0) * coupling
-    rows = np.concatenate(([0], const, sin, sin, cos))
-    cols = np.concatenate(([0], sin, const, cos, sin))
-    vals = np.concatenate(([lam], root2c, root2c, -coupling, -coupling))
-    mat = csr_array((vals, (rows, cols)), shape=(size, size))
     labels = [FourierBasisLabel("m_nu_const", 0, nu, lam)]
     labels += [FourierBasisLabel("k_nu_sin", 0, nu, lam, int(n)) for n in modes]
     labels += [FourierBasisLabel("m_nu_cos", 0, nu, lam, int(n)) for n in modes]
-    return TruncatedOperator(tuple(labels), mat, cutoff)
+    return TruncatedOperator(tuple(labels), lam, nu / (modes * math.pi), cutoff)
 
 
 def build_harmonic_block(nu: float, n: int) -> TruncatedOperator:
-    """Exact 2x2 block of a normal-frequency mode pair: eigenvalues +-nu/(n*pi)."""
+    """Exact 2x2 block [[0, -c], [-c, 0]], c = nu/(n*pi), of a normal-frequency
+    mode pair: eigenvalues +-c."""
     if nu <= 0:
         raise DomainError(f"frequency must be positive, got {nu}")
     if n < 1:
         raise DomainError("mode index must be a positive integer")
-    c = nu / (n * math.pi)
-    mat = np.array([[0.0, -c], [-c, 0.0]])
     labels = (
         FourierBasisLabel("k_nu_sin", 0, nu, PERP_LABEL, n),
         FourierBasisLabel("m_nu_cos", 0, nu, PERP_LABEL, n),
     )
-    return TruncatedOperator(labels, mat, n)
+    return TruncatedOperator(labels, None, [nu / (n * math.pi)], n)
 
 
 def mu_block_residual(op: TruncatedOperator, m: int) -> float:
     """Relative residual |A v - mu v| / |v| of the predicted eigenvector.
 
-    ``op`` is a ``build_mu_block`` block A, and v is the truncated
-    coefficient vector of the mu(nu, lam, m) eigenfunction for its nu and
-    lam, rescaled to the orthonormal mode basis.
+    ``op`` is a ``build_mu_block`` block A, applied to v in O(N) from its
+    lambda and c_n, and v is the truncated coefficient vector of the
+    mu(nu, lam, m) eigenfunction for its labels' nu and lam, rescaled to
+    the orthonormal mode basis.
     """
-    nu, lam = op.labels[0].nu, op.labels[0].lam
+    nu, lam, c = op.labels[0].nu, op.labels[0].lam, op.couplings
+    if op.head is None or lam == PERP_LABEL:
+        raise DomainError(f"mu_block_residual needs a mu block, got {op.labels[0].describe()}")
     # an overflow reaches the report as inf or nan, which the report refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        c, a, b = mu_eigenfunction_coeffs(nu, lam, m, op.cutoff)
-        v = np.concatenate(([c], a / math.sqrt(2.0), b / math.sqrt(2.0)))
-        val = mu(nu, lam, m)
-        resid = op.matrix @ v - val * v
+        const, a, b = mu_eigenfunction_coeffs(nu, lam, m, op.cutoff)
+        v = np.concatenate(([const], a / math.sqrt(2.0), b / math.sqrt(2.0)))
+        sin, cos, root2c = v[1:c.size + 1], v[c.size + 1:], math.sqrt(2.0) * c
+        image = [[op.head * const + root2c @ sin], root2c * const - c * cos, -c * sin]
+        resid = np.concatenate(image) - mu(nu, lam, m) * v
         return float(np.linalg.norm(resid) / np.linalg.norm(v))
 
 
@@ -657,36 +663,28 @@ def compare_spectra(
     # Every eigenvalue left out has |e| <= floor, the smallest computed
     # magnitude, so it is farther than the pick from any target t with
     # |t| - floor > |t - pick|: then the picks equal those over the whole
-    # spectrum.  Until that holds, compute twice as many.  A top-of-spectrum
-    # value is only accurate to about eps times the largest magnitude, so a
-    # target below RESOLVED_SHARE of it sends the block to the dense solve.
+    # spectrum.  Until that holds, compute twice as many.
     count = len(targets) + 2
     while True:
         computed = op.eigenvalues(count)
         picks, _ = _nearest_unused(computed, targets)
-        if len(computed) == len(op.labels):
+        if len(computed) == len(op.labels) or not np.isfinite(computed).all():
+            break  # the whole spectrum, or an overflow that the report refuses
+        floor = np.abs(computed).min()
+        if all(abs(t) - floor > abs(t - computed[i]) for t, i in zip(targets, picks)):
             break
-        magnitude = np.abs(computed)
-        if min(map(abs, targets)) < RESOLVED_SHARE * magnitude.max():
-            count = len(op.labels)
-        elif all(abs(t) - magnitude.min() > abs(t - computed[i]) for t, i in zip(targets, picks)):
-            break
-        else:
-            count *= 2
+        count *= 2
     entries = []
-    ok_all = True
     for (desc, value, exact), best in zip(predicted, picks):
         if best is None:
             entries.append(MatchEntry(desc, value, math.nan, math.inf, math.inf, False))
-            ok_all = False
             continue
         got = float(computed[best])
         abs_err = abs(got - value)
         rel_err = abs_err / max(abs(value), 1e-300)
         ok = abs_err <= tol_abs if exact else rel_err <= tol_rel
-        ok_all &= ok
         entries.append(MatchEntry(desc, value, got, abs_err, rel_err, ok))
-    return MatchReport(block, tuple(entries), bool(ok_all))
+    return MatchReport(block, tuple(entries), all(e.ok for e in entries))
 
 
 # ---------------------------------------------------------------------------

@@ -481,14 +481,35 @@ def test_product_sphere_takes_a_normal_of_any_size(capsys):
     assert code == 2 and "normal direction is zero" in err
 
 
-def test_oracle_mu_mode_quick(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "oracle", "--mode", "mu", "--nu", "1.0", "--lambda", "0.5",
-        "--cutoff", "100", "--m-max", "1", "--n-max", "1",
-    )
+@pytest.mark.parametrize("argv", [
+    ("--nu", "1.0", "--lambda", "0.5", "--cutoff", "100", "--m-max", "1", "--n-max", "1"),
+    # extreme scales, which the secular solve takes to unit scale and back
+    ("--nu", "1e-300"),
+    ("--nu", "1", "--lambda=1e-320"),
+    ("--n-max", "1000", "--nu", "1e-310"),
+])
+def test_oracle_mu_mode_quick(capsys, argv):
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "mu", *argv)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_mu_oracle_runs_without_scipy_sparse():
+    # The mu oracle has one eigen-route, the secular equation of its block,
+    # for the top of the spectrum (first run) and the whole of it (second).
+    probe = """
+import contextlib, io, sys
+from pfspectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["oracle", "--mode", "mu", "--m-max", "40", "--n-max", "3"]),
+             cli.main(["oracle", "--mode", "mu", "--cutoff", "50", "--m-max", "50"])]
+print(codes, "scipy.sparse" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1] False\n"
 
 
 def test_austere_exit_codes(tmp_path, capsys):
@@ -719,6 +740,8 @@ def test_input_error_exit_code_and_diagnostics(tmp_path, capsys):
         (("oracle", "--lambda=-1e20"), "resonant index r = -1.0 (integer)"),
         (("oracle", "--nu", "5e-324", "--lambda", "1e10"), "arctan(nu/lambda) is not in (0, pi)"),
         (("oracle", "--lambda=1e20"), "resonant index r = -1.0 (integer)"),
+        # a window wider than the block: the targets left over get no value
+        (("oracle", "--cutoff", "1", "--m-max", "5"), "['computed'] is not a finite number"),
     ],
 )
 def test_degenerate_inputs_are_input_errors(tmp_path, capsys, argv, message):
