@@ -3,9 +3,10 @@
 Three cross-checks live here, each avoiding the closed-form eigenvalue
 formulas they are meant to validate:
 
-* truncated operator blocks on sqrt(2)-normalized sine/cosine modes, whose
-  eigenvalues converge to the mu families as the cutoff grows (a mu block's
-  are the roots of its secular equation, bisected bracket by bracket);
+* truncated operator blocks on sqrt(2)-normalized sine/cosine modes, each
+  kept as its (nu, lambda, cutoff), whose eigenvalues converge to the mu
+  families as the cutoff grows (a mu block's are the roots of its secular
+  equation, bisected bracket by bracket);
 * raw shape-operator application on a time grid (bracket + quadrature),
   compared in grid-L2 against the closed-form images of each basis label
   (each label carries its (x, y) pair; the closed forms take the ad-kernel
@@ -38,8 +39,9 @@ BLOCK_MEMBERSHIP_TOL = 1e-8
 BOUNDARY_TOL = 1e-8  # |Q| at the endpoints, relative to max(1, max |Q|)
 PERP_LABEL = "perp"
 # Largest mu-block cutoff, m_max and `oracle --mode mu --n-max`.  At the limit
-# `oracle --cutoff 1000 --m-max 1000` takes about 1 s, most of it solving all
-# 2001 secular roots, and peaks near 35 MB (Xeon, one BLAS thread).
+# `oracle --cutoff 1000 --m-max 1000` takes 1.4-1.6 s, most of it solving all
+# 2001 secular roots, and peaks at 34 MB resident, 29 MB of it the imports
+# (Xeon, one BLAS thread).
 MAX_MU_CUTOFF = 1000
 SECULAR_CHUNK = 64  # brackets bisected together: 0.5 MB temporaries at the limit
 # `oracle --mode forms` holds four (nodes, dim) arrays (three buffers for
@@ -99,25 +101,36 @@ class FourierBasisLabel:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A finite block of the path-space shape operator, kept as its numbers:
-    a mu block's ``head`` lambda and ``couplings`` c_n, n = 1..N, or a
-    harmonic pair's one c and no head.  The ``labels`` (the first one names
-    the family to compare against) are kept apart from the numbers.
-    """
+    """A block of the path-space shape operator: a mu block of head ``lam``
+    on the modes n = 1..cutoff, or the harmonic pair (``lam`` None) of mode
+    n = cutoff.  ``couplings`` holds the read-only c_n = nu/(n pi)."""
 
-    labels: tuple
-    head: float | None
-    couplings: np.ndarray
+    nu: float
+    lam: float | None
     cutoff: int
+    couplings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.array(self.couplings, dtype=float).reshape(-1)
-        if not c.size or 2 * c.size + (self.head is not None) != len(self.labels):
-            raise DimensionError("block size does not match label count")
-        if not np.isfinite([*c, self.head or 0.0]).all():
+        if self.cutoff < 1:
+            raise DimensionError(f"a block needs a cutoff of at least 1, got {self.cutoff}")
+        modes = np.arange(1, self.cutoff + 1) if self.lam is not None else np.array([self.cutoff])
+        c = self.nu / (modes * math.pi)
+        if not (np.isfinite(c).all() and math.isfinite(self.lam or 0.0)):
             raise DomainError("block entries must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "couplings", c)
+
+    @property
+    def labels(self) -> tuple:
+        """The basis label of each row, built when read."""
+        nu, lam, n = self.nu, self.lam, self.cutoff
+        if lam is None:
+            return (FourierBasisLabel("k_nu_sin", 0, nu, PERP_LABEL, n),
+                    FourierBasisLabel("m_nu_cos", 0, nu, PERP_LABEL, n))
+        modes = range(1, n + 1)
+        return (FourierBasisLabel("m_nu_const", 0, nu, lam),
+                *(FourierBasisLabel("k_nu_sin", 0, nu, lam, m) for m in modes),
+                *(FourierBasisLabel("m_nu_cos", 0, nu, lam, m) for m in modes))
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
         """Ascending eigenvalues: all of them, or the ``count`` of largest
@@ -125,7 +138,7 @@ class TruncatedOperator:
         ceil(count / 2) outermost brackets of each side (``_secular_roots``).
         """
         c, sides = self.couplings, None if count is None else (count + 1) // 2
-        vals = np.concatenate((-c, c)) if self.head is None else _secular_roots(self.head, c, sides)
+        vals = np.concatenate((-c, c)) if self.lam is None else _secular_roots(self.lam, c, sides)
         if count is not None and count < vals.size:
             vals = vals[np.argsort(-np.abs(vals), kind="stable")[:count]]
         return np.sort(vals)
@@ -141,7 +154,7 @@ def _secular_roots(lam: float, couplings: np.ndarray, sides: int | None) -> np.n
     Nielsen and Sorensen 1978), one in each bracket: beyond each outermost
     pole +-c_1, between neighbouring poles, and (-c_N, c_N).  At unit scale
     (lambda and c times one power of two) the brackets are bisected
-    together until each midpoint equals an endpoint.
+    together until each midpoint equals an endpoint or is a root.
     """
     c = np.sort(np.abs(couplings))[::-1]
     exp = math.frexp(max(abs(lam), c[0]))[1]
@@ -165,8 +178,10 @@ def _secular_roots(lam: float, couplings: np.ndarray, sides: int | None) -> np.n
             # ratios, which neither overflow nor lose a small x against c_n
             col = x[:, None]
             g = 1.0 + 2.0 * np.einsum("ij,ij->i", c / (c - col), c / (c + col))
-            above = lam > x * g  # f(x) > 0, so the root lies above x
-            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+            # f(x) > 0: the root lies above x; f(x) == 0: x is the root, so
+            # the bracket closes onto x and ends at the next midpoint
+            xg = x * g
+            lo, hi = np.where(lam >= xg, x, lo), np.where(lam > xg, hi, x)
     # an overflow reaches the report as inf, which the report refuses
     with np.errstate(over="ignore"):
         return np.ldexp(roots, exp)
@@ -184,11 +199,7 @@ def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
         raise DomainError(f"frequency must be positive, got {nu}")
     if not 1 <= cutoff <= MAX_MU_CUTOFF:
         raise DomainError(f"cutoff must be between 1 and {MAX_MU_CUTOFF}, got {cutoff}")
-    modes = np.arange(1, cutoff + 1)
-    labels = [FourierBasisLabel("m_nu_const", 0, nu, lam)]
-    labels += [FourierBasisLabel("k_nu_sin", 0, nu, lam, int(n)) for n in modes]
-    labels += [FourierBasisLabel("m_nu_cos", 0, nu, lam, int(n)) for n in modes]
-    return TruncatedOperator(tuple(labels), lam, nu / (modes * math.pi), cutoff)
+    return TruncatedOperator(nu, lam, cutoff)
 
 
 def build_harmonic_block(nu: float, n: int) -> TruncatedOperator:
@@ -198,30 +209,25 @@ def build_harmonic_block(nu: float, n: int) -> TruncatedOperator:
         raise DomainError(f"frequency must be positive, got {nu}")
     if n < 1:
         raise DomainError("mode index must be a positive integer")
-    labels = (
-        FourierBasisLabel("k_nu_sin", 0, nu, PERP_LABEL, n),
-        FourierBasisLabel("m_nu_cos", 0, nu, PERP_LABEL, n),
-    )
-    return TruncatedOperator(labels, None, [nu / (n * math.pi)], n)
+    return TruncatedOperator(nu, None, n)
 
 
 def mu_block_residual(op: TruncatedOperator, m: int) -> float:
     """Relative residual |A v - mu v| / |v| of the predicted eigenvector.
 
-    ``op`` is a ``build_mu_block`` block A, applied to v in O(N) from its
-    lambda and c_n, and v is the truncated coefficient vector of the
-    mu(nu, lam, m) eigenfunction for its labels' nu and lam, rescaled to
-    the orthonormal mode basis.
+    ``op`` is a mu block A, applied to v in O(N) from its lambda and c_n,
+    and v is the truncated coefficient vector of its mu(nu, lam, m)
+    eigenfunction, rescaled to the orthonormal mode basis.
     """
-    nu, lam, c = op.labels[0].nu, op.labels[0].lam, op.couplings
-    if op.head is None or lam == PERP_LABEL:
-        raise DomainError(f"mu_block_residual needs a mu block, got {op.labels[0].describe()}")
+    nu, lam, c = op.nu, op.lam, op.couplings
+    if lam is None:
+        raise DomainError(f"mu_block_residual needs a mu block, got harmonic n={op.cutoff}")
     # an overflow reaches the report as inf or nan, which the report refuses
     with np.errstate(over="ignore", invalid="ignore"):
         const, a, b = mu_eigenfunction_coeffs(nu, lam, m, op.cutoff)
         v = np.concatenate(([const], a / math.sqrt(2.0), b / math.sqrt(2.0)))
         sin, cos, root2c = v[1:c.size + 1], v[c.size + 1:], math.sqrt(2.0) * c
-        image = [[op.head * const + root2c @ sin], root2c * const - c * cos, -c * sin]
+        image = [[lam * const + root2c @ sin], root2c * const - c * cos, -c * sin]
         resid = np.concatenate(image) - mu(nu, lam, m) * v
         return float(np.linalg.norm(resid) / np.linalg.norm(v))
 
@@ -637,8 +643,8 @@ def compare_spectra(
 ) -> MatchReport:
     """Match a truncated block's eigenvalues against the family it approximates.
 
-    The block's first label names the family: a harmonic pair +-nu/(n pi)
-    at its mode, or mu(nu, lam, m) over |m| <= m_max.  Matching is greedy
+    The block's numbers name the family: a harmonic pair +-nu/(n pi) at its
+    mode n = cutoff, or mu(nu, lam, m) over |m| <= m_max.  Matching is greedy
     from the largest |predicted| down, each computed eigenvalue consumed at
     most once, ties resolved toward the smaller index.  Only the eigenvalues
     of largest magnitude are computed, as many as it takes to certify that
@@ -647,16 +653,14 @@ def compare_spectra(
     """
     if not 0 <= m_max <= MAX_MU_CUTOFF:
         raise DomainError(f"m_max must be between 0 and {MAX_MU_CUTOFF}, got {m_max}")
-    first = op.labels[0]
-    if first.lam == PERP_LABEL:
-        n = first.mode
-        predicted = [(f"harmonic n={s * n}", first.nu / (s * n * math.pi), True) for s in (1, -1)]
-        block = f"harmonic nu={first.nu:.6g} n={n}"
+    nu, lam, n = op.nu, op.lam, op.cutoff
+    if lam is None:
+        predicted = [(f"harmonic n={s * n}", nu / (s * n * math.pi), True) for s in (1, -1)]
+        block = f"harmonic nu={nu:.6g} n={n}"
     else:
-        predicted = [
-            (f"mu m={m}", mu(first.nu, first.lam, m), False) for m in range(-m_max, m_max + 1)
-        ]
-        block = f"mu nu={first.nu:.6g} lambda={first.lam:.6g}"
+        predicted = [(f"mu m={m}", mu(nu, lam, m), False) for m in range(-m_max, m_max + 1)]
+        block = f"mu nu={nu:.6g} lambda={lam:.6g}"
+    size = 2 * op.couplings.size + (lam is not None)
 
     predicted.sort(key=lambda p: -abs(p[1]))
     targets = [value for _, value, _ in predicted]
@@ -668,7 +672,7 @@ def compare_spectra(
     while True:
         computed = op.eigenvalues(count)
         picks, _ = _nearest_unused(computed, targets)
-        if len(computed) == len(op.labels) or not np.isfinite(computed).all():
+        if len(computed) == size or not np.isfinite(computed).all():
             break  # the whole spectrum, or an overflow that the report refuses
         floor = np.abs(computed).min()
         if all(abs(t) - floor > abs(t - computed[i]) for t, i in zip(targets, picks)):

@@ -78,7 +78,14 @@ def kappa(nu: float, lam: float):
     if nu <= 0:
         raise DomainError(f"frequency nu must be positive, got {nu}")
     root = math.hypot(lam, nu)
-    return ((lam + root) / 2.0, (lam - root) / 2.0)
+    return _half_sum(lam, root), _half_sum(lam, -root)
+
+
+def _half_sum(a: float, b: float) -> float:
+    """(a + b) / 2, halving each term first where a + b overflows: both are
+    large then, so halving is exact and the rounded result the same."""
+    total = a + b
+    return total / 2.0 if math.isfinite(total) else a / 2.0 + b / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +398,9 @@ def r_trace(spectrum: PrincipalSpectrum, m_cut: int):
     for nu, lam, mult in spectrum.mus:
         shift = int(lam < 0)
         ms = np.arange(shift - m_cut, shift + m_cut + 1, dtype=float)
-        partial += mult * float(np.sum(mu(nu, lam, ms)))
+        # an overflow reaches the report as inf or nan, which the report refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            partial += mult * float(np.sum(mu(nu, lam, ms)))
         limit += lam * mult
     return partial, limit
 

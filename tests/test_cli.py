@@ -223,6 +223,16 @@ def test_spectrum_group_mode(tmp_path, capsys):
     assert any(v == 0.0 for v in values)
 
 
+def test_spectrum_group_reports_a_kappa_pair_near_the_float_limit(tmp_path, capsys):
+    # lambda + hypot(lambda, nu) overflows, but kappa_+ = 1.207e308 is finite
+    path = write_json(tmp_path, "data.json", OVERFLOWING_TRACE_DOCS["mult_sum"])
+    code, out, err = run_cli(capsys, "spectrum", "--data", path, "--group")
+    assert code == 0 and err == ""
+    assert json.loads(out)["spectrum"]["entries"] == [
+        [-2.0710678118654756e307, 1], [1.2071067811865475e308, 1]
+    ]
+
+
 # Report records are written as the JSON objects of their fields, so a field
 # rename changes the wire format.  These layouts pin it.
 WIRE_DOC = {"freq_mult": [[2.0, 3], [1.0, 2]], "mult0": [[0.25, 2]],
@@ -354,6 +364,15 @@ def test_decompose_keeps_close_frequencies_apart(tmp_path, capsys, n, ip_scale, 
                                [nu * math.sqrt(1e-9 / ip_scale) for nu, _ in ref["frequencies"]],
                                rtol=1e-9)
     assert (got["dim_k0"], got["dim_m0"]) == (ref["dim_k0"], ref["dim_m0"])
+
+
+def test_decompose_refuses_an_involution_whose_square_overflows(tmp_path, capsys):
+    p = np.diag([1.0, 1.0, -1.0, -1.0])
+    p[0, 0] = 1e200
+    path = write_json(tmp_path, "dec.json", {"n": 4, "p": p.tolist()})
+    code, out, err = run_cli(capsys, "decompose", "--input", path)
+    assert code == 2 and out == ""
+    assert err == "input error: involution matrix must square to the identity\n"
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -538,6 +557,9 @@ OVERFLOWING_TRACE_DOCS = {
               "dim_m0": 2, "dim_k0": 0},
     "mult": {"freq_mult": [[1e300, 1]], "mult0": [], "mult": [[1e300, 1e300, 1]],
              "perp": [[0.0, 1]], "dim_m0": 1, "dim_k0": 0},
+    # the r_trace partial sum overflows before the zeta probe does
+    "mult_sum": {"freq_mult": [[1e308, 1]], "mult0": [], "mult": [[1e308, 1e308, 1]],
+                 "perp": [[0.0, 1]], "dim_m0": 1, "dim_k0": 0},
 }
 
 

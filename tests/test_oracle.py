@@ -1,18 +1,22 @@
 """Independent numerical cross-checks of the closed-form spectra."""
 
+import dataclasses
+import importlib.util
 import json
 import math
+import pathlib
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfspectra import (
     DimensionError,
     DomainError,
+    FourierBasisLabel,
     PERP_LABEL,
     TimeGrid,
     TruncatedOperator,
@@ -52,7 +56,7 @@ def dense_block(op):
     c = op.couplings
     n = c.size
     mat = np.zeros((2 * n + 1, 2 * n + 1))
-    mat[0, 0] = op.head
+    mat[0, 0] = op.lam
     sin, cos = np.arange(1, n + 1), np.arange(n + 1, 2 * n + 1)
     mat[0, sin] = mat[sin, 0] = math.sqrt(2.0) * c
     mat[sin, cos] = mat[cos, sin] = -c
@@ -61,8 +65,7 @@ def dense_block(op):
 
 def test_mu_block_shape_and_symmetry():
     op = build_mu_block(1.0, 0.5, 10)
-    assert len(op.labels) == 21
-    assert op.head == 0.5
+    assert (op.nu, op.lam, op.cutoff) == (1.0, 0.5, 10)
     np.testing.assert_array_equal(op.couplings, 1.0 / (np.arange(1, 11) * math.pi))
     assert not op.couplings.flags.writeable
     mat = dense_block(op)
@@ -99,14 +102,42 @@ def test_harmonic_block_rejects_bad_arguments():
 
 
 def test_truncated_operator_validates_input():
-    with pytest.raises(DimensionError):
-        TruncatedOperator(("a",), 0.0, [1.0], 1)
-    with pytest.raises(DimensionError):
-        TruncatedOperator(("a",), 0.0, [], 1)
+    for lam in (0.0, None):
+        with pytest.raises(DimensionError, match="cutoff of at least 1, got 0"):
+            TruncatedOperator(1.0, lam, 0)
+        with pytest.raises(DomainError, match="must be finite"):
+            TruncatedOperator(math.nan, lam, 1)
     with pytest.raises(DomainError, match="must be finite"):
-        TruncatedOperator(("a", "b", "c"), 0.0, [math.nan], 1)
-    with pytest.raises(DomainError, match="must be finite"):
-        TruncatedOperator(("a", "b", "c"), math.inf, [1.0], 1)
+        TruncatedOperator(1.0, math.inf, 1)
+
+
+def test_a_block_is_its_frequency_head_and_cutoff():
+    assert [f.name for f in dataclasses.fields(TruncatedOperator)] == [
+        "nu", "lam", "cutoff", "couplings"
+    ]
+    pair = build_harmonic_block(2.0, 3)
+    assert (pair.nu, pair.lam, pair.cutoff) == (2.0, None, 3)
+    np.testing.assert_array_equal(pair.couplings, [2.0 / (3 * math.pi)])
+    assert not pair.couplings.flags.writeable
+    # the labels are built only when read, one per row of the block
+    assert pair.labels == (FourierBasisLabel("k_nu_sin", 0, 2.0, PERP_LABEL, 3),
+                           FourierBasisLabel("m_nu_cos", 0, 2.0, PERP_LABEL, 3))
+    labels = build_mu_block(1.3, -0.4, 5).labels
+    assert labels[0] == FourierBasisLabel("m_nu_const", 0, 1.3, -0.4)
+    assert [(lb.kind, lb.mode) for lb in labels[1:]] == [
+        (kind, n) for kind in ("k_nu_sin", "m_nu_cos") for n in range(1, 6)
+    ]
+    assert {(lb.nu, lb.lam) for lb in labels} == {(1.3, -0.4)}
+
+
+def test_mu_block_builds_only_its_numbers():
+    tracemalloc.start()
+    try:
+        build_mu_block(1.0, 0.3, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 50, 400, 1000])
@@ -125,7 +156,7 @@ def test_each_secular_root_is_accurate_to_its_own_size(lam):
     # falls through 0 within 4 eps of every computed root, the smallest ones
     # too: a dense solve is only accurate to eps times the largest.
     op = build_mu_block(1.3, lam, 20)
-    head, cs = Fraction(op.head), [Fraction(c) for c in op.couplings]
+    head, cs = Fraction(op.lam), [Fraction(c) for c in op.couplings]
 
     def f(x):
         return head - x - sum(2 * x * c * c / (c * c - x * x) for c in cs)
@@ -133,6 +164,14 @@ def test_each_secular_root_is_accurate_to_its_own_size(lam):
     for x in map(Fraction, op.eigenvalues()):
         lo, hi = sorted((x * (1 - Fraction(1, 2**50)), x * (1 + Fraction(1, 2**50))))
         assert f(lo) >= 0 >= f(hi), float(x)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0])
+@pytest.mark.parametrize("cutoff", [1, 50, 1000])
+def test_a_zero_head_gives_the_root_plus_zero(cutoff, lam):
+    # f(0) = lambda = 0 exactly: the middle bracket ends at its first midpoint
+    middle = build_mu_block(1.9, lam, cutoff).eigenvalues()[cutoff]
+    assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
 
 
 @pytest.mark.parametrize("exp", [-1000, -3, 5, 1000])
@@ -163,7 +202,7 @@ def test_mu_block_residual_applies_the_dense_block():
 
 
 def test_mu_block_residual_refuses_a_harmonic_block():
-    with pytest.raises(DomainError, match="needs a mu block, got k_nu_sin i=0 nu=1 perp n=1"):
+    with pytest.raises(DomainError, match="needs a mu block, got harmonic n=1"):
         mu_block_residual(build_harmonic_block(1.0, 1), 0)
 
 
@@ -177,13 +216,21 @@ def test_compare_spectra_passes_on_consistent_data():
     assert rep.passed
 
 
+@dataclasses.dataclass(frozen=True)
+class Relabeled(TruncatedOperator):
+    """A block that names the family of its (nu, lam, cutoff) but has the
+    eigenvalues of the block ``actual``, as a wrong block would."""
+
+    actual: TruncatedOperator | None = None
+
+    def eigenvalues(self, count=None):
+        return self.actual.eigenvalues(count)
+
+
 def test_compare_spectra_detects_wrong_lambda():
-    # Relabel a lambda=0.5 block as lambda=0.9: the labels name the predicted
-    # family, but the computed eigenvalues belong to a different operator.
-    honest = build_mu_block(1.0, 0.9, 200)
-    impostor = build_mu_block(1.0, 0.5, 200)
-    relabeled = TruncatedOperator(honest.labels, impostor.head, impostor.couplings, honest.cutoff)
-    rep = compare_spectra(relabeled, 1, 1e-10, 1e-3)
+    # A lambda=0.5 block under the name lambda=0.9: the name fixes the
+    # predicted family, but the computed eigenvalues belong to another block.
+    rep = compare_spectra(Relabeled(1.0, 0.9, 200, build_mu_block(1.0, 0.5, 200)), 1, 1e-10, 1e-3)
     assert not rep.passed
 
 
@@ -200,13 +247,13 @@ def test_compare_spectra_predicts_the_family_its_labels_name():
             compare_spectra(build_harmonic_block(nu, 3), m_max, 1e-10, 1e-2)
 
 
-class DenseReference(TruncatedOperator):
-    """Reference block: every eigenvalue from the dense solve of
+class DenseReference(Relabeled):
+    """Reference block: every eigenvalue from the dense solve of ``actual``'s
     ``dense_block``, whatever count is asked for, so compare_spectra
     matches over the whole spectrum."""
 
     def eigenvalues(self, count=None):
-        return np.linalg.eigvalsh(dense_block(self))
+        return np.linalg.eigvalsh(dense_block(self.actual))
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,15 +264,17 @@ class DenseReference(TruncatedOperator):
     m_max=st.integers(0, 40),
     scale=st.sampled_from([1.0, 0.25, 4.0]),
 )
+@example(nu=1.0, lam=0.0, cutoff=300, m_max=40, scale=1.0)
+@example(nu=1.0, lam=0.0, cutoff=300, m_max=40, scale=4.0)
 def test_top_of_spectrum_matches_dense_reference(nu, lam, cutoff, m_max, scale):
-    # scale != 1 puts the block of another frequency under this one's
-    # labels, so the targets fall among eigenvalues the first top-of-spectrum
-    # solve leaves out and the certificate has to ask for more.
-    labels = build_mu_block(nu, lam, cutoff).labels
-    op = TruncatedOperator(labels, lam, build_mu_block(scale * nu, lam, cutoff).couplings, cutoff)
+    # scale != 1 puts the block of another frequency under this one's name,
+    # so the targets fall among eigenvalues the first top-of-spectrum solve
+    # leaves out and the certificate has to ask for more.
+    actual = build_mu_block(scale * nu, lam, cutoff)
+    op = Relabeled(nu, lam, cutoff, actual)
     window = (m_max, 1e-10, 1e-2)
     try:
-        ref = compare_spectra(DenseReference(labels, op.head, op.couplings, cutoff), *window)
+        ref = compare_spectra(DenseReference(nu, lam, cutoff, actual), *window)
     except DomainError:  # mu() has no value once nu/lambda rounds to 0
         with pytest.raises(DomainError):
             compare_spectra(op, *window)
@@ -248,6 +297,24 @@ def test_top_of_spectrum_matches_dense_reference(nu, lam, cutoff, m_max, scale):
     )
 
 
+def test_benchmark_counter_reads_the_block_size():
+    # perfbench/spans.py counts the rows of each compared block by its labels
+    spec = importlib.util.spec_from_file_location(
+        "spans", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        oracle.compare_spectra(oracle.build_mu_block(1.0, 0.5, 40), 2, 1e-10, 1e-2)
+        mu_rows = tracer.counts["oracle.eig_computed"]
+        oracle.compare_spectra(oracle.build_harmonic_block(1.0, 3), 2, 1e-10, 1e-2)
+    finally:
+        tracer.uninstall()
+    assert (mu_rows, tracer.counts["oracle.eig_computed"]) == (81, 83)
+
+
 def test_certificate_asks_for_more_only_when_needed(monkeypatch):
     calls = []
     solve = TruncatedOperator.eigenvalues
@@ -262,10 +329,10 @@ def test_certificate_asks_for_more_only_when_needed(monkeypatch):
     honest = build_mu_block(1.0, 0.5, 400)
     assert compare_spectra(honest, *window).passed
     assert calls == [(7, 7)]
-    # a block of frequency 4 under these labels: the targets sit inside its
+    # a block of frequency 4 under this name: the targets sit inside its
     # spectrum, below the seven largest magnitudes
     calls.clear()
-    impostor = TruncatedOperator(honest.labels, 0.5, build_mu_block(4.0, 0.5, 400).couplings, 400)
+    impostor = Relabeled(1.0, 0.5, 400, build_mu_block(4.0, 0.5, 400))
     assert not compare_spectra(impostor, *window).passed
     assert calls[0] == (7, 7) and len(calls) > 1
     assert all(b == 2 * a for (a, _), (b, _) in zip(calls, calls[1:]))

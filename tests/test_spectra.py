@@ -111,6 +111,31 @@ def test_kappa_frozen_value():
     assert minus == pytest.approx((1.0 - root) / 2.0, abs=IDENTITY_TOL)
 
 
+@pytest.mark.parametrize("nu, lam", [(1e308, 1e308), (1e308, -1e308), (1.0, 1.7e308)])
+def test_kappa_is_finite_where_the_pair_is(nu, lam):
+    # lambda + root overflows here, though the pair itself is finite
+    plus, minus = kappa(nu, lam)
+    root = math.hypot(lam, nu)
+    assert (plus, minus) == (lam / 2.0 + root / 2.0, lam / 2.0 - root / 2.0)
+    assert math.isfinite(plus) and math.isfinite(minus)
+
+
+@given(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(5e-324, 5e-324)
+@example(5e-324, -5e-324)
+@example(1e-310, 3e-320)
+@settings(max_examples=300, deadline=None)
+def test_kappa_is_the_halved_sum_wherever_that_is_finite(nu, lam):
+    root = math.hypot(lam, nu)
+    for got, total in zip(kappa(nu, lam), (lam + root, lam - root)):
+        if math.isfinite(total):
+            assert math.copysign(1.0, got) == math.copysign(1.0, total / 2.0)
+            assert got == total / 2.0
+
+
 # ------------------------------------------------------------------ families
 
 
