@@ -7,10 +7,14 @@ closed-form eigenvalue families with truncated-operator oracles,
 regularized traces, austere/arid symmetry deciders, and the discretized
 gauge action with its transport ODE.
 
-scipy and jsonschema are imported at first use, inside the functions that
-call them: imported at module level, they made the set-up of one CLI call
-(import, parser, one document load) take 0.51 s instead of 0.21 s (median
-of 9 fresh processes, one BLAS thread).
+scipy is imported at first use, inside the functions that call it: imported
+at module level, it and jsonschema made the set-up of one CLI call (import,
+parser, one document load) take 0.51 s instead of 0.21 s (median of 9 fresh
+processes, one BLAS thread).  Documents are checked by the package's own
+schema walker (``formats.validate_document``), not jsonschema, which cuts
+that set-up's median by 20-30%, from 0.15 to 0.10-0.12 s in two sittings
+and from 0.21 to 0.16 s in two slower ones (15 fresh processes per side and
+sitting, no compiled bytecode, 2-core Xeon; BENCH_setup_validator.json).
 """
 
 from .adspec import (

@@ -203,7 +203,15 @@ def _cmd_spectrum(args):
             "spectrum": spec.to_json(),
             "window": {"n_max": args.n_max, "m_max": args.m_max},
         }
-        rows_fn = lambda: (["family", "index", "value", "multiplicity"], rows)
+
+        def rows_fn():
+            # The report lists families only; a mu value past the float
+            # range is inf in the rows alone.
+            bad = np.flatnonzero(~np.isfinite([row.value for row in rows]))
+            if bad.size:
+                raise DomainError(f"rows[{bad[0]}][2] is not a finite number, "
+                                  "so no report is given")
+            return ["family", "index", "value", "multiplicity"], rows
     return report, rows_fn
 
 

@@ -98,20 +98,92 @@ SCHEMAS = {
 }
 
 
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON Schema's types: a bool is not a number, and 1.0 is an integer.
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+}
+
+
+def _schema_errors(schema: dict, value, path: str):
+    """Yield (json_path, message) for each keyword of ``schema`` that
+    ``value`` breaks, keyword by keyword in the schema's order and depth
+    first, with jsonschema's paths and wording.  A keyword outside the few
+    the schemas above use raises, so a schema edit cannot pass unchecked."""
+    is_array, is_object = isinstance(value, list), isinstance(value, dict)
+    for key, rule in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "minimum":
+            if _is_number(value) and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if _is_number(value) and value <= rule:
+                yield path, f"{value!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "required":
+            for name in rule if is_object else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties":
+            if rule is not False:
+                raise NotImplementedError(f"additionalProperties {rule!r}")
+            known = schema.get("properties", {})
+            extras = sorted(value.keys() - known, key=str) if is_object else ()
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(map(repr, extras))
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "properties":
+            for name, sub in rule.items() if is_object else ():
+                if name in value:
+                    yield from _schema_errors(sub, value[name], f"{path}.{name}")
+        elif key == "prefixItems":
+            for i, (item, sub) in enumerate(zip(value if is_array else (), rule)):
+                yield from _schema_errors(sub, item, f"{path}[{i}]")
+        elif key == "items":
+            prefix = len(schema.get("prefixItems", ()))
+            rest = value[prefix:] if is_array else []
+            if rest and rule is False:
+                shown = rest if len(rest) != 1 else rest[0]
+                noun = "items" if prefix != 1 else "item"
+                yield path, (f"Expected at most {prefix} {noun} but found {len(rest)} "
+                             f"extra: {shown!r}")
+            elif rest:
+                for i, item in enumerate(rest, prefix):
+                    yield from _schema_errors(rule, item, f"{path}[{i}]")
+        elif key == "minItems":
+            if is_array and len(value) < rule:
+                yield path, f"{value!r} {'is too short' if rule != 1 else 'should be non-empty'}"
+        elif key == "maxItems":
+            if is_array and len(value) > rule:
+                yield path, f"{value!r} {'is too long' if rule != 0 else 'is expected to be empty'}"
+        else:
+            raise NotImplementedError(f"schema keyword {key!r} is not implemented")
+
+
 def validate_document(kind: str, document) -> None:
     """Validate a parsed JSON document against a named schema.
 
-    Raises FormatError carrying the JSON path of the offending field.
+    Raises FormatError with the first error by JSON path, as JSON Schema
+    (draft 2020-12) words it: ``kind: $.path: message``.
     """
     if kind not in SCHEMAS:
         raise FormatError(f"unknown schema {kind!r} (have {sorted(SCHEMAS)})")
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
-    errors = sorted(validator.iter_errors(document), key=lambda e: e.json_path)
-    if errors:
-        first = errors[0]
-        raise FormatError(f"{kind}: {first.json_path}: {first.message}")
+    first = min(_schema_errors(SCHEMAS[kind], document, "$"), key=lambda e: e[0], default=None)
+    if first:
+        raise FormatError(f"{kind}: {first[0]}: {first[1]}")
 
 
 def _finite_float(text: str) -> float:

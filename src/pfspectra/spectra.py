@@ -74,10 +74,16 @@ def kappa(nu: float, lam: float):
     """Group-level eigenvalue pair (kappa_plus, kappa_minus) for a block.
 
     kappa_pm = (lam +- sqrt(lam^2 + nu^2)) / 2; their product is -nu^2/4.
+    Where the root overflows, lam and nu are large enough that halving them
+    is exact, and the pair is lam/2 +- hypot(lam/2, nu/2); kappa_plus is inf
+    only where it exceeds the largest float.
     """
     if nu <= 0:
         raise DomainError(f"frequency nu must be positive, got {nu}")
     root = math.hypot(lam, nu)
+    if math.isinf(root):
+        half = math.hypot(lam / 2.0, nu / 2.0)
+        return lam / 2.0 + half, lam / 2.0 - half
     return _half_sum(lam, root), _half_sum(lam, -root)
 
 
@@ -523,7 +529,10 @@ def enumerate_rows(spectrum: PrincipalSpectrum, n_max: int, m_max: int):
         values = nu / (ns * math.pi)
         rows += map(SpectrumRow, repeat("harmonic"), ns.tolist(), values.tolist(), repeat(mult))
     for nu, lam, mult in spectrum.mus:
-        rows += map(SpectrumRow, repeat("mu"), ms.tolist(), mu(nu, lam, ms).tolist(), repeat(mult))
+        # A value past the float range becomes inf; the CLI refuses to print it.
+        with np.errstate(over="ignore"):
+            values = mu(nu, lam, ms)
+        rows += map(SpectrumRow, repeat("mu"), ms.tolist(), values.tolist(), repeat(mult))
     if rows:
         # A stable sort on the key (-|value|, family, index or 0).
         families, indices, values, _ = zip(*rows)

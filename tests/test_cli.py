@@ -1,5 +1,6 @@
 """Document schemas, serialization helpers, and the command-line surface."""
 
+import copy
 import json
 import math
 import os
@@ -58,6 +59,91 @@ def test_validate_document_passes_and_fails():
         validate_document("spectral_data", {"mult": []})
     with pytest.raises(FormatError, match="unknown schema"):
         validate_document("nope", {})
+
+
+_NUMBER = st.one_of(st.integers(-10, 10), st.floats(-1e3, 1e3, allow_nan=False))
+_MATRIX_DOC = st.lists(st.lists(_NUMBER, min_size=1, max_size=3), min_size=1, max_size=3)
+VALID_DOCS = {
+    "spectral_data": st.fixed_dictionaries({
+        "freq_mult": st.lists(st.tuples(_NUMBER, st.integers(0, 4)).map(list), max_size=3),
+        "mult0": st.lists(st.tuples(_NUMBER, st.integers(0, 4)).map(list), max_size=3),
+        "mult": st.lists(st.tuples(_NUMBER, _NUMBER, st.integers(0, 4)).map(list), max_size=3),
+        "perp": st.lists(st.tuples(_NUMBER, st.integers(0, 4)).map(list), max_size=3),
+        "dim_m0": st.integers(0, 5),
+        "dim_k0": st.integers(0, 5),
+    }),
+    "decompose_input": st.fixed_dictionaries(
+        {"n": st.integers(2, 9)},
+        optional={"ip_scale": st.floats(1e-3, 1e3), "p": _MATRIX_DOC, "xi": _MATRIX_DOC},
+    ),
+    "weyl_roots": st.fixed_dictionaries({"roots": _MATRIX_DOC}),
+}
+# Values a mutation puts in: wrong types, bools, integral floats, values at
+# each schema minimum (0, 2, exclusive 0) and just below it.
+ODD_VALUES = st.one_of(
+    st.sampled_from([True, False, None, "x", 0, -1, 1, 2, 1.0, 2.0, -1.0, 0.0, -0.0, 1.5,
+                     1.999, 5e-324, -5e-324, [], {}, [1.0], [[1.0]], [1.0, 2], [1.0, 1.0, 2],
+                     [1.0, 2, 3], [1.0, 2.0, 3, 4], {"n": 2}]).map(copy.deepcopy),
+    _NUMBER,
+)
+KEYS = st.sampled_from(["freq_mult", "mult0", "mult", "perp", "dim_m0", "dim_k0", "n",
+                        "ip_scale", "p", "xi", "roots", "extra", "z"])
+
+
+def _mutate(draw, doc):
+    """Delete, add or retype one key or item somewhere in doc, in place."""
+    containers, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        containers.append(node)
+        children = node.values() if isinstance(node, dict) else node
+        stack += [c for c in children if isinstance(c, (dict, list))]
+    node = draw(st.sampled_from(containers))
+    op = draw(st.sampled_from(["delete", "add", "retype"]))
+    if isinstance(node, dict):
+        if op == "add" or not node:
+            node[draw(KEYS)] = draw(ODD_VALUES)
+        elif op == "delete":
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            node[draw(st.sampled_from(sorted(node)))] = draw(ODD_VALUES)
+    elif op == "add" or not node:
+        node.insert(draw(st.integers(0, len(node))), draw(ODD_VALUES))
+    elif op == "delete":
+        del node[draw(st.integers(0, len(node) - 1))]
+    else:
+        node[draw(st.integers(0, len(node) - 1))] = draw(ODD_VALUES)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_validate_document_agrees_with_jsonschema(kind, data):
+    # jsonschema is the reference: the same verdict, the same first error by
+    # JSON path and the same wording, on valid documents and their mutations.
+    import jsonschema
+
+    doc = data.draw(VALID_DOCS[kind])
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(data.draw, doc)
+    errors = sorted(jsonschema.Draft202012Validator(SCHEMAS[kind]).iter_errors(doc),
+                    key=lambda e: e.json_path)
+    expected = f"{kind}: {errors[0].json_path}: {errors[0].message}" if errors else None
+    try:
+        validate_document(kind, doc)
+        got = None
+    except FormatError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@pytest.mark.parametrize("where", ["top", "nested"])
+def test_validate_document_refuses_an_unimplemented_keyword(monkeypatch, where):
+    schema = json.loads(json.dumps(SCHEMAS["spectral_data"]))
+    (schema if where == "top" else schema["properties"]["dim_m0"])["pattern"] = "^x"
+    monkeypatch.setitem(SCHEMAS, "spectral_data", schema)
+    with pytest.raises(NotImplementedError, match="'pattern'"):
+        validate_document("spectral_data", sphere_doc())
 
 
 def test_load_document_diagnostics(tmp_path):
@@ -124,11 +210,13 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
 
 def test_commands_import_scipy_and_jsonschema_only_where_they_run(tmp_path):
     # Start-up cost: building the parser, decompose and the forms check run
-    # without scipy.linalg, scipy.special, scipy.sparse and jsonschema; the
-    # austere check, the CSV spectrum and the sphere-product check read
-    # documents, so they may load jsonschema, but none of the three scipy
-    # modules; nor do the fiber and equivariance transport checks.
+    # without scipy.linalg, scipy.special and scipy.sparse; so do the austere
+    # check, the CSV spectrum, the sphere-product check and the fiber and
+    # equivariance transport checks.  jsonschema is the test suite's
+    # reference validator only: no command loads it, the ones that read
+    # documents (austere, spectrum, trace, decompose --input) included.
     data = write_json(tmp_path, "data.json", sphere_doc(1.0, [(0.5, 1), (-0.5, 1)], 2, 0))
+    decompose = write_json(tmp_path, "decompose.json", {"n": 5})
     probe = f"""
 import contextlib, io, sys
 from pfspectra import cli
@@ -142,18 +230,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["austere", "--data", {str(data)!r}, "--value-floor", "1e-2"]),
              cli.main(["spectrum", "--data", {str(data)!r}, "--format", "csv"]),
              cli.main(["product-sphere", "--m", "2", "--n", "3", "--samples", "2"])]
-print(codes, [name for name in heavy[:3] if name in sys.modules])
+print(codes, [name for name in heavy if name in sys.modules])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["transport", "--check", "fiber", "--n", "4", "--grid", "64"]),
              cli.main(["transport", "--check", "equivariance", "--n", "3", "--grid", "64",
                        "--samples", "1"])]
-print(codes, [name for name in heavy[:3] if name in sys.modules])
+print(codes, [name for name in heavy if name in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["trace", "--data", {str(data)!r}]),
+             cli.main(["decompose", "--input", {str(decompose)!r}])]
+print(codes, "jsonschema" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["[0, 0] []", "[0, 0, 0] []", "[0, 0] []"]
+    assert proc.stdout.split("\n")[:4] == ["[0, 0] []", "[0, 0, 0] []", "[0, 0] []",
+                                           "[0, 0] False"]
 
 
 def test_spectrum_window_frozen_values(tmp_path, capsys):
@@ -231,6 +324,30 @@ def test_spectrum_group_reports_a_kappa_pair_near_the_float_limit(tmp_path, caps
     assert json.loads(out)["spectrum"]["entries"] == [
         [-2.0710678118654756e307, 1], [1.2071067811865475e308, 1]
     ]
+
+
+# nu = lambda = 1.5e308: hypot(lambda, nu) overflows, and kappa_+ = 1.81e308
+# and the m = 0 mu value 1.91e308 lie past the largest float.
+PAST_FLOAT_RANGE_DOC = {"freq_mult": [[1.5e308, 1]], "mult0": [], "mult": [[1.5e308, 1.5e308, 1]],
+                        "perp": [[0.0, 1]], "dim_m0": 1, "dim_k0": 0}
+
+
+def test_spectrum_of_a_block_past_the_float_range_is_warning_free(tmp_path, capsys):
+    # The JSON report lists families only, so it is given; the rows, the
+    # group spectrum and the floor enumeration would need the values past the
+    # float range, and each is one input-error line.  No numpy warning in any.
+    path = write_json(tmp_path, "data.json", PAST_FLOAT_RANGE_DOC)
+    code, out, err = run_cli(capsys, "spectrum", "--data", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kind"] == "path_space"
+    for argv, message in [
+        (("spectrum", "--format", "csv"), "rows[0][2] is not a finite number, so no report is given"),
+        (("spectrum", "--group"),
+         "report['spectrum']['entries'][1][0] is not a finite number, so no report is given"),
+        (("austere",), "value floor asks for inf entries, more than the limit of 200000"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, "--data", path)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 # Report records are written as the JSON objects of their fields, so a field

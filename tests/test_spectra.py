@@ -111,13 +111,22 @@ def test_kappa_frozen_value():
     assert minus == pytest.approx((1.0 - root) / 2.0, abs=IDENTITY_TOL)
 
 
-@pytest.mark.parametrize("nu, lam", [(1e308, 1e308), (1e308, -1e308), (1.0, 1.7e308)])
+@pytest.mark.parametrize("nu, lam", [(1e308, 1e308), (1e308, -1e308), (1.0, 1.7e308),
+                                     (1.3e308, 1.3e308), (1.3e308, -1.3e308), (1.7e308, 1e308)])
 def test_kappa_is_finite_where_the_pair_is(nu, lam):
-    # lambda + root overflows here, though the pair itself is finite
+    # lambda + root overflows here, and in the last three the root itself
+    # does, though the pair is finite
     plus, minus = kappa(nu, lam)
-    root = math.hypot(lam, nu)
-    assert (plus, minus) == (lam / 2.0 + root / 2.0, lam / 2.0 - root / 2.0)
+    half = math.hypot(lam / 2.0, nu / 2.0)
+    assert (plus, minus) == (lam / 2.0 + half, lam / 2.0 - half)
     assert math.isfinite(plus) and math.isfinite(minus)
+
+
+def test_kappa_plus_is_inf_only_past_the_largest_float():
+    # kappa_+ = 0.75e308 * (1 + sqrt 2) = 1.81e308; kappa_- stays finite
+    plus, minus = kappa(1.5e308, 1.5e308)
+    assert plus == math.inf
+    assert minus == pytest.approx(0.75e308 * (1.0 - math.sqrt(2.0)), rel=1e-15)
 
 
 @given(
