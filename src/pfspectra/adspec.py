@@ -43,14 +43,11 @@ def _scaled_xi(cd: CartanDecomposition, xi: np.ndarray):
     a nonzero vector of m.  At |xi| near 1e-160 the squared norms of
     brackets are subnormal and lose digits; at norm about 1 they do not."""
     alg = cd.algebra
+    # The norm of xi scaled exactly by a power of two from its largest entry,
+    # scaled back, so that its squares neither underflow nor overflow.
+    e = -math.frexp(np.abs(xi).max())[1]
     with np.errstate(over="ignore"):
-        nrm = alg.norm(xi)
-        if nrm in (0.0, np.inf) and xi.any() and np.isfinite(xi).all():
-            # The squared norm underflowed or overflowed: take the norm of xi
-            # scaled exactly by a power of two from its largest entry, then
-            # scale it back.
-            e = -math.frexp(np.abs(xi).max())[1]
-            nrm = float(np.ldexp(alg.norm(np.ldexp(xi, e)), -e))
+        nrm = float(np.ldexp(alg.norm(np.ldexp(xi, e)), -e))
     if not 0.0 < nrm < np.inf:
         raise DomainError(f"xi must have a finite nonzero norm, got {nrm:.3e}")
     s = -round(math.log2(nrm))

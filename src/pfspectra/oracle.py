@@ -117,6 +117,8 @@ class TruncatedOperator:
         c = self.nu / (modes * math.pi)
         if not (np.isfinite(c).all() and math.isfinite(self.lam or 0.0)):
             raise DomainError("block entries must be finite")
+        if self.nu <= 0:
+            raise DomainError(f"frequency must be positive, got {self.nu}")
         c.setflags(write=False)
         object.__setattr__(self, "couplings", c)
 
@@ -144,7 +146,7 @@ class TruncatedOperator:
         return np.sort(vals)
 
 
-def _secular_roots(lam: float, couplings: np.ndarray, sides: int | None) -> np.ndarray:
+def _secular_roots(lam: float, c: np.ndarray, sides: int | None) -> np.ndarray:
     """Eigenvalues of a mu block: the roots of all 2N + 1 brackets, or of
     the ``sides`` outermost of each side (the 2 * sides of largest magnitude).
 
@@ -155,8 +157,9 @@ def _secular_roots(lam: float, couplings: np.ndarray, sides: int | None) -> np.n
     pole +-c_1, between neighbouring poles, and (-c_N, c_N).  At unit scale
     (lambda and c times one power of two) the brackets are bisected
     together until each midpoint equals an endpoint or is a root.
+    ``c`` holds the block's couplings as it builds them: c_1 >= ... >= c_N,
+    all positive but where nu/(n pi) underflows.
     """
-    c = np.sort(np.abs(couplings))[::-1]
     exp = math.frexp(max(abs(lam), c[0]))[1]
     lam, c = math.ldexp(lam, -exp), np.ldexp(c, -exp)
     whole = sides is None or sides > c.size
@@ -195,8 +198,6 @@ def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
     only diagonal entry is lambda on the constant.  Eigenvalues approximate
     the mu(nu, lam, m) family as the cutoff grows.
     """
-    if nu <= 0:
-        raise DomainError(f"frequency must be positive, got {nu}")
     if not 1 <= cutoff <= MAX_MU_CUTOFF:
         raise DomainError(f"cutoff must be between 1 and {MAX_MU_CUTOFF}, got {cutoff}")
     return TruncatedOperator(nu, lam, cutoff)
@@ -205,8 +206,6 @@ def build_mu_block(nu: float, lam: float, cutoff: int) -> TruncatedOperator:
 def build_harmonic_block(nu: float, n: int) -> TruncatedOperator:
     """Exact 2x2 block [[0, -c], [-c, 0]], c = nu/(n*pi), of a normal-frequency
     mode pair: eigenvalues +-c."""
-    if nu <= 0:
-        raise DomainError(f"frequency must be positive, got {nu}")
     if n < 1:
         raise DomainError("mode index must be a positive integer")
     return TruncatedOperator(nu, None, n)

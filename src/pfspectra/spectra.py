@@ -46,9 +46,12 @@ MAX_TRACE_TERMS = 4_000_000
 # one-family document: the table takes 5 ms for 1000 probes and 23 ms for
 # 3000, and `trace` with 1000 probes 0.02 s.
 MAX_TRACE_PROBES = 1000
-# Below this many values the clusterer's in-order scan costs less than its
-# array form.
-_SCAN_MAX = 64
+# Up to this many values the clusterer's in-order scan costs less than its
+# array form.  Xeon, numpy 2.4, best of 5 x 2000 calls on sorted uniform
+# values, distinct or in triples: the scan takes 13-19 us at 64 values and
+# 19 us at 96, the array form 18-20 us at both and at 128, where the scan
+# takes 26 us.
+_SCAN_MAX = 96
 
 
 def check_work(what: str, count: float, limit: int) -> None:
@@ -103,43 +106,33 @@ def _group_starts(v: np.ndarray, tol: float):
     """Start positions of the groups of the ascending values v.
 
     A value joins the current group while v - head <= tol * max(1, |head|),
-    head being the group's first value; v is ascending, so the difference
-    is nonnegative.  Short or non-finite inputs are scanned in order.
-    Longer ones find every value's group end with one searchsorted on
-    v + bound, move each end to where the rule itself changes (searchsorted
-    compares with the rounded sum, the rule with the rounded difference)
-    and then step from group start to group start.  The starts come as a
-    list from the scan and as an index array from the array form.
+    head being the group's first value.  That rule is an in-order scan, run
+    as written on short inputs and on inputs with a non-finite end.  Longer
+    ones are proposed groups by one searchsorted on v + bound, cut where no
+    earlier value reaches past; each group is then checked against the rule
+    (its last value joins its head, the next value does not).  The rounded
+    difference is monotone in v, so when every group passes, the starts are
+    the scan's and come as an index array; otherwise the scan runs and
+    returns them as a list.
     """
     n = len(v)
-    if n <= _SCAN_MAX or not (math.isfinite(v[0]) and math.isfinite(v[-1])):
-        starts = []
-        for i, x in enumerate(v.tolist()):
-            if not starts or not x - head <= tol * max(1.0, abs(head)):
-                head = x
-                starts.append(i)
-        return starts
-    bound = tol * np.maximum(1.0, np.abs(v))
-    ends = np.searchsorted(v, v + bound, side="right")
-    first = np.arange(1, n + 1)  # every group holds its head
-    while True:
-        grow = (ends < n) & (v[np.minimum(ends, n - 1)] - v <= bound)
-        shrink = (ends > first) & ~(v[ends - 1] - v <= bound)
-        if not (grow.any() or shrink.any()):
-            break
-        ends += grow
-        ends -= shrink
-    # Where no value before k reaches past k, the group holding k - 1 ends
-    # at k, so k starts a group.  When each run between such cuts is one
-    # group, the cuts are all the starts and no stepping is needed.
-    cuts = np.flatnonzero(np.maximum.accumulate(ends) == first) + 1
-    starts = np.concatenate(([0], cuts[:-1]))
-    if (ends[starts] == cuts).all():
-        return starts
-    starts, ends, i = [], ends.tolist(), 0
-    while i < n:
-        starts.append(i)
-        i = ends[i]
+    if n > _SCAN_MAX and math.isfinite(v[0]) and math.isfinite(v[-1]):
+        ends = np.searchsorted(v, v + tol * np.maximum(1.0, np.abs(v)), side="right")
+        cuts = np.flatnonzero(np.maximum.accumulate(ends) == np.arange(1, n + 1)) + 1
+        starts = np.concatenate(([0], cuts[:-1]))
+        head = v[starts]
+        room = tol * np.maximum(1.0, np.abs(head))
+        # a difference past the float range is inf, which no group joins
+        with np.errstate(over="ignore"):
+            joins = v[cuts - 1] - head <= room
+            parts = (cuts == n) | ~(v[np.minimum(cuts, n - 1)] - head <= room)
+        if (joins & parts).all():
+            return starts
+    starts = []
+    for i, x in enumerate(v.tolist()):
+        if not starts or not x - head <= tol * max(1.0, abs(head)):
+            head = x
+            starts.append(i)
     return starts
 
 

@@ -109,6 +109,9 @@ def test_truncated_operator_validates_input():
             TruncatedOperator(math.nan, lam, 1)
     with pytest.raises(DomainError, match="must be finite"):
         TruncatedOperator(1.0, math.inf, 1)
+    for nu, lam in ((0.0, 0.5), (-1.0, None)):
+        with pytest.raises(DomainError, match=f"frequency must be positive, got {nu}"):
+            TruncatedOperator(nu, lam, 1)
 
 
 def test_a_block_is_its_frequency_head_and_cutoff():

@@ -29,7 +29,7 @@ from pfspectra import (
     zeta_trace,
 )
 from pfspectra.formats import canonical_json
-from pfspectra.spectra import cluster_indices
+from pfspectra.spectra import _SCAN_MAX, CLUSTER_TOL, _group_starts, cluster_indices
 
 IDENTITY_TOL = 1e-12
 
@@ -337,6 +337,59 @@ def test_clusterer_and_multiset_equal_the_sequential_loop(case):
     # repr tells every float apart, signed zeros included, and shows that
     # multiplicities are Python ints, 10**20 sums exact.
     assert repr(entries) == repr(sequential_multiset(pairs, tol))
+
+
+def test_a_chain_fails_the_proposal_and_is_scanned():
+    # Each step is 0.6 tol, so the proposal runs the whole chain into one
+    # group, and the rule pairs the values.
+    values = np.arange(100) * 0.6e-9
+    assert isinstance(_group_starts(values, 1e-9), list)
+    groups = cluster_indices(values, 1e-9)
+    assert groups == sequential_clusters(values, 1e-9)
+    assert groups == [[i, i + 1] for i in range(0, 100, 2)]
+
+
+@pytest.mark.parametrize("head, edge, tol", [
+    # head + bound rounds up, so the proposal takes in a value the rule
+    # leaves out.
+    (2.72936590562509, 2.729365908354456, 1e-9),
+    # edge - head rounds down into the bound, so the rule takes in a value
+    # the proposal leaves out.
+    (-7.314602020437045e-05, 0.00017483238233890165, 0.0002479784025432721),
+])
+def test_a_rounding_boundary_fails_the_proposal_and_is_scanned(head, edge, tol):
+    values = np.concatenate(([head, edge], 10.0 + np.arange(_SCAN_MAX)))
+    assert isinstance(_group_starts(values, tol), list)
+    groups = cluster_indices(values, tol)
+    assert groups == sequential_clusters(values, tol)
+    assert ([0, 1] in groups) == (edge - head <= tol * max(1.0, abs(head)))
+
+
+def test_separated_values_pass_the_proposal():
+    values = np.arange(_SCAN_MAX + 1) * 0.5
+    starts = _group_starts(values, CLUSTER_TOL)
+    assert isinstance(starts, np.ndarray)
+    assert starts.tolist() == list(range(_SCAN_MAX + 1))
+
+
+def test_floor_enumeration_of_a_two_frequency_document_passes_the_proposal():
+    # Frequencies summing to 2 with +-lambda tangent pairs, as the austere
+    # cases of the benchmark's spectral workload draw them.
+    spectrum = assemble_pf_spectrum(SubmanifoldSpectralData.from_maps(
+        freq_mult=[(0.8, 5), (1.2, 6)],
+        mult0=[(0.45, 1), (-0.45, 1)],
+        mult=[(0.8, 0.7, 2), (0.8, -0.7, 2), (1.2, 1.3, 2), (1.2, -1.3, 2)],
+        perp=[(0.0, 1), (0.8, 1), (1.2, 2)],
+        dim_m0=3,
+        dim_k0=2,
+    ))
+    pairs = enumerate_by_floor(spectrum, 1e-3)
+    values = [v for v, _ in pairs]
+    assert len(values) > _SCAN_MAX
+    assert isinstance(_group_starts(np.sort(values), CLUSTER_TOL), np.ndarray)
+    assert cluster_indices(values, CLUSTER_TOL) == sequential_clusters(values, CLUSTER_TOL)
+    assert repr(EigenMultiset.from_pairs(pairs).entries) == repr(
+        sequential_multiset(pairs, CLUSTER_TOL))
 
 
 def test_multiset_keeps_huge_multiplicities_exact():
